@@ -2,7 +2,7 @@
 
 Submodules, roughly bottom up:
 
-- ``gf``: small finite field towers, discrete logs, multiplicative characters
+- ``gf``: small finite field towers, discrete logs
 - ``rootdata``: twisted root data, Galois orbits, sign invariants
 - ``groups``: GL2-scale matrix groups, tori, involutions, fixed Lie algebras
 - ``dlchar``: conjugacy classes and certified cuspidal characters

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -73,11 +72,8 @@ class RunConfig:
     exponent: tuple | None = None
     out: str | None = None
     fmt: str = "json"
-    jobs: int = 1
     twists: int = 0
     rng_seed: int = 0
-    custom_matrix: str | None = None
-    custom_kind: str | None = None
 
     def as_json(self) -> dict:
         return {
@@ -89,7 +85,6 @@ class RunConfig:
             "torus": self.torus,
             "exponent": list(self.exponent) if self.exponent else None,
             "format": self.fmt,
-            "jobs": self.jobs,
             "twists": self.twists,
             "rng_seed": self.rng_seed,
         }
@@ -308,12 +303,16 @@ def cmd_verify_centralizer_sigma(config: RunConfig) -> int:
 
 
 def _theorem_rows(config: RunConfig):
-    """One row per (group, q, seed, lambda pair), deterministic order."""
+    """One row per (group, q, seed, lambda pair), deterministic order.
+
+    An --exponent that names no cell at some q is refused, with the
+    representatives it may name instead.
+    """
     cells = []
     for kind, q in _group_qs(config):
         group = MatrixGroup(kind, q)
-        factor = group if kind == "gl2" else MatrixGroup("gl2", q)
-        pairs = general_position_exponents(factor)
+        pairs = general_position_exponents(group.factor)
+        n_cells = len(cells)
         for seed in _seeds_for(config, kind):
             if kind == "gl2":
                 for k, partner in pairs:
@@ -328,6 +327,17 @@ def _theorem_rows(config: RunConfig):
                         if config.exponent and exps != config.exponent:
                             continue
                         cells.append((group, q, seed, exps, None))
+        if config.exponent and len(cells) == n_cells:
+            reps = [k for k, _ in pairs]
+            if kind == "gl2":
+                allowed = f"k in {reps}"
+            else:
+                n = group.tower.order(2)
+                allowed = f"k1,k2 with k1 in {reps} and k2 in {[-k % n for k in reps]}"
+            raise ConfigError(
+                f"--exponent {','.join(map(str, config.exponent))} names no cell of "
+                f"{kind} at q = {q}; the representatives are {allowed}"
+            )
     return cells
 
 
@@ -364,12 +374,8 @@ def cmd_verify_theorem(config: RunConfig) -> int:
     cells = _theorem_rows(config)
     failures = []
     results = []
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_theorem_cell_safe, cells))
-    else:
-        outcomes = [_theorem_cell_safe(c) for c in cells]
-    for ok, payload in outcomes:
+    for cell in cells:
+        ok, payload = _theorem_cell_safe(cell)
         (results if ok else failures).append(payload)
     results.sort(key=_row_key)
     _emit(config, results, failures)
@@ -431,7 +437,6 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--torus", choices=("split", "elliptic", "both"), default="both")
         p.add_argument("--out", help="report path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
 
     sigma = vsub.add_parser("sigma", help="four-route sign identity")
     sigma.add_argument("--data", action="append", default=[], help="datum name or 'all'")
@@ -464,7 +469,6 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--torus", choices=("split", "elliptic", "both"), default="both")
     table.add_argument("--out")
     table.add_argument("--format", choices=("json", "csv"), default="csv")
-    table.add_argument("--jobs", type=int, default=1)
     return top
 
 
@@ -476,9 +480,6 @@ def _config_from(ns) -> RunConfig:
             exponent = tuple(int(x) for x in str(ns.exponent).split(","))
         except ValueError:
             raise ConfigError(f"bad --exponent value {ns.exponent!r}") from None
-    jobs = getattr(ns, "jobs", 1)
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     config = RunConfig(
         command=command,
         group=getattr(ns, "group", None),
@@ -489,7 +490,6 @@ def _config_from(ns) -> RunConfig:
         exponent=exponent,
         out=getattr(ns, "out", None),
         fmt=getattr(ns, "format", "json"),
-        jobs=jobs,
         twists=getattr(ns, "twists", 0),
         rng_seed=getattr(ns, "rng_seed", 0),
     )

@@ -55,7 +55,7 @@ class ConjugacyTable:
         q = group.q
         self.n_modulus = t.order(2)
         self._emb_log = {z: t.discrete_log(t.embed(z, 2)) for z in range(1, q)}
-        self._squares = {t.base_mul(x, x) for x in range(1, q)}
+        self._squares = {t.base.mul(x, x) for x in range(1, q)}
         classes = []
         for z in range(1, q):
             classes.append(
@@ -88,48 +88,52 @@ class ConjugacyTable:
                 ConjugacyClass(
                     "elliptic",
                     ("elliptic", key),
-                    ((0, t.base_neg(det)), (1, tr)),
+                    ((0, t.base.neg(det)), (1, tr)),
                     q * q - q,
                 )
             )
         classes.sort(key=lambda c: (c.kind, c.key))
         self.classes = tuple(classes)
         self.index = {c.key: i for i, c in enumerate(self.classes)}
-        assert len(self.classes) == q * q - 1
-        assert sum(c.size for c in self.classes) == group.gl2_order
+        sizes = (len(self.classes), sum(c.size for c in self.classes))
+        if sizes != (q * q - 1, group.gl2_order):
+            raise ConsistencyError(
+                "class count or class sizes do not match GL2", detail=sizes
+            )
         if q <= BRUTE_FORCE_Q:
             self._cross_check_brute_force()
         self._class_of_cache = {}
 
     def _trace_det_of_eigen(self, u):
-        t = self.group.tower
         uc = u ** self.group.q
         tr = u + uc
         det = u * uc
-        assert tr.coeffs[1] == 0 and det.coeffs[1] == 0
+        if tr.coeffs[1] != 0 or det.coeffs[1] != 0:
+            raise ConsistencyError("an eigenvalue has irrational trace or determinant")
         return tr.coeffs[0], det.coeffs[0]
 
     # -- classification ------------------------------------------------------
 
     def class_key(self, g) -> tuple:
         t = self.group.tower
+        F = t.base
         q = self.group.q
         a, b = g[0]
         c, d = g[1]
         if b == 0 and c == 0 and a == d:
             return ("central", a)
-        tr = t.base_add(a, d)
-        det = t.base_sub(t.base_mul(a, d), t.base_mul(b, c))
+        tr = F.add(a, d)
+        det = F.sub(F.mul(a, d), F.mul(b, c))
         if det == 0:
             raise ConfigError("singular matrix has no class")
-        disc = t.base_sub(t.base_mul(tr, tr), t.base_mul(4 % q, det))
+        disc = F.sub(F.mul(tr, tr), F.mul(F.embed_int(4), det))
+        half = F.inv(F.embed_int(2))
         if disc == 0:
-            return ("unipotent", t.base_mul(tr, t.base_inv(2)))
+            return ("unipotent", F.mul(tr, half))
         if disc in self._squares:
-            s = min(x for x in range(1, q) if t.base_mul(x, x) == disc)
-            half = t.base_inv(2)
-            r1 = t.base_mul(t.base_add(tr, s), half)
-            r2 = t.base_mul(t.base_sub(tr, s), half)
+            s = min(x for x in range(1, q) if F.mul(x, x) == disc)
+            r1 = F.mul(F.add(tr, s), half)
+            r2 = F.mul(F.sub(tr, s), half)
             return ("split", tuple(sorted((r1, r2))))
         s2 = t.sqrt(t.embed(disc, 2))
         half2 = t.scalar(2, 2).inverse()
@@ -150,7 +154,7 @@ class ConjugacyTable:
         group = self.group
         t = group.tower
         gens = group.gl2_generators()
-        gen_invs = [_m_inv(t, s) for s in gens]
+        gen_invs = [_m_inv(t.base, s) for s in gens]
         remaining = dict.fromkeys(group.gl2_elements())
         found = {}
         for start in group.gl2_elements():
@@ -162,7 +166,7 @@ class ConjugacyTable:
                 nxt = []
                 for x in frontier:
                     for s, si in zip(gens, gen_invs):
-                        y = _m_mul(t, _m_mul(t, s, x), si)
+                        y = _m_mul(t.base, _m_mul(t.base, s, x), si)
                         if y not in orbit:
                             orbit.add(y)
                             nxt.append(y)
@@ -266,7 +270,8 @@ def general_position_exponents(group: MatrixGroup):
         seen.add(k)
         seen.add(partner)
         pairs.append((k, partner))
-    assert len(pairs) == (q * q - q) // 2
+    if len(pairs) != (q * q - q) // 2:
+        raise ConsistencyError(f"{len(pairs)} Frobenius pairs, not (q^2 - q) / 2")
     return tuple(pairs)
 
 
@@ -344,12 +349,12 @@ def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> Cuspida
     degree = chi.value(((1, 0), (0, 1)))
     if degree != q - 1:
         raise ConsistencyError(f"degree {degree} differs from q - 1 = {q - 1}")
-    t = group.tower
+    F = group.tower.base
     unipotents = [((1, b), (0, 1)) for b in range(q)]
     for g in group.gl2_elements():
         acc = 0j
         for u in unipotents:
-            acc += chi.value(_m_mul(t, g, u))
+            acc += chi.value(_m_mul(F, g, u))
         if abs(acc) > tol:
             raise ConsistencyError(
                 f"unipotent-averaged sum {acc} does not vanish", detail=g

@@ -13,28 +13,23 @@ code is the residue itself; for q = p^f it is the base-p digit encoding of
 the coefficient vector in the canonical modulus basis, so code arithmetic
 is table-driven.  The matrix layer works directly on these codes.
 
-Multiplicative characters of a level are ``TorusCharacter`` objects: an
-exponent k against the canonical generator g, with value g^m -> zeta^(k*m)
-for zeta = exp(2*pi*i/(q^d - 1)).  Values are exposed both as complex
-numbers and as exact exponents of zeta, so tests that need exactness never
-touch floating point.
+The base field (``tower.base``) and ``tower.element_ops(d)`` offer the same
+operations (add, sub, mul, neg, inv, zero, one), on codes and on
+``FieldElement`` entries of level d, so the matrix and linear-algebra kernels
+take either.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
-from dataclasses import dataclass
+import operator
+
+from .errors import ConsistencyError
 
 __all__ = [
     "FieldTower",
     "FieldElement",
-    "TorusCharacter",
     "build_field",
-    "character_eval",
-    "discrete_log",
-    "legendre_symbol",
 ]
 
 
@@ -135,6 +130,9 @@ def _canonical_irreducible_modp(p: int, deg: int) -> tuple[int, ...]:
 class _BaseField:
     """F_q arithmetic on codes 0..q-1; q = p^f, base-p digit encoding."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int, f: int):
         self.p = p
         self.f = f
@@ -229,7 +227,8 @@ class _Level:
             self.powers.append(x)
             self.log[x] = i
             x = self.mul(x, self.generator_coeffs)
-        assert x == self._one(), "generator order is wrong"
+        if x != self._one():
+            raise ConsistencyError("generator order is wrong", detail=self.generator_coeffs)
 
     # -- raw coefficient-tuple arithmetic (fixed length d) ------------------
 
@@ -424,6 +423,20 @@ class FieldElement:
         return f"<F_{q}^{self.level} {list(self.coeffs)}>"
 
 
+class _ElementOps:
+    """The base field's code operations, over the FieldElement entries of one level."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    inv = staticmethod(FieldElement.inverse)
+
+    def __init__(self, tower: "FieldTower", level: int):
+        self.zero = tower.zero(level)
+        self.one = tower.one(level)
+
+
 class FieldTower:
     """F_q together with one extension F_{q^d} per requested degree."""
 
@@ -443,6 +456,7 @@ class FieldTower:
         self.base = _BaseField(self.p, self.f)
         self.degrees = degs
         self._levels = {d: _Level(self.base, d) for d in degs}
+        self._ops = {d: _ElementOps(self, d) for d in degs}
 
     def _lv(self, level: int) -> _Level:
         try:
@@ -485,6 +499,11 @@ class FieldTower:
                 raise ValueError("base code out of range")
         lv = self._lv(level)
         return FieldElement(self, level, (code,) + (0,) * (level - 1))
+
+    def element_ops(self, level: int) -> _ElementOps:
+        """Field operations on FieldElement entries of a level, shaped like ``base``."""
+        self._lv(level)  # refuses a level outside the tower
+        return self._ops[level]
 
     def generator(self, level: int) -> FieldElement:
         return FieldElement(self, level, self._lv(level).generator_coeffs)
@@ -538,86 +557,10 @@ class FieldTower:
                 return a
         raise AssertionError("odd field without a nonsquare")  # unreachable
 
-    # -- base-code helpers for the matrix layer --------------------------------
-
-    def base_add(self, a: int, b: int) -> int:
-        return self.base.add(a, b)
-
-    def base_sub(self, a: int, b: int) -> int:
-        return self.base.sub(a, b)
-
-    def base_mul(self, a: int, b: int) -> int:
-        return self.base.mul(a, b)
-
-    def base_neg(self, a: int) -> int:
-        return self.base.neg(a)
-
-    def base_inv(self, a: int) -> int:
-        return self.base.inv(a)
-
     def __repr__(self):
         return f"FieldTower(q={self.q}, degrees={self.degrees})"
-
-
-@dataclass(frozen=True)
-class TorusCharacter:
-    """A character of F_{q^d}^*: g^m -> zeta^(k*m) for the canonical generator g."""
-
-    tower: FieldTower
-    level: int
-    exponent: int
-
-    def __post_init__(self):
-        n = self.tower.order(self.level)
-        object.__setattr__(self, "exponent", self.exponent % n)
-
-    @property
-    def modulus(self) -> int:
-        return self.tower.order(self.level)
-
-    def log_value(self, x: FieldElement) -> int:
-        """Exact value as an exponent of zeta = exp(2*pi*i/(q^d - 1))."""
-        return (self.exponent * self.tower.discrete_log(x)) % self.modulus
-
-    def value(self, x: FieldElement) -> complex:
-        return cmath.exp(2j * math.pi * self.log_value(x) / self.modulus)
-
-    def is_general_position(self) -> bool:
-        """True when the character and its Frobenius twist differ."""
-        n = self.modulus
-        return (self.exponent * self.tower.q) % n != self.exponent
-
-    def frobenius_twist(self) -> "TorusCharacter":
-        return TorusCharacter(self.tower, self.level, self.exponent * self.tower.q)
-
-    def inverse(self) -> "TorusCharacter":
-        return TorusCharacter(self.tower, self.level, -self.exponent)
-
-    def is_trivial_on(self, xs) -> bool:
-        return all(self.log_value(x) == 0 for x in xs)
 
 
 def build_field(q: int, degrees) -> FieldTower:
     """Build the tower F_q together with F_{q^d} for each degree d."""
     return FieldTower(q, degrees)
-
-
-def character_eval(chi: TorusCharacter, x: FieldElement) -> complex:
-    return chi.value(x)
-
-
-def discrete_log(x: FieldElement) -> int:
-    return x.tower.discrete_log(x)
-
-
-def legendre_symbol(x: FieldElement) -> int:
-    """Quadratic residue symbol of a nonzero element, via x^((order)/2)."""
-    if x.is_zero():
-        raise ValueError("quadratic symbol of zero")
-    n = x.tower.order(x.level)
-    y = x ** (n // 2)
-    if y == x.tower.one(x.level):
-        return 1
-    if y == -x.tower.one(x.level):
-        return -1
-    raise AssertionError("x^((q^d-1)/2) is not a sign")  # unreachable in odd fields

@@ -6,25 +6,28 @@ eigenvalue coordinates in the quadratic extension, and involutions carry a
 witness matrix that is canonicalized once so orbit bookkeeping is hashing,
 not pointwise map comparison.
 
-The two group kinds are ``gl2`` and ``gl2_x_gl2`` (elements of the latter
-are pairs).  Only odd q is supported, and enumeration is bounded so every
-operation stays at desk scale.
+The two group kinds are ``gl2`` and ``gl2_x_gl2``: direct products of one and
+of two GL2 factors.  Every operation works factor by factor through one 2x2
+matrix kernel; only ``MatrixGroup.split`` and ``MatrixGroup.join`` know that
+a gl2 element is a bare matrix and a product element a pair.  Only odd q is
+supported, and enumeration is bounded so every operation stays at desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
-import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
-from .gf import FieldElement, FieldTower, build_field
+from .gf import FieldElement, build_field
 from .linalg import fq_det, fq_nullspace, fq_solve
 from .rootdata import InvolutionOnDatum, TwistedRootDatum, load_datum
 
 __all__ = [
-    "GroupSpec",
     "MatrixGroup",
     "TorusEmbedding",
     "TorusCharacterOnT",
@@ -32,8 +35,6 @@ __all__ = [
     "OrbitCensus",
     "TOrbit",
     "StabilizerData",
-    "build_group",
-    "enumerate_group",
     "split_torus",
     "elliptic_torus",
     "named_involution",
@@ -45,6 +46,7 @@ __all__ = [
     "phi_theta_certified",
 ]
 
+# group kinds by factor count: KINDS[n - 1] has n GL2 factors
 KINDS = ("gl2", "gl2_x_gl2")
 Q_BOUND = {"gl2": 13, "gl2_x_gl2": 7}
 
@@ -64,28 +66,33 @@ def _cap(default: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 code matrices
+# 2x2 matrices over a field F given by its operations: tower.base for base
+# codes, tower.element_ops(level) for FieldElement entries
 
 
-def _m_mul(t: FieldTower, x, y):
+def _m_mul(F, x, y):
     (a, b), (c, d) = x
     (e, f), (g, h) = y
-    mul, add = t.base_mul, t.base_add
+    mul, add = F.mul, F.add
     return (
         (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h))),
         (add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))),
     )
 
 
-def _m_det(t: FieldTower, x) -> int:
-    (a, b), (c, d) = x
-    return t.base_sub(t.base_mul(a, d), t.base_mul(b, c))
+def _m_sub(F, x, y):
+    return tuple(tuple(map(F.sub, rx, ry)) for rx, ry in zip(x, y))
 
 
-def _m_inv(t: FieldTower, x):
+def _m_det(F, x):
     (a, b), (c, d) = x
-    di = t.base_inv(_m_det(t, x))
-    mul, neg = t.base_mul, t.base_neg
+    return F.sub(F.mul(a, d), F.mul(b, c))
+
+
+def _m_inv(F, x):
+    (a, b), (c, d) = x
+    di = F.inv(_m_det(F, x))
+    mul, neg = F.mul, F.neg
     return (
         (mul(di, d), mul(di, neg(b))),
         (mul(di, neg(c)), mul(di, a)),
@@ -97,52 +104,42 @@ def _m_transpose(x):
     return ((a, c), (b, d))
 
 
-def _m_scale(t: FieldTower, c: int, x):
-    return tuple(tuple(t.base_mul(c, v) for v in row) for row in x)
-
-
-def _m_trace(t: FieldTower, x) -> int:
-    return t.base_add(x[0][0], x[1][1])
+def _m_scale(F, c, x):
+    return tuple(tuple(F.mul(c, v) for v in row) for row in x)
 
 
 def _m_identity():
     return ((1, 0), (0, 1))
 
 
-# same shapes over FieldElement entries, used at extension points
+def _m_is_scalar(m) -> bool:
+    return m[0][1] == 0 and m[1][0] == 0 and m[0][0] == m[1][1] != 0
 
 
-def _e_mul(x, y):
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+def _act(F, outer, a, ai, g):
+    """One factor of an involution: g -> a g a^-1, or a g^-T a^-1 when outer."""
+    if outer:
+        g = _m_inv(F, _m_transpose(g))
+    return _m_mul(F, _m_mul(F, a, g), ai)
 
 
-def _e_inv(x):
-    (a, b), (c, d) = x
-    di = (a * d - b * c).inverse()
-    return ((d * di, -b * di), (-c * di, a * di))
-
-
-def _e_transpose(x):
-    (a, b), (c, d) = x
-    return ((a, c), (b, d))
+def _d_act(F, outer, a, ai, x):
+    """The differential of _act on a Lie algebra element."""
+    if outer:
+        x = _m_scale(F, F.neg(1), _m_transpose(x))
+    return _m_mul(F, _m_mul(F, a, x), ai)
 
 
 # ---------------------------------------------------------------------------
 # groups
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Which group over which field; validation happens in MatrixGroup."""
-
-    kind: str
-    q: int
-
-
 class MatrixGroup:
-    """A fully explicit GL2(F_q) or GL2(F_q) x GL2(F_q)."""
+    """A fully explicit GL2(F_q) or GL2(F_q) x GL2(F_q).
+
+    The group is the direct product of ``n_factors`` copies of ``factor``,
+    its gl2 factor group on the same field tower (the group itself for gl2).
+    """
 
     def __init__(self, kind: str, q: int, degrees=(1, 2)):
         if kind not in KINDS:
@@ -151,51 +148,58 @@ class MatrixGroup:
             tower = build_field(q, degrees)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        gl2_order = (q * q - 1) * (q * q - q)
-        order = gl2_order if kind == "gl2" else gl2_order * gl2_order
+        self._setup(tower, KINDS.index(kind) + 1)
         if q > Q_BOUND[kind]:
             raise ResourceBoundError(
                 f"{kind} with q = {q} exceeds the desk-scale bound {Q_BOUND[kind]}",
-                required=order,
+                required=self.order,
             )
-        self.spec = GroupSpec(kind, q)
-        self.kind = kind
+
+    def _setup(self, tower, n_factors: int) -> None:
+        q = tower.q
+        self.kind = KINDS[n_factors - 1]
         self.q = q
         self.tower = tower
-        self.order = order
-        self.gl2_order = gl2_order
+        self.n_factors = n_factors
+        self.gl2_order = (q * q - 1) * (q * q - q)
+        self.order = self.gl2_order**n_factors
         self._elements = None
-        self._element_set = None
         self._gl2_elements = None
-        self._classes = None
+        self._mul2 = partial(_m_mul, tower.base)
+        if n_factors == 1:
+            self.factor = self
+        else:
+            self.factor = object.__new__(MatrixGroup)
+            self.factor._setup(tower, 1)
+
+    # -- the element format ---------------------------------------------------
+
+    def split(self, x) -> tuple:
+        """The factor matrices of an element (a gl2 element is a bare matrix)."""
+        return (x,) if self.n_factors == 1 else x
+
+    def join(self, parts: tuple):
+        """The element with these factor matrices; inverse to split."""
+        return parts[0] if self.n_factors == 1 else parts
 
     # -- element arithmetic -------------------------------------------------
 
     def mul(self, x, y):
-        if self.kind == "gl2":
-            return _m_mul(self.tower, x, y)
-        return (_m_mul(self.tower, x[0], y[0]), _m_mul(self.tower, x[1], y[1]))
+        return self.join(tuple(map(self._mul2, self.split(x), self.split(y))))
 
     def inv(self, x):
-        if self.kind == "gl2":
-            return _m_inv(self.tower, x)
-        return (_m_inv(self.tower, x[0]), _m_inv(self.tower, x[1]))
+        return self.join(tuple(_m_inv(self.tower.base, m) for m in self.split(x)))
 
     def identity(self):
-        if self.kind == "gl2":
-            return _m_identity()
-        return (_m_identity(), _m_identity())
+        return self.scalar(1)
 
     def det(self, x):
-        if self.kind == "gl2":
-            return _m_det(self.tower, x)
-        return (_m_det(self.tower, x[0]), _m_det(self.tower, x[1]))
+        return self.join(tuple(_m_det(self.tower.base, m) for m in self.split(x)))
 
     def contains(self, x) -> bool:
         try:
-            if self.kind == "gl2":
-                return self._is_gl2(x)
-            return len(x) == 2 and self._is_gl2(x[0]) and self._is_gl2(x[1])
+            parts = self.split(x)
+            return len(parts) == self.n_factors and all(map(self._is_gl2, parts))
         except (TypeError, IndexError):
             return False
 
@@ -204,37 +208,24 @@ class MatrixGroup:
             return False
         if any(not (isinstance(v, int) and 0 <= v < self.q) for r in m for v in r):
             return False
-        return _m_det(self.tower, m) != 0
+        return _m_det(self.tower.base, m) != 0
 
     def scalar(self, z: int):
-        m = ((z, 0), (0, z))
-        if self.kind == "gl2":
-            return m
-        return (m, m)
+        return self.join((((z, 0), (0, z)),) * self.n_factors)
 
     def center(self):
-        """Z(F_q), ordered by scalar code."""
-        if self.kind == "gl2":
-            return tuple(self.scalar(z) for z in range(1, self.q))
-        return tuple(
-            (((z1, 0), (0, z1)), ((z2, 0), (0, z2)))
-            for z1 in range(1, self.q)
-            for z2 in range(1, self.q)
-        )
+        """Z(F_q), ordered by scalar codes."""
+        scalars = [((z, 0), (0, z)) for z in range(1, self.q)]
+        return tuple(map(self.join, itertools.product(scalars, repeat=self.n_factors)))
 
     def is_central(self, x) -> bool:
-        if self.kind == "gl2":
-            return x[0][1] == 0 and x[1][0] == 0 and x[0][0] == x[1][1] != 0
-        return self.is_central_gl2(x[0]) and self.is_central_gl2(x[1])
-
-    def is_central_gl2(self, m) -> bool:
-        return m[0][1] == 0 and m[1][0] == 0 and m[0][0] == m[1][1] != 0
+        return all(map(_m_is_scalar, self.split(x)))
 
     # -- enumeration --------------------------------------------------------
 
     def gl2_elements(self):
         if self._gl2_elements is None:
-            t = self.tower
+            F = self.tower.base
             out = [
                 m
                 for m in (
@@ -244,13 +235,17 @@ class MatrixGroup:
                     for c in range(self.q)
                     for d in range(self.q)
                 )
-                if _m_det(t, m) != 0
+                if _m_det(F, m) != 0
             ]
-            assert len(out) == self.gl2_order
+            if len(out) != self.gl2_order:
+                raise ConsistencyError(
+                    f"GL2 enumeration found {len(out)} elements, not {self.gl2_order}"
+                )
             self._gl2_elements = tuple(out)
         return self._gl2_elements
 
     def elements(self):
+        """All elements, lexicographic on entries."""
         if self._elements is None:
             cap = _cap(MATERIALIZE_CAP)
             if self.order > cap:
@@ -258,27 +253,20 @@ class MatrixGroup:
                     f"materializing {self.order} elements exceeds the cap {cap}",
                     required=self.order,
                 )
-            base = self.gl2_elements()
-            if self.kind == "gl2":
-                self._elements = base
-            else:
-                self._elements = tuple((x, y) for x in base for y in base)
+            base = self.factor.gl2_elements()
+            self._elements = tuple(
+                map(self.join, itertools.product(base, repeat=self.n_factors))
+            )
         return self._elements
-
-    def element_set(self):
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements())
-        return self._element_set
 
     def gl2_generators(self):
         """Transvections over a p-basis plus one determinant generator."""
         t = self.tower
-        p, f = t.p, t.f
         basis = [t.base.embed_int(1)]
         # the base multiplicative generator's powers give an F_p-basis for q = p^f
         gamma = self._base_unit_generator()
-        for i in range(1, f):
-            basis.append(t.base_mul(basis[-1], gamma))
+        for i in range(1, t.f):
+            basis.append(t.base.mul(basis[-1], gamma))
         gens = []
         for b in basis:
             gens.append(((1, b), (0, 1)))
@@ -291,49 +279,21 @@ class MatrixGroup:
         for c in range(2, self.q):
             x, k = c, 1
             while x != 1:
-                x = self.tower.base_mul(x, c)
+                x = self.tower.base.mul(x, c)
                 k += 1
             if k == n:
                 return c
         raise ConsistencyError("no multiplicative generator found")
 
     def generators(self):
-        if self.kind == "gl2":
-            return self.gl2_generators()
+        """The gl2 generators placed in each factor in turn."""
         one = _m_identity()
-        gens = []
-        for g in self.gl2_generators():
-            gens.append((g, one))
-            gens.append((one, g))
-        return tuple(gens)
-
-    def random_element(self, rng: random.Random):
-        while True:
-            m = tuple(
-                tuple(rng.randrange(self.q) for _ in range(2)) for _ in range(2)
-            )
-            if _m_det(self.tower, m) != 0:
-                if self.kind == "gl2":
-                    return m
-                other = self.random_element_gl2(rng)
-                return (m, other)
-
-    def random_element_gl2(self, rng: random.Random):
-        while True:
-            m = tuple(
-                tuple(rng.randrange(self.q) for _ in range(2)) for _ in range(2)
-            )
-            if _m_det(self.tower, m) != 0:
-                return m
-
-
-def build_group(kind: str, q: int) -> MatrixGroup:
-    return MatrixGroup(kind, q)
-
-
-def enumerate_group(group: MatrixGroup):
-    """All rational points, lexicographic on entries."""
-    return group.elements()
+        n = self.n_factors
+        return tuple(
+            self.join(tuple(g if j == i else one for j in range(n)))
+            for g in self.factor.gl2_generators()
+            for i in range(n)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +325,6 @@ class TorusCharacterOnT:
 
     def value(self, t) -> complex:
         import cmath
-        import math
 
         return cmath.exp(2j * math.pi * self.log_value(t) / self.modulus)
 
@@ -394,10 +353,19 @@ class TorusCharacterOnT:
         return all(self.log_value(t) == 0 for t in ts)
 
 
+# the aligned root datum of each (group kind, torus kind) that is wired
+_TORUS_DATA = {
+    ("gl2", "split"): "gl2_split",
+    ("gl2", "elliptic"): "gl2_elliptic",
+    ("gl2_x_gl2", "elliptic"): "gl2xgl2_elliptic",
+}
+
+
 class TorusEmbedding:
     """A maximal torus of the group as an explicit element list.
 
-    Exact eigenvalue coordinates live in the quadratic extension: the split
+    The torus is the product of one torus per GL2 factor.  Exact eigenvalue
+    coordinates live in the quadratic extension, two per factor: the split
     torus uses its two diagonal entries, the elliptic torus the eigenvalue
     pair (u, u^q) through the basis {1, delta} with delta^2 the canonical
     nonsquare.  Root vectors of the aligned twisted root datum are evaluated
@@ -407,64 +375,51 @@ class TorusEmbedding:
     def __init__(self, group: MatrixGroup, kind: str):
         if kind not in ("split", "elliptic"):
             raise ConfigError(f"unknown torus kind {kind!r}")
+        if (group.kind, kind) not in _TORUS_DATA:
+            raise ConfigError("only the elliptic torus is wired for the product group")
         self.group = group
         self.kind = kind
+        self.datum_name = _TORUS_DATA[group.kind, kind]
+        self.coord_count = 2 * group.n_factors
         t = group.tower
         q = group.q
-        if group.kind == "gl2":
-            self.coord_count = 2
-            if kind == "split":
-                self.datum_name = "gl2_split"
-                self.elements = tuple(
-                    ((a, 0), (0, b)) for a in range(1, q) for b in range(1, q)
-                )
-                assert len(self.elements) == (q - 1) ** 2
-            else:
-                self.datum_name = "gl2_elliptic"
-                self.epsilon = t.smallest_nonsquare()
-                self.delta = t.sqrt(t.embed(self.epsilon, 2))
-                elems = []
-                for a in range(q):
-                    for b in range(q):
-                        m = ((a, t.base_mul(b, self.epsilon)), (b, a))
-                        if _m_det(t, m) != 0:
-                            elems.append(m)
-                self.elements = tuple(sorted(elems))
-                assert len(self.elements) == q * q - 1
+        if kind == "split":
+            points = tuple(((a, 0), (0, b)) for a in range(1, q) for b in range(1, q))
+            expected = (q - 1) ** 2
         else:
-            self.coord_count = 4
-            if kind != "elliptic":
-                raise ConfigError("only the elliptic torus is wired for the product group")
-            factor = TorusEmbedding(_gl2_view(group), "elliptic")
-            self.factor = factor
-            self.datum_name = "gl2xgl2_elliptic"
-            self.epsilon = factor.epsilon
-            self.delta = factor.delta
-            self.elements = tuple(
-                (x, y) for x in factor.elements for y in factor.elements
+            self.epsilon = t.smallest_nonsquare()
+            self.delta = t.sqrt(t.embed(self.epsilon, 2))
+            pairs = ((a, b) for a in range(q) for b in range(q))
+            candidates = (((a, t.base.mul(b, self.epsilon)), (b, a)) for a, b in pairs)
+            points = tuple(sorted(m for m in candidates if _m_det(t.base, m) != 0))
+            expected = q * q - 1
+        if len(points) != expected:
+            raise ConsistencyError(
+                f"{kind} torus of GL2 has {len(points)} points, not {expected}"
             )
+        self.elements = tuple(
+            map(group.join, itertools.product(points, repeat=group.n_factors))
+        )
         self.datum: TwistedRootDatum = load_datum(self.datum_name)
         self._set = frozenset(self.elements)
         self._log_cache = {}
+        self._constants = {}
 
     def contains(self, x) -> bool:
         return x in self._set
 
     # -- coordinates --------------------------------------------------------
 
-    def _gl2_coords(self, m, torus_kind):
+    def _factor_coords(self, m):
         t = self.group.tower
-        if torus_kind == "split":
+        if self.kind == "split":
             return (t.embed(m[0][0], 2), t.embed(m[1][1], 2))
-        a, b = m[0][0], m[1][0]
-        u = t.embed(a, 2) + t.embed(b, 2) * self.delta
+        u = t.embed(m[0][0], 2) + t.embed(m[1][0], 2) * self.delta
         return (u, u**self.group.q)
 
     def eigen_coords(self, x):
         """Exact coordinate tuple of a torus point (level-2 field elements)."""
-        if self.group.kind == "gl2":
-            return self._gl2_coords(x, self.kind)
-        return self._gl2_coords(x[0], "elliptic") + self._gl2_coords(x[1], "elliptic")
+        return tuple(c for m in self.group.split(x) for c in self._factor_coords(m))
 
     def log_coords(self, x):
         got = self._log_cache.get(x)
@@ -475,7 +430,7 @@ class TorusEmbedding:
         return got
 
     def root_value(self, root, coords) -> FieldElement:
-        acc = self.group.tower.one(2)
+        acc = self.group.tower.one(coords[0].level)
         for e, c in zip(root, coords):
             if e:
                 acc = acc * c**e
@@ -486,46 +441,43 @@ class TorusEmbedding:
 
     # -- extension points ---------------------------------------------------
 
+    def _ext_constants(self, level: int):
+        """(epsilon, 1/2, delta, 1/delta) of the elliptic torus at a level."""
+        got = self._constants.get(level)
+        if got is None:
+            t = self.group.tower
+            eps = t.embed(self.epsilon, level)
+            delta = self.delta if level == 2 else t.sqrt(eps)
+            got = (eps, t.scalar(level, 2).inverse(), delta, delta.inverse())
+            self._constants[level] = got
+        return got
+
+    def _factor_point(self, u, v, level: int):
+        """The factor matrix over F_{q^level} with eigenvalue coordinates (u, v)."""
+        if self.kind == "split":
+            zero = self.group.tower.zero(level)
+            return ((u, zero), (zero, v))
+        eps, half, _, delta_inv = self._ext_constants(level)
+        a = (u + v) * half
+        b = (u - v) * half * delta_inv
+        return ((a, b * eps), (b, a))
+
     def extension_points(self, level: int = 2):
         """All points of the torus over F_{q^level}, as (matrix, coords) pairs.
 
         Matrices carry FieldElement entries, so involutions apply verbatim.
         """
-        t = self.group.tower
-        if self.group.kind != "gl2":
-            sub = list(self.factor.extension_points(level))
-            return [
-                ((m1, m2), c1 + c2) for (m1, c1) in sub for (m2, c2) in sub
-            ]
-        units = list(t.units(level))
-        out = []
-        if self.kind == "split":
-            zero = t.zero(level)
-            for x in units:
-                for y in units:
-                    out.append((((x, zero), (zero, y)), (x, y)))
-            return out
-        eps = t.embed(self.epsilon, level)
-        delta = t.sqrt(eps)
-        half = t.scalar(level, 2).inverse()
-        for u in units:
-            for v in units:
-                a = (u + v) * half
-                b = (u - v) * half * delta.inverse()
-                out.append((((a, b * eps), (b, a)), (u, v)))
-        return out
-
-
-def _gl2_view(group: MatrixGroup) -> MatrixGroup:
-    """The gl2 factor of a product group (same field tower, shared caches)."""
-    if group.kind == "gl2":
-        return group
-    view = getattr(group, "_factor_view", None)
-    if view is None:
-        view = MatrixGroup("gl2", group.q)
-        view.tower = group.tower  # share tables
-        group._factor_view = view
-    return view
+        units = list(self.group.tower.units(level))
+        factor_points = [
+            (self._factor_point(u, v, level), (u, v)) for u in units for v in units
+        ]
+        return [
+            (
+                self.group.join(tuple(m for m, _ in combo)),
+                tuple(c for _, cs in combo for c in cs),
+            )
+            for combo in itertools.product(factor_points, repeat=self.group.n_factors)
+        ]
 
 
 def split_torus(group: MatrixGroup) -> TorusEmbedding:
@@ -540,124 +492,112 @@ def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
 # involutions
 
 
-def _canonical_witness(tower: FieldTower, m):
+def _canonical_witness(F, m):
     """Scale a witness so its first nonzero row-major entry is 1."""
     for v in (m[0][0], m[0][1], m[1][0], m[1][1]):
         if v:
-            return _m_scale(tower, tower.base_inv(v), m)
+            return _m_scale(F, F.inv(v), m)
     raise ConfigError("zero witness matrix")
 
 
 class Involution:
     """An order-two automorphism with a canonical witness.
 
-    kinds: inner g -> A g A^-1; outer g -> A (t g)^-1-transposed A^-1, i.e.
-    g -> A transpose(g)^-1 A^-1; swap (g, h) -> (a h a^-1, a^-1 g a) on the
-    product group.  Witnesses are canonical modulo central scaling, which
-    identifies automorphisms that are equal as maps.
+    kinds: inner g -> A g A^-1; outer g -> A transpose(g)^-1 A^-1, each
+    factor with its own witness; swap (g, h) -> (a h a^-1, a^-1 g a) on the
+    product group, i.e. the factor swap followed by the inner action of the
+    witness pair (a, a^-1).  Witnesses are canonical modulo central scaling,
+    which identifies automorphisms that are equal as maps.
     """
 
     def __init__(self, group: MatrixGroup, kind: str, witness):
         self.group = group
         self.kind = kind
-        t = group.tower
-        if kind == "swap":
-            if group.kind != "gl2_x_gl2":
+        self._swaps = kind == "swap"
+        self._outer = kind == "outer"
+        if self._swaps:
+            if group.n_factors != 2:
                 raise ConfigError("swap involutions need the product group")
-            if not _gl2_view(group)._is_gl2(witness):
+            if not group.factor.contains(witness):
                 raise ConfigError("swap witness must be an invertible 2x2 matrix")
-            self.witness = _canonical_witness(t, witness)
+            self.witness = _canonical_witness(group.tower.base, witness)
         elif kind in ("inner", "outer"):
-            if group.kind == "gl2":
-                self.witness = self._check_component(witness)
-            else:
-                if len(witness) != 2:
-                    raise ConfigError("product involutions carry a witness pair")
-                self.witness = tuple(self._check_component(w) for w in witness)
+            parts = group.split(witness)
+            if len(parts) != group.n_factors:
+                raise ConfigError("product involutions carry a witness pair")
+            self.witness = group.join(tuple(map(self._check_component, parts)))
         else:
             raise ConfigError(f"unknown involution kind {kind!r}")
         self._key = (self.kind, self.witness)
 
     def _check_component(self, m):
-        t = self.group.tower
-        if not (len(m) == 2 and all(len(r) == 2 for r in m)) or _m_det(t, m) == 0:
+        F = self.group.tower.base
+        if not (len(m) == 2 and all(len(r) == 2 for r in m)) or _m_det(F, m) == 0:
             raise ConfigError("witness must be an invertible 2x2 matrix")
-        if self.kind == "inner":
-            mm = _m_mul(t, m, m)
-            if not self.group.is_central_gl2(mm):
-                raise ConfigError("inner witness must square to a central element")
-            if self.group.is_central_gl2(m):
-                raise ConfigError("inner witness must not be central")
-        else:
+        if self._outer:
             mt = _m_transpose(m)
-            if mt != m and mt != _m_scale(t, t.base_neg(1), m):
+            if mt != m and mt != _m_scale(F, F.neg(1), m):
                 raise ConfigError("outer witness must be symmetric or antisymmetric")
-        return _canonical_witness(t, m)
+        else:
+            if not _m_is_scalar(_m_mul(F, m, m)):
+                raise ConfigError("inner witness must square to a central element")
+            if _m_is_scalar(m):
+                raise ConfigError("inner witness must not be central")
+        return _canonical_witness(F, m)
+
+    @cached_property
+    def _factor_witnesses(self):
+        """(witnesses, their inverses), one per factor of the image."""
+        F = self.group.tower.base
+        if self._swaps:
+            ai = _m_inv(F, self.witness)
+            return (self.witness, ai), (ai, self.witness)
+        ws = self.group.split(self.witness)
+        return ws, tuple(_m_inv(F, w) for w in ws)
+
+    def _on_factors(self, one_factor, x, ws, wis):
+        """Map each factor of x (after the swap) by one_factor(a, a^-1, m)."""
+        parts = self.group.split(x)
+        if self._swaps:
+            parts = parts[::-1]
+        return self.group.join(tuple(map(one_factor, ws, wis, parts)))
 
     # -- the action ---------------------------------------------------------
 
     def apply(self, g):
-        t = self.group.tower
-        if self.kind == "swap":
-            a = self.witness
-            ai = _m_inv(t, a)
-            return (
-                _m_mul(t, _m_mul(t, a, g[1]), ai),
-                _m_mul(t, _m_mul(t, ai, g[0]), a),
-            )
-        if self.group.kind == "gl2":
-            return self._apply_component(self.witness, g)
-        return tuple(
-            self._apply_component(w, gi) for w, gi in zip(self.witness, g)
-        )
-
-    def _apply_component(self, a, g):
-        t = self.group.tower
-        if self.kind == "inner":
-            return _m_mul(t, _m_mul(t, a, g), _m_inv(t, a))
-        return _m_mul(t, _m_mul(t, a, _m_inv(t, _m_transpose(g))), _m_inv(t, a))
+        act = partial(_act, self.group.tower.base, self._outer)
+        return self._on_factors(act, g, *self._factor_witnesses)
 
     def apply_ext(self, g, level: int = 2):
         """The same map on matrices with FieldElement entries."""
         t = self.group.tower
         emb = lambda m: tuple(tuple(t.embed(v, level) for v in row) for row in m)
-        if self.kind == "swap":
-            a = emb(self.witness)
-            ai = _e_inv(a)
-            return (_e_mul(_e_mul(a, g[1]), ai), _e_mul(_e_mul(ai, g[0]), a))
-        if self.group.kind == "gl2":
-            a = emb(self.witness)
-            if self.kind == "inner":
-                return _e_mul(_e_mul(a, g), _e_inv(a))
-            return _e_mul(_e_mul(a, _e_inv(_e_transpose(g))), _e_inv(a))
-        out = []
-        for w, gi in zip(self.witness, g):
-            a = emb(w)
-            if self.kind == "inner":
-                out.append(_e_mul(_e_mul(a, gi), _e_inv(a)))
-            else:
-                out.append(_e_mul(_e_mul(a, _e_inv(_e_transpose(gi))), _e_inv(a)))
-        return tuple(out)
+        ws, wis = self._factor_witnesses
+        act = partial(_act, t.element_ops(level), self._outer)
+        return self._on_factors(act, g, tuple(map(emb, ws)), tuple(map(emb, wis)))
+
+    def _d_apply(self, x):
+        """The differential of theta on a Lie algebra element (same tuple shapes)."""
+        d_act = partial(_d_act, self.group.tower.base, self._outer)
+        return self._on_factors(d_act, x, *self._factor_witnesses)
 
     def conjugated(self, g) -> "Involution":
-        """The involution Int(g) o theta o Int(g)^-1."""
-        t = self.group.tower
-        if self.kind == "swap":
-            a = _m_mul(t, _m_mul(t, g[0], self.witness), _m_inv(t, g[1]))
-            return Involution(self.group, "swap", a)
-        if self.group.kind == "gl2":
-            return Involution(self.group, self.kind, self._conj_component(g, self.witness))
-        return Involution(
-            self.group,
-            self.kind,
-            tuple(self._conj_component(gi, w) for gi, w in zip(g, self.witness)),
-        )
+        """The involution Int(g) o theta o Int(g)^-1.
 
-    def _conj_component(self, g, a):
-        t = self.group.tower
-        if self.kind == "inner":
-            return _m_mul(t, _m_mul(t, g, a), _m_inv(t, g))
-        return _m_mul(t, _m_mul(t, g, a), _m_transpose(g))
+        Factor i of the image reads factor s(i) of the argument (s the swap
+        or the identity), so its witness a becomes g_i a g_s(i)^-1, or
+        g_i a g_s(i)^T for the outer action.
+        """
+        F = self.group.tower.base
+        gs = self.group.split(g)
+        right = gs[::-1] if self._swaps else gs
+        right = map(_m_transpose, right) if self._outer else map(partial(_m_inv, F), right)
+        ws = self._factor_witnesses[0]
+        new = tuple(
+            _m_mul(F, _m_mul(F, gi, w), r) for gi, w, r in zip(gs, ws, right)
+        )
+        witness = new[0] if self._swaps else self.group.join(new)
+        return Involution(self.group, self.kind, witness)
 
     def stabilizes(self, torus: TorusEmbedding) -> bool:
         return all(torus.contains(self.apply(t)) for t in torus.elements)
@@ -672,26 +612,18 @@ class Involution:
         return f"Involution({self.kind}, {self.witness})"
 
 
-def named_involution(group: MatrixGroup, name: str, matrix=None, kind=None) -> Involution:
-    q = group.q
-    if name == "custom":
-        if matrix is None or kind is None:
-            raise ConfigError("custom involutions need both a matrix and a kind")
-        return Involution(group, kind, matrix)
+def named_involution(group: MatrixGroup, name: str) -> Involution:
     if name == "swap":
         return Involution(group, "swap", _m_identity())
-    if name == "diag":
-        w = ((1, 0), (0, q - 1))
-    elif name == "antidiag":
-        w = ((0, 1), (1, 0))
-    elif name == "transpose-inverse":
-        w = _m_identity()
-    else:
+    witnesses = {
+        "diag": ((1, 0), (0, group.tower.base.neg(1))),
+        "antidiag": ((0, 1), (1, 0)),
+        "transpose-inverse": _m_identity(),
+    }
+    if name not in witnesses:
         raise ConfigError(f"unknown involution name {name!r}")
-    k = "outer" if name == "transpose-inverse" else "inner"
-    if group.kind == "gl2":
-        return Involution(group, k, w)
-    return Involution(group, k, (w, w))
+    kind = "outer" if name == "transpose-inverse" else "inner"
+    return Involution(group, kind, group.join((witnesses[name],) * group.n_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -760,20 +692,16 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
 def fixed_subgroup(theta: Involution):
     """G^theta(F_q) as an explicit element tuple."""
     group = theta.group
-    if group.kind == "gl2":
-        return tuple(g for g in group.gl2_elements() if theta.apply(g) == g)
-    t = group.tower
-    base = _gl2_view(group).gl2_elements()
-    if theta.kind == "swap":
-        a = theta.witness
-        ai = _m_inv(t, a)
-        return tuple((g, _m_mul(t, _m_mul(t, ai, g), a)) for g in base)
-    view = _gl2_view(group)
-    parts = []
-    for w in theta.witness:
-        comp = Involution(view, theta.kind, w)
-        parts.append([g for g in base if comp.apply(g) == g])
-    return tuple((x, y) for x in parts[0] for y in parts[1])
+    F = group.tower.base
+    base = group.factor.gl2_elements()
+    ws, wis = theta._factor_witnesses
+    if theta._swaps:
+        # (g, h) is fixed exactly when h = a^-1 g a
+        return tuple(group.join((g, _act(F, False, ws[1], wis[1], g))) for g in base)
+    parts = [
+        [g for g in base if _act(F, theta._outer, a, ai, g) == g] for a, ai in zip(ws, wis)
+    ]
+    return tuple(map(group.join, itertools.product(*parts)))
 
 
 @dataclass(frozen=True)
@@ -785,135 +713,81 @@ class StabilizerData:
     m: int
 
 
-def _gl2_stabilizer_sets(group: MatrixGroup, theta_component, witness):
+def _gl2_stabilizer_sets(factor: MatrixGroup, outer: bool, a, ai):
     """(G_theta, G^theta) for one gl2 factor by direct filtering."""
+    F = factor.tower.base
     fixed = []
     twisted = []
-    for g in group.gl2_elements():
-        im = theta_component(g)
+    for g in factor.gl2_elements():
+        im = _act(F, outer, a, ai, g)
         if im == g:
             fixed.append(g)
             twisted.append(g)
-        else:
-            gi = _m_inv(group.tower, im)
-            if group.is_central_gl2(_m_mul(group.tower, g, gi)):
-                twisted.append(g)
+        elif _m_is_scalar(_m_mul(F, g, _m_inv(F, im))):
+            twisted.append(g)
     return twisted, fixed
 
 
 def stabilizer_data(theta: Involution, torus: TorusEmbedding) -> StabilizerData:
     """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta]."""
     group = theta.group
-    t = group.tower
-    if group.kind == "gl2":
-        g_theta, g_fixed = _gl2_stabilizer_sets(
-            group, lambda g: theta.apply(g), theta.witness
-        )
-        g_theta_set = set(g_theta)
-        g_theta_order = len(g_theta)
-    elif theta.kind == "swap":
-        a = theta.witness
-        ai = _m_inv(t, a)
-        base = _gl2_view(group).gl2_elements()
-        g_fixed = [(g, _m_mul(t, _m_mul(t, ai, g), a)) for g in base]
-        g_theta = None  # materialized only through its order and a membership test
+    if theta._swaps:
+        g_fixed = fixed_subgroup(theta)
+        # G_theta = {(z a h a^-1, h) : z scalar}
         g_theta_order = group.gl2_order * (group.q - 1)
-
-        def in_g_theta(x):
-            im = theta.apply(x)
-            return group.is_central(group.mul(x, group.inv(im)))
-
-        g_theta_set = in_g_theta
     else:
-        view = _gl2_view(group)
-        per = []
-        for i in range(2):
-            comp = Involution(view, theta.kind, theta.witness[i])
-            per.append(_gl2_stabilizer_sets(view, lambda g: comp.apply(g), comp.witness))
-        g_theta = [(x, y) for x in per[0][0] for y in per[1][0]]
-        g_fixed = [(x, y) for x in per[0][1] for y in per[1][1]]
-        g_theta_set = set(g_theta)
-        g_theta_order = len(g_theta)
+        per = [
+            _gl2_stabilizer_sets(group.factor, theta._outer, a, ai)
+            for a, ai in zip(*theta._factor_witnesses)
+        ]
+        g_theta_order = math.prod(len(twisted) for twisted, _ in per)
+        g_fixed = tuple(map(group.join, itertools.product(*(fixed for _, fixed in per))))
 
-    member = g_theta_set if callable(g_theta_set) else g_theta_set.__contains__
-    t_theta = tuple(x for x in torus.elements if member(x))
+    t_theta = tuple(
+        x
+        for x in torus.elements
+        if group.is_central(group.mul(x, group.inv(theta.apply(x))))
+    )
     fixed_set = frozenset(g_fixed)
     fixed_in_t = tuple(x for x in t_theta if x in fixed_set)
 
     prod = len(g_fixed) * len(t_theta)
     if len(fixed_in_t) == 0:
         raise ConsistencyError("identity missing from G^theta intersect T_theta")
-    m, rem = divmod(g_theta_order * len(fixed_in_t), len(g_fixed) * len(t_theta))
+    m, rem = divmod(g_theta_order * len(fixed_in_t), prod)
     if rem:
         raise ConsistencyError(
             "G^theta T_theta does not divide G_theta",
             detail=(g_theta_order, len(g_fixed), len(t_theta), len(fixed_in_t)),
         )
     if prod <= 200_000:
-        literal = set()
         mul = group.mul
-        for x in g_fixed:
-            for y in t_theta:
-                literal.add(mul(x, y))
-        assert len(literal) * m == g_theta_order, (len(literal), m, g_theta_order)
+        literal = {mul(x, y) for x in g_fixed for y in t_theta}
+        if len(literal) * m != g_theta_order:
+            raise ConsistencyError(
+                "the literal product G^theta T_theta has the wrong size",
+                detail=(len(literal), m, g_theta_order),
+            )
     if m <= 0:
         raise ConsistencyError(f"nonpositive index m = {m}")
     if m & (m - 1):
         warnings.warn(f"index m = {m} is not a power of two", stacklevel=2)
-    return StabilizerData(g_theta_order, tuple(g_fixed), t_theta, fixed_in_t, m)
+    return StabilizerData(g_theta_order, g_fixed, t_theta, fixed_in_t, m)
 
 
 # ---------------------------------------------------------------------------
 # the Lie algebra side
 
 
-def _lie_dim(group: MatrixGroup) -> int:
-    return 4 if group.kind == "gl2" else 8
-
-
-def _elementary():
-    out = []
-    for i in range(2):
-        for j in range(2):
-            m = [[0, 0], [0, 0]]
-            m[i][j] = 1
-            out.append(tuple(tuple(r) for r in m))
-    return out
-
-
 def _vec(group: MatrixGroup, x):
-    if group.kind == "gl2":
-        return [x[0][0], x[0][1], x[1][0], x[1][1]]
-    return [
-        x[0][0][0], x[0][0][1], x[0][1][0], x[0][1][1],
-        x[1][0][0], x[1][0][1], x[1][1][0], x[1][1][1],
-    ]
+    """Coordinates of a Lie algebra element, factor by factor, row-major."""
+    return [v for m in group.split(x) for row in m for v in row]
 
 
-def _d_theta(theta: Involution, x):
-    """The differential of theta on a Lie algebra element (same tuple shapes)."""
-    t = theta.group.tower
-    neg = lambda m: _m_scale(t, t.base_neg(1), m)
-    if theta.kind == "swap":
-        a = theta.witness
-        ai = _m_inv(t, a)
-        return (
-            _m_mul(t, _m_mul(t, a, x[1]), ai),
-            _m_mul(t, _m_mul(t, ai, x[0]), a),
-        )
-    if theta.group.kind == "gl2":
-        return _d_theta_component(theta, theta.witness, x)
-    return tuple(
-        _d_theta_component(theta, w, xi) for w, xi in zip(theta.witness, x)
+def _unvec(group: MatrixGroup, v):
+    return group.join(
+        tuple(((v[i], v[i + 1]), (v[i + 2], v[i + 3])) for i in range(0, len(v), 4))
     )
-
-
-def _d_theta_component(theta: Involution, a, x):
-    t = theta.group.tower
-    ai = _m_inv(t, a)
-    if theta.kind == "inner":
-        return _m_mul(t, _m_mul(t, a, x), ai)
-    return _m_scale(t, t.base_neg(1), _m_mul(t, _m_mul(t, a, _m_transpose(x)), ai))
 
 
 class LieFixedSpace:
@@ -921,45 +795,35 @@ class LieFixedSpace:
 
     def __init__(self, theta: Involution):
         group = theta.group
-        t = group.tower
-        n = _lie_dim(group)
-        if group.kind == "gl2":
-            basis_elems = _elementary()
-        else:
-            zero = ((0, 0), (0, 0))
-            basis_elems = [(m, zero) for m in _elementary()] + [
-                (zero, m) for m in _elementary()
-            ]
-        cols = [_vec(group, _d_theta(theta, e)) for e in basis_elems]
-        # rows of (d theta - id), acting on coordinate vectors
-        rows = [
-            [t.base_sub(cols[j][i], 1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        plus = fq_nullspace(rows, t)
-        rows_minus = [
-            [t.base_add(cols[j][i], 1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        minus = fq_nullspace(rows_minus, t)
-        assert len(plus) + len(minus) == n, "d theta is not semisimple with signs"
+        F = group.tower.base
+        n = 4 * group.n_factors
+        units = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        cols = [_vec(group, theta._d_apply(_unvec(group, e))) for e in units]
+        # rows of (d theta - id) and (d theta + id), acting on coordinate vectors
+        plus = fq_nullspace(
+            [[F.sub(cols[j][i], units[i][j]) for j in range(n)] for i in range(n)], F
+        )
+        minus = fq_nullspace(
+            [[F.add(cols[j][i], units[i][j]) for j in range(n)] for i in range(n)], F
+        )
+        if len(plus) + len(minus) != n:
+            raise ConsistencyError(
+                "d theta is not semisimple with signs", detail=(len(plus), len(minus), n)
+            )
         self.theta = theta
         self.dimension = len(plus)
-        self.vectors = tuple(tuple(v) for v in plus)
-        self.basis_elems = basis_elems
+        self.vectors = plus
 
     def matrix_of_ad(self, g):
         """Coordinates of Ad(g) restricted to the fixed space."""
         group = self.theta.group
-        t = group.tower
+        F = group.tower.base
         gi = group.inv(g)
+        a_rows = [list(row) for row in zip(*self.vectors)]
         cols = []
         for v in self.vectors:
-            x = _unvec(group, v)
-            image = group.mul(group.mul(g, x), gi)
-            target = _vec(group, image)
-            a_rows = [[vec[i] for vec in self.vectors] for i in range(len(target))]
-            coords = fq_solve(a_rows, target, t)
+            image = group.mul(group.mul(g, _unvec(group, v)), gi)
+            coords = fq_solve(a_rows, _vec(group, image), F)
             if coords is None:
                 raise ConsistencyError("Ad(g) does not preserve the fixed space")
             cols.append(coords)
@@ -967,26 +831,17 @@ class LieFixedSpace:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _unvec(group: MatrixGroup, v):
-    if group.kind == "gl2":
-        return ((v[0], v[1]), (v[2], v[3]))
-    return (
-        ((v[0], v[1]), (v[2], v[3])),
-        ((v[4], v[5]), (v[6], v[7])),
-    )
-
-
 def lie_fixed_det(theta: Involution, g, space: LieFixedSpace | None = None) -> int:
     """det(Ad(g)) on the theta-fixed Lie subalgebra, certified to be a sign."""
     if space is None:
         space = LieFixedSpace(theta)
-    t = theta.group.tower
+    F = theta.group.tower.base
     if space.dimension == 0:
         return 1
-    d = fq_det(space.matrix_of_ad(g), t)
-    if d == t.base.embed_int(1):
+    d = fq_det(space.matrix_of_ad(g), F)
+    if d == F.embed_int(1):
         return 1
-    if d == t.base.embed_int(-1):
+    if d == F.embed_int(-1):
         return -1
     raise ConsistencyError(f"det Ad is not a sign: code {d}")
 
@@ -1002,23 +857,18 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
     unit vectors, so each column of the matrix is read off exactly; the
     result is validated against the aligned datum.
     """
-    group = torus.group
-    t = group.tower
+    t = torus.group.tower
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize the torus")
     n = torus.coord_count
     N = t.order(2)
     g2 = t.generator(2)
     one = t.one(2)
-    # build the point with coords = unit vector in slot j
-    points = []
-    for j in range(n):
-        coords = tuple(g2 if i == j else one for i in range(n))
-        points.append(_point_from_coords(torus, coords))
     rows = [[0] * n for _ in range(n)]
-    for k, pt in enumerate(points):
-        image = theta.apply_ext(pt)
-        coords = _coords_of_ext(torus, image)
+    for k in range(n):
+        # the point with coords = unit vector in slot k
+        point = _point_from_coords(torus, tuple(g2 if i == k else one for i in range(n)))
+        coords = _coords_of_ext(torus, theta.apply_ext(point), 2)
         for j in range(n):
             e = t.discrete_log(coords[j]) % N
             if e > N // 2:
@@ -1034,35 +884,31 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
 
 
 def _point_from_coords(torus: TorusEmbedding, coords):
-    t = torus.group.tower
-    if torus.group.kind != "gl2":
-        m1 = _point_from_coords(torus.factor, coords[:2])
-        m2 = _point_from_coords(torus.factor, coords[2:])
-        return (m1, m2)
-    if torus.kind == "split":
-        zero = t.zero(2)
-        return ((coords[0], zero), (zero, coords[1]))
-    u, v = coords
-    half = t.scalar(2, 2).inverse()
-    a = (u + v) * half
-    b = (u - v) * half * torus.delta.inverse()
-    eps = t.embed(torus.epsilon, 2)
-    return ((a, b * eps), (b, a))
+    """The point over the extension with these eigenvalue coordinates."""
+    level = coords[0].level
+    return torus.group.join(
+        tuple(
+            torus._factor_point(coords[i], coords[i + 1], level)
+            for i in range(0, len(coords), 2)
+        )
+    )
 
 
-def _coords_of_ext(torus: TorusEmbedding, m):
-    t = torus.group.tower
-    if torus.group.kind != "gl2":
-        return _coords_of_ext(torus.factor, m[0]) + _coords_of_ext(torus.factor, m[1])
-    if torus.kind == "split":
-        if not (m[0][1].is_zero() and m[1][0].is_zero()):
-            raise ConsistencyError("extension image is not in the split torus")
-        return (m[0][0], m[1][1])
-    a, b = m[0][0], m[1][0]
-    eps = t.embed(torus.epsilon, 2)
-    if m[0][1] != b * eps or m[1][1] != a:
-        raise ConsistencyError("extension image is not in the elliptic torus")
-    return (a + b * torus.delta, a - b * torus.delta)
+def _coords_of_ext(torus: TorusEmbedding, m, level: int):
+    """Eigenvalue coordinates of a torus point over F_{q^level}, checked."""
+    coords = ()
+    for f in torus.group.split(m):
+        if torus.kind == "split":
+            if not (f[0][1].is_zero() and f[1][0].is_zero()):
+                raise ConsistencyError("extension image is not in the split torus")
+            coords += (f[0][0], f[1][1])
+            continue
+        eps, _, delta, _ = torus._ext_constants(level)
+        a, b = f[0][0], f[1][0]
+        if f[0][1] != b * eps or f[1][1] != a:
+            raise ConsistencyError("extension image is not in the elliptic torus")
+        coords += (a + b * delta, a - b * delta)
+    return coords
 
 
 def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2):
@@ -1082,28 +928,29 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2
     negated = set(
         a for a in datum.roots if shadow.apply(a) == tuple(-x for x in a)
     )
-    # T+ by full enumeration at the extension level
-    points = torus.extension_points(level)
-    plus = set()
-    plus_mats = []
-    for m, coords in points:
-        tm = _ext_mul(group, m, theta.apply_ext(m, level))
-        c2 = _coords_of_ext_level(torus, tm, level)
-        key = tuple(x.coeffs for x in c2)
-        if key not in plus:
-            plus.add(key)
-            plus_mats.append((tm, c2))
-    vanishing = set()
-    for a in datum.roots:
-        if all(_root_at(torus, a, c, level) for _, c in plus_mats):
-            vanishing.add(a)
+    # T+ by full enumeration at the extension level, one point per coordinate key
+    E = t.element_ops(level)
+    plus = {}
+    for m, _ in torus.extension_points(level):
+        image = theta.apply_ext(m, level)
+        tm = group.join(
+            tuple(map(partial(_m_mul, E), group.split(m), group.split(image)))
+        )
+        c2 = _coords_of_ext(torus, tm, level)
+        plus.setdefault(tuple(x.coeffs for x in c2), (tm, c2))
+    one = t.one(level)
+    vanishing = set(
+        a
+        for a in datum.roots
+        if all(torus.root_value(a, c) == one for _, c in plus.values())
+    )
     if vanishing != negated:
         raise ConsistencyError(
             "vanishing-on-T+ and negated-by-theta root sets differ",
             detail={"vanishing": sorted(vanishing), "negated": sorted(negated)},
         )
     # centralizer dimension certificate
-    dim = _centralizer_dimension(group, [m for m, _ in plus_mats], level)
+    dim = _centralizer_dimension(group, [m for m, _ in plus.values()], E)
     if dim != torus.coord_count + len(vanishing):
         raise ConsistencyError(
             "Lie centralizer of T+ has the wrong dimension",
@@ -1112,124 +959,25 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2
     return tuple(sorted(vanishing))
 
 
-def _root_at(torus, root, coords, level):
-    t = torus.group.tower
-    acc = t.one(level)
-    for e, c in zip(root, coords):
-        if e:
-            acc = acc * c**e
-    return acc == t.one(level)
-
-
-def _ext_mul(group, x, y):
-    if group.kind == "gl2":
-        return _e_mul(x, y)
-    return (_e_mul(x[0], y[0]), _e_mul(x[1], y[1]))
-
-
-def _coords_of_ext_level(torus: TorusEmbedding, m, level: int):
-    if level == 2:
-        return _coords_of_ext(torus, m)
-    t = torus.group.tower
-    if torus.group.kind != "gl2":
-        return _coords_of_ext_level(torus.factor, m[0], level) + _coords_of_ext_level(
-            torus.factor, m[1], level
-        )
-    if torus.kind == "split":
-        if not (m[0][1].is_zero() and m[1][0].is_zero()):
-            raise ConsistencyError("extension image is not in the split torus")
-        return (m[0][0], m[1][1])
-    a, b = m[0][0], m[1][0]
-    eps = t.embed(torus.epsilon, level)
-    delta = t.sqrt(eps)
-    if m[0][1] != b * eps or m[1][1] != a:
-        raise ConsistencyError("extension image is not in the elliptic torus")
-    return (a + b * delta, a - b * delta)
-
-
-def _centralizer_dimension(group: MatrixGroup, mats, level: int) -> int:
-    """dim over F_{q^level} of {X in the Lie algebra : Xs = sX for all s}."""
-    t = group.tower
-    n = _lie_dim(group)
-    basis = [[t.one(level) if i == j else t.zero(level) for j in range(n)] for i in range(n)]
+def _centralizer_dimension(group: MatrixGroup, mats, E) -> int:
+    """dim over the field E of {X in the Lie algebra : Xs = sX for all s}."""
+    n = 4 * group.n_factors
+    basis = [[E.one if i == j else E.zero for j in range(n)] for i in range(n)]
     for s in mats:
         if not basis:
             break
         rows = []
         for vec in basis:
-            x = _unvec_ext(group, vec)
-            comm = _ext_sub(group, _ext_mul(group, x, s), _ext_mul(group, s, x))
-            rows.append(_vec_ext(group, comm))
+            x = _unvec(group, vec)
+            comm = tuple(
+                _m_sub(E, _m_mul(E, xm, sm), _m_mul(E, sm, xm))
+                for xm, sm in zip(group.split(x), group.split(s))
+            )
+            rows.append(_vec(group, group.join(comm)))
         # nullspace of the commutator map restricted to the current span
         coeff_rows = [[rows[j][i] for j in range(len(basis))] for i in range(n)]
-        null = _fe_nullspace(coeff_rows, t, level)
         basis = [
-            [sum((c * v for c, v in zip(co, col)), t.zero(level)) for col in zip(*basis)]
-            for co in null
+            [sum((c * v for c, v in zip(co, col)), E.zero) for col in zip(*basis)]
+            for co in fq_nullspace(coeff_rows, E)
         ]
     return len(basis)
-
-
-def _unvec_ext(group, v):
-    if group.kind == "gl2":
-        return ((v[0], v[1]), (v[2], v[3]))
-    return (((v[0], v[1]), (v[2], v[3])), ((v[4], v[5]), (v[6], v[7])))
-
-
-def _vec_ext(group, x):
-    if group.kind == "gl2":
-        return [x[0][0], x[0][1], x[1][0], x[1][1]]
-    return [
-        x[0][0][0], x[0][0][1], x[0][1][0], x[0][1][1],
-        x[1][0][0], x[1][0][1], x[1][1][0], x[1][1][1],
-    ]
-
-
-def _ext_sub(group, x, y):
-    if group.kind == "gl2":
-        return tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-    return tuple(
-        tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(xc, yc))
-        for xc, yc in zip(x, y)
-    )
-
-
-def _fe_nullspace(rows, tower, level):
-    """Nullspace over F_{q^level} with FieldElement entries; returns coefficient
-    vectors for the columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    zero = tower.zero(level)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != zero:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    one = tower.one(level)
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        out.append(v)
-    return out

@@ -1,5 +1,5 @@
-"""Exact linear algebra helpers: integer matrices over Q, and matrices of
-base-field codes over F_q.
+"""Exact linear algebra helpers: integer matrices over Q, and matrices over
+a finite field.
 
 Matrices are lists (or tuples) of rows.  Everything is Gaussian elimination
 at sizes where nothing else is worth writing; there is deliberately no
@@ -28,10 +28,6 @@ def int_mat_mul(a, b):
 
 def int_mat_vec(a, v):
     return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
-def int_mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def int_transpose(a):
@@ -110,10 +106,12 @@ def int_matrix_order(a, cap: int = 64) -> int:
 
 
 # ---------------------------------------------------------------------------
-# matrices of base-field codes over F_q (arithmetic through a FieldTower)
+# matrices over a field given by its operations (add, sub, mul, neg, inv,
+# zero, one): ``tower.base`` for base-field codes, ``tower.element_ops(d)``
+# for FieldElement entries
 
 
-def fq_rref(rows, tower):
+def fq_rref(rows, field):
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
     m = [list(r) for r in rows]
     if not m:
@@ -126,15 +124,12 @@ def fq_rref(rows, tower):
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = tower.base_inv(m[row][col])
-        m[row] = [tower.base_mul(inv, x) for x in m[row]]
+        inv = field.inv(m[row][col])
+        m[row] = [field.mul(inv, x) for x in m[row]]
         for r in range(len(m)):
             if r != row and m[r][col]:
                 c = m[r][col]
-                m[r] = [
-                    tower.base_sub(x, tower.base_mul(c, y))
-                    for x, y in zip(m[r], m[row])
-                ]
+                m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
         if row == len(m):
@@ -142,33 +137,32 @@ def fq_rref(rows, tower):
     return m, pivots
 
 
-def fq_nullspace(rows, tower):
-    """Basis of the right null space, as vectors of codes."""
-    m, pivots = fq_rref(rows, tower)
+def fq_nullspace(rows, field):
+    """Basis of the right null space."""
+    m, pivots = fq_rref(rows, field)
     ncols = len(rows[0]) if rows else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
+        v = [field.zero] * ncols
+        v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = tower.base_neg(m[r][fc])
+            v[pc] = field.neg(m[r][fc])
         basis.append(tuple(v))
     return basis
 
 
-def fq_solve(a_rows, b, tower):
+def fq_solve(a_rows, b, field):
     """One solution x of A x = b, or None when inconsistent."""
-    n = len(a_rows)
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    m, pivots = fq_rref(aug, tower)
+    m, pivots = fq_rref(aug, field)
     ncols = len(a_rows[0])
     for r in range(len(m)):
         if any(m[r][:ncols]):
             continue
         if m[r][ncols]:
             return None
-    x = [0] * ncols
+    x = [field.zero] * ncols
     for r, pc in enumerate(pivots):
         if pc == ncols:
             return None
@@ -176,30 +170,27 @@ def fq_solve(a_rows, b, tower):
     return tuple(x)
 
 
-def fq_det(rows, tower):
-    """Determinant of a square code matrix."""
+def fq_det(rows, field):
+    """Determinant of a square matrix."""
     m = [list(r) for r in rows]
     n = len(m)
-    det = 1
+    det = field.one
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return 0
+            return field.zero
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = tower.base_neg(det)
-        det = tower.base_mul(det, m[col][col])
-        inv = tower.base_inv(m[col][col])
+            det = field.neg(det)
+        det = field.mul(det, m[col][col])
+        inv = field.inv(m[col][col])
         for r in range(col + 1, n):
             if m[r][col]:
-                c = tower.base_mul(m[r][col], inv)
-                m[r] = [
-                    tower.base_sub(x, tower.base_mul(c, y))
-                    for x, y in zip(m[r], m[col])
-                ]
+                c = field.mul(m[r][col], inv)
+                m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[col])]
     return det
 
 
-def fq_rank(rows, tower) -> int:
-    _, pivots = fq_rref(rows, tower)
+def fq_rank(rows, field) -> int:
+    _, pivots = fq_rref(rows, field)
     return len(pivots)

@@ -21,7 +21,6 @@ from .groups import (
     OrbitCensus,
     TorusCharacterOnT,
     TorusEmbedding,
-    _gl2_view,
     derived_theta_star,
     elliptic_torus,
     fixed_subgroup,
@@ -295,9 +294,8 @@ def _chi_for(group: MatrixGroup, exponents):
         (k,) = exponents
         return cuspidal_character(group, k)
     k1, k2 = exponents
-    view = _gl2_view(group)
     return ProductCuspidal(
-        cuspidal_character(view, k1), cuspidal_character(view, k2)
+        cuspidal_character(group.factor, k1), cuspidal_character(group.factor, k2)
     )
 
 
@@ -378,7 +376,7 @@ def distinction_grid(group: MatrixGroup, tol: float = 1e-6):
     """
     if group.kind != "gl2_x_gl2":
         raise ConfigError("the distinction grid needs the product group")
-    view = _gl2_view(group)
+    view = group.factor
     pairs = general_position_exponents(view)
     reps = [k for k, _ in pairs]
     torus = elliptic_torus(group)

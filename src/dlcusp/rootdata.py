@@ -269,10 +269,11 @@ def galois_orbits(datum: TwistedRootDatum) -> tuple[GaloisOrbit, ...]:
         symmetric = {_vneg(c) for c in cycle} == set(cycle)
         if symmetric:
             d = len(cycle)
-            assert d % 2 == 0, "symmetric orbit of odd size"
-            for j in range(d // 2):
-                assert cycle[j + d // 2] == _vneg(cycle[j]), (
-                    "symmetric orbit is not negated by the half twist"
+            if d % 2:
+                raise ConsistencyError("symmetric orbit of odd size", detail=cycle)
+            if any(cycle[j + d // 2] != _vneg(cycle[j]) for j in range(d // 2)):
+                raise ConsistencyError(
+                    "symmetric orbit is not negated by the half twist", detail=cycle
                 )
         orbits.append(GaloisOrbit(tuple(cycle), symmetric))
     orbits.sort(key=lambda o: o.representative)
@@ -305,7 +306,10 @@ def sigma_product(datum: TwistedRootDatum) -> int:
             f"sigma routes disagree on {datum.name}", detail=values
         )
     # the first two routes agree as exact counts, not just parities
-    assert flipped == total_changes, (flipped, total_changes)
+    if flipped != total_changes:
+        raise ConsistencyError(
+            f"sigma route counts differ on {datum.name}", detail=(flipped, total_changes)
+        )
     return values["positives_flipped"]
 
 
@@ -344,7 +348,8 @@ class InvolutionOnDatum:
 def phi_theta(datum: TwistedRootDatum, theta: InvolutionOnDatum) -> tuple[Vec, ...]:
     """The roots negated by the involution, sorted; always closed under -1."""
     out = tuple(sorted(a for a in datum.roots if theta.apply(a) == _vneg(a)))
-    assert all(_vneg(a) in out for a in out)
+    if any(_vneg(a) not in out for a in out):
+        raise ConsistencyError("negated roots are not closed under -1", detail=out)
     return out
 
 

@@ -1,7 +1,7 @@
 """End-to-end runs of the command line interface through main(argv).
 
 Covers every exit code, csv/json agreement, byte determinism, atomic
-output, and the jobs knob."""
+output, and the prime power q = 9."""
 
 import json
 import os
@@ -67,6 +67,32 @@ def test_theorem_exponent_filter(capsys):
     rows = csv_rows(out)
     assert [r["lambda_exponent"] for r in rows] == ["2", "2", "2"]
     assert all(r["lhs"] == "1" for r in rows)
+    # 3 is the Frobenius partner of the representative 1: no cell has it
+    code, _, err = run_cli(
+        capsys, "verify", "theorem", "--group", "gl2", "--q", "3", "--exponent", "3"
+    )
+    assert code == 2
+    assert "representatives are k in [1, 2, 5]" in err
+
+
+def test_prime_power_q9(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "epsilon", "--group", "gl2", "--q", "9", "--torus", "both"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == [] and report["results"]
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "theorem", "--group", "gl2", "--q", "9",
+        "--exponent", "8", "--format", "csv",
+    )
+    assert code == 0
+    rows = csv_rows(out)
+    assert [r["involution_seed"] for r in rows] == [
+        "antidiag", "diag", "transpose-inverse"
+    ]
+    assert all(r["lhs"] == r["rhs"] == "1" for r in rows)
 
 
 def test_verify_sigma_json(capsys):
@@ -178,10 +204,11 @@ def test_failure_with_out_writes_both(tmp_path, capsys, monkeypatch):
         ("verify", "epsilon", "--group", "gl2", "--q", "4"),
         ("verify", "epsilon", "--group", "gl2", "--q", "3", "--involution", "bogus"),
         ("verify", "epsilon", "--group", "gl2", "--q", "3", "--format", "csv"),
-        ("verify", "theorem", "--group", "gl2", "--q", "3", "--jobs", "0"),
+        ("verify", "theorem", "--group", "gl2", "--q", "3", "--exponent", "3"),
         ("verify", "theorem", "--group", "gl2", "--q", "3", "--exponent", "x"),
         ("verify", "theorem", "--q", "3"),
         ("verify", "sigma", "--data", "no_such_datum"),
+        ("verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "3,19"),
     ),
 )
 def test_config_errors(capsys, argv):
@@ -235,20 +262,6 @@ def test_byte_determinism(capsys):
     _, second, _ = run_cli(capsys, *argv)
     assert mask_wall(first) == mask_wall(second)
     assert json.loads(first)["config"]["involutions"] == ["diag"]
-
-
-def test_jobs_parity(capsys):
-    argv = ("table", "--group", "gl2", "--q", "3", "--format", "json")
-    _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
-    _, threaded, _ = run_cli(capsys, *argv, "--jobs", "2")
-
-    def rows(text):
-        out = json.loads(text)["results"]
-        for r in out:
-            r.pop("wall_ms")
-        return out
-
-    assert rows(serial) == rows(threaded)
 
 
 def test_atomic_out_leaves_no_temp_files(tmp_path, capsys):

@@ -17,7 +17,7 @@ from dlcusp.errors import ConfigError
 from dlcusp.groups import MatrixGroup
 
 
-@pytest.mark.parametrize("q", (3, 5, 7))
+@pytest.mark.parametrize("q", (3, 5, 7, 9))
 def test_class_census(q):
     g = MatrixGroup("gl2", q)
     table = conjugacy_classes(g)

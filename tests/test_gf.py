@@ -9,12 +9,8 @@ import random
 
 import pytest
 
-from dlcusp.gf import (
-    TorusCharacter,
-    build_field,
-    discrete_log,
-    legendre_symbol,
-)
+from dlcusp.gf import build_field
+from dlcusp.groups import MatrixGroup, elliptic_torus
 
 
 def test_rejects_bad_orders():
@@ -27,7 +23,7 @@ def test_prime_power_base_field():
     t = build_field(9, degrees=(1,))
     # base F_9 = F_3[y]/(y^2 + 1), codes are base-3 digit strings
     assert t.p == 3 and t.f == 2 and t.q == 9
-    assert t.base_mul(3, 3) == 2  # y * y = -1
+    assert t.base.mul(3, 3) == 2  # y * y = -1
     assert t.smallest_nonsquare() == 4
 
 
@@ -189,8 +185,8 @@ def test_embed_is_a_field_hom():
         for b in range(3):
             ea = t.embed(a, 2)
             eb = t.embed(b, 2)
-            assert ea + eb == t.embed(t.base_add(a, b), 2)
-            assert ea * eb == t.embed(t.base_mul(a, b), 2)
+            assert ea + eb == t.embed(t.base.add(a, b), 2)
+            assert ea * eb == t.embed(t.base.mul(a, b), 2)
     assert t.embed(t.element(1, (2,)), 2) == t.embed(2, 2)
 
 
@@ -217,77 +213,61 @@ def test_base_arithmetic_q9():
     t = build_field(9, degrees=(1, 2))
     # inverses in the 9-element base field
     for a in range(1, 9):
-        assert t.base_mul(a, t.base_inv(a)) == 1
-    assert t.base_neg(0) == 0
-    assert t.base_sub(1, 3) == t.base_add(1, t.base_neg(3))
+        assert t.base.mul(a, t.base.inv(a)) == 1
+    assert t.base.neg(0) == 0
+    assert t.base.sub(1, 3) == t.base.add(1, t.base.neg(3))
 
 
-def test_legendre_symbol_q7():
-    t = build_field(7, degrees=(1,))
-    signs = {a: legendre_symbol(t.element(1, (a,))) for a in range(1, 7)}
-    assert signs == {1: 1, 2: 1, 4: 1, 3: -1, 5: -1, 6: -1}
-    with pytest.raises(ValueError):
-        legendre_symbol(t.zero(1))
+# Multiplicative characters of F_{q^2}^*, read on the elliptic torus of
+# GL2(F_q): its points are the units of F_{q^2} through their eigenvalue, and
+# the character with exponents (k, 0) is the exponent k against the generator.
 
 
-def test_legendre_symbol_level2():
-    t = build_field(3, degrees=(1, 2))
-    g = t.generator(2)
-    assert legendre_symbol(g) == -1
-    assert legendre_symbol(g * g) == 1
+def _f_q2_characters(q):
+    group = MatrixGroup("gl2", q)
+    return group, elliptic_torus(group)
 
 
 def test_character_log_value_is_a_hom():
-    t = build_field(3, degrees=(1, 2))
-    chi = TorusCharacter(t, 2, 3)
-    n = t.order(2)
-    units = list(t.units(2))
-    for x in units:
-        for y in units:
-            assert chi.log_value(x * y) == (chi.log_value(x) + chi.log_value(y)) % n
-    assert chi.log_value(t.one(2)) == 0
+    g, te = _f_q2_characters(3)
+    chi = te.character((3, 0))
+    n = g.tower.order(2)
+    for x in te.elements:
+        for y in te.elements:
+            assert chi.log_value(g.mul(x, y)) == (chi.log_value(x) + chi.log_value(y)) % n
+    assert chi.log_value(g.identity()) == 0
 
 
 def test_character_exponent_normalization():
-    t = build_field(3, degrees=(1, 2))
-    assert TorusCharacter(t, 2, 11).exponent == 3
-    assert TorusCharacter(t, 2, -1).exponent == 7
-    chi = TorusCharacter(t, 2, 5)
-    assert chi.inverse().exponent == 3
-    assert chi.frobenius_twist().exponent == 7
+    _, te = _f_q2_characters(3)
+    assert te.character((11, 0)).exponents == (3, 0)
+    assert te.character((-1, 0)).exponents == (7, 0)
+    chi = te.character((5, 0))
+    assert chi.inverse().exponents == (3, 0)
+    assert chi.frobenius_partner().exponents == (7, 0)
 
 
 def test_general_position_census_q3():
-    t = build_field(3, degrees=(1, 2))
-    gp = {k for k in range(8) if TorusCharacter(t, 2, k).is_general_position()}
+    _, te = _f_q2_characters(3)
+    gp = {k for k in range(8) if te.character((k, 0)).is_general_position()}
     assert gp == {1, 2, 3, 5, 6, 7}
 
 
 def test_character_trivial_on_base_units():
-    t = build_field(3, degrees=(1, 2))
-    base = [t.embed(a, 2) for a in (1, 2)]
+    g, te = _f_q2_characters(3)
+    base = [g.scalar(a) for a in (1, 2)]
     for k in range(8):
-        chi = TorusCharacter(t, 2, k)
+        chi = te.character((k, 0))
         assert chi.is_trivial_on(base) == (k % 2 == 0)
 
 
 def test_character_value_on_unit_circle():
-    t = build_field(5, degrees=(1, 2))
-    chi = TorusCharacter(t, 2, 7)
-    for x in list(t.units(2))[:10]:
+    g, te = _f_q2_characters(5)
+    chi = te.character((7, 0))
+    for x in te.elements[:10]:
         v = chi.value(x)
         assert abs(abs(v) - 1.0) < 1e-12
-    assert abs(chi.value(t.one(2)) - 1.0) < 1e-12
-
-
-def test_module_level_helpers():
-    t = build_field(3, degrees=(1, 2))
-    g = t.generator(2)
-    assert discrete_log(g) == 1
-    chi = TorusCharacter(t, 2, 2)
-    from dlcusp.gf import character_eval
-
-    assert abs(character_eval(chi, g) - chi.value(g)) == 0
+    assert abs(chi.value(g.identity()) - 1.0) < 1e-12
 
 
 def test_deterministic_rebuild():

@@ -15,10 +15,8 @@ from dlcusp.groups import (
     Involution,
     LieFixedSpace,
     MatrixGroup,
-    build_group,
     derived_theta_star,
     elliptic_torus,
-    enumerate_group,
     fixed_subgroup,
     involution_orbit,
     lie_fixed_det,
@@ -52,8 +50,8 @@ def test_group_validation():
 
 
 def test_enumeration_is_lex_and_complete():
-    g = build_group("gl2", 3)
-    els = enumerate_group(g)
+    g = MatrixGroup("gl2", 3)
+    els = g.elements()
     assert len(els) == 48
     assert len(set(els)) == 48
     assert list(els) == sorted(els)
@@ -71,7 +69,7 @@ def test_group_arithmetic_exhaustive_q3():
     for _ in range(300):
         x, y, z = (rng.choice(els) for _ in range(3))
         assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
-        assert g.det(g.mul(x, y)) == g.tower.base_mul(g.det(x), g.det(y))
+        assert g.det(g.mul(x, y)) == g.tower.base.mul(g.det(x), g.det(y))
 
 
 def test_generators_generate():
@@ -118,14 +116,6 @@ def test_materialize_cap(monkeypatch):
     assert e.value.required == 480
 
 
-def test_random_element_deterministic():
-    g = MatrixGroup("gl2", 7)
-    a = [g.random_element(random.Random(5)) for _ in range(5)]
-    b = [g.random_element(random.Random(5)) for _ in range(5)]
-    assert a == b
-    assert all(g.contains(x) for x in a)
-
-
 # ---------------------------------------------------------------------------
 # tori
 
@@ -157,7 +147,7 @@ def test_elliptic_coords_are_eigenvalues():
         k1, k2 = t.log_coords(x)
         assert k2 == (5 * k1) % n
         # the characteristic polynomial of x vanishes at u
-        tr = tw.embed(tw.base_add(x[0][0], x[1][1]), 2)
+        tr = tw.embed(tw.base.add(x[0][0], x[1][1]), 2)
         det = tw.embed(g.det(x), 2)
         assert u * u - tr * u + det == tw.zero(2)
 
@@ -327,7 +317,7 @@ def test_swap_involution_exchanges_factors():
     assert th.apply(th.apply(x)) == x
     rng = random.Random(1)
     for _ in range(200):
-        a, b = g.random_element(rng), g.random_element(rng)
+        a, b = rng.choice(g.elements()), rng.choice(g.elements())
         assert th.apply(g.mul(a, b)) == g.mul(th.apply(a), th.apply(b))
 
 
@@ -567,6 +557,16 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
                     seen[(torus.kind, seed, orbit.representative.witness)] = data.m
                     assert set(data.fixed_in_t_theta) <= set(data.t_theta)
     assert seen == expected
+
+
+def test_literal_product_check_raises(monkeypatch):
+    # with a multiplication that returns its right factor, the literal
+    # G^theta T_theta has |T_theta| = 2 elements where |G_theta| / m = 4
+    g = MatrixGroup("gl2", 3)
+    th = named_involution(g, "diag")
+    monkeypatch.setattr(MatrixGroup, "mul", lambda self, x, y: y)
+    with pytest.raises(ConsistencyError, match="literal product"):
+        stabilizer_data(th, split_torus(g))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_epsilon_methods_disagree_on_split_transpose_inverse(q, monkeypatch):
     theta = named_involution(group, "transpose-inverse")
     # the fixed Lie algebra is so(2), on which diag(a, b) acts by a/b: both
     # routes give -1 at diag(1, -1) and +1 at the center
-    minus = group.tower.base_neg(1)
+    minus = group.tower.base.neg(1)
     eps = epsilon_character(theta, torus)
     assert eps.sign(((1, 0), (0, minus))) == -1
     assert eps.sign(((minus, 0), (0, 1))) == -1
