@@ -209,13 +209,15 @@ def _seeds_for(config: RunConfig, kind: str):
 
 
 def _tori(config: RunConfig, group: MatrixGroup):
-    kinds = ("split", "elliptic") if config.torus == "both" else (config.torus,)
-    out = []
-    for k in kinds:
-        if group.kind == "gl2_x_gl2" and k == "split":
-            continue
-        out.append(split_torus(group) if k == "split" else elliptic_torus(group))
-    return out
+    """The tori of a run; "both" means the wired ones, and a torus named
+    explicitly that is not wired for the group is refused by TorusEmbedding."""
+    if config.torus != "both":
+        kinds = (config.torus,)
+    elif group.kind == "gl2_x_gl2":
+        kinds = ("elliptic",)
+    else:
+        kinds = ("split", "elliptic")
+    return [split_torus(group) if k == "split" else elliptic_torus(group) for k in kinds]
 
 
 def cmd_verify_epsilon(config: RunConfig) -> int:

@@ -27,7 +27,7 @@ __all__ = [
     "CuspidalCharacter",
 ]
 
-BRUTE_FORCE_Q = 7
+BRUTE_FORCE_Q = 9
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,15 @@ code is the residue itself; for q = p^f it is the base-p digit encoding of
 the coefficient vector in the canonical modulus basis, so code arithmetic
 is table-driven.  The matrix layer works directly on these codes.
 
+Every level keeps a discrete-log table (``powers`` and its inverse ``log``)
+for a fixed generator of its multiplicative group.  Products, powers,
+inverses and square roots at a level read that table: one addition,
+multiplication or halving of logs mod q^d - 1, with zero tested first.
+
 The base field (``tower.base``) and ``tower.element_ops(d)`` offer the same
-operations (add, sub, mul, neg, inv, zero, one), on codes and on
+operations (add, sub, mul, neg, inv, dot, zero, one), on codes and on
 ``FieldElement`` entries of level d, so the matrix and linear-algebra kernels
-take either.
+take either; ``dot(a, b, c, d)`` is a*b + c*d.
 """
 
 from __future__ import annotations
@@ -194,6 +199,11 @@ class _BaseField:
     def mul(self, a, b):
         return self._mul[a][b]
 
+    def dot(self, a, b, c, d):
+        """a*b + c*d, the step of a 2x2 matrix product."""
+        mul = self._mul
+        return self._add[mul[a][b]][mul[c][d]]
+
     def neg(self, a):
         return self._neg[a]
 
@@ -212,33 +222,33 @@ class _BaseField:
 
 
 class _Level:
-    """F_{q^d} over the base: coefficient tuples modulo a fixed monic modulus."""
+    """F_{q^d} over the base: coefficient tuples modulo a fixed monic modulus.
+
+    ``powers[i]`` is g^i for the fixed generator g and ``log`` inverts it, so
+    products, powers and inverses of units are one addition or multiplication
+    of logs mod q^d - 1.  The convolution product and square-and-multiply
+    (``_poly_mul``, ``_poly_pow``) only build those tables.
+    """
 
     def __init__(self, base: _BaseField, degree: int):
         self.base = base
         self.degree = degree
         self.order = base.q**degree - 1
+        self.zero = (0,) * degree
+        self.one = (1,) + (0,) * (degree - 1)
         self.modulus = self._canonical_modulus()
         self.generator_coeffs = self._find_generator()
         self.log = {}
         self.powers = []
-        x = self._one()
+        x = self.one
         for i in range(self.order):
             self.powers.append(x)
             self.log[x] = i
-            x = self.mul(x, self.generator_coeffs)
-        if x != self._one():
+            x = self._poly_mul(x, self.generator_coeffs)
+        if x != self.one:
             raise ConsistencyError("generator order is wrong", detail=self.generator_coeffs)
 
-    # -- raw coefficient-tuple arithmetic (fixed length d) ------------------
-
-    def _zero(self):
-        return (0,) * self.degree
-
-    def _one(self):
-        if self.degree == 0:
-            raise AssertionError("degree zero level")
-        return (1,) + (0,) * (self.degree - 1)
+    # -- coefficientwise operations (fixed length d) -------------------------
 
     def add(self, xs, ys):
         b = self.base
@@ -256,7 +266,41 @@ class _Level:
         b = self.base
         return tuple(b.mul(c, x) for x in xs)
 
+    # -- multiplicative operations, read off the log table -------------------
+
+    def log_of(self, xs) -> int:
+        """The discrete log of a unit; zero and non-elements raise."""
+        try:
+            return self.log[xs]
+        except KeyError:
+            what = "zero" if xs == self.zero else f"{xs!r}, which is not an element"
+            raise ValueError(f"discrete log of {what} at degree {self.degree}") from None
+
     def mul(self, xs, ys):
+        zero = self.zero
+        if xs == zero or ys == zero:
+            return zero
+        log = self.log
+        try:
+            return self.powers[(log[xs] + log[ys]) % self.order]
+        except KeyError:
+            raise ValueError(f"{xs!r} or {ys!r} is not an element of degree {self.degree}") from None
+
+    def pow(self, xs, n: int):
+        if xs == self.zero:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.one if n == 0 else self.zero
+        return self.powers[self.log_of(xs) * n % self.order]
+
+    def inv(self, xs):
+        if xs == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.powers[-self.log_of(xs) % self.order]
+
+    # -- table construction --------------------------------------------------
+
+    def _poly_mul(self, xs, ys):
         b = self.base
         d = self.degree
         conv = [0] * (2 * d - 1) if d > 1 else [0]
@@ -274,24 +318,15 @@ class _Level:
                     conv[k - d + i] = b.sub(conv[k - d + i], b.mul(lead, self.modulus[i]))
         return tuple(conv[:d])
 
-    def pow(self, xs, n: int):
-        if n < 0:
-            return self.pow(self.inv(xs), -n)
-        out = self._one()
+    def _poly_pow(self, xs, n: int):
+        out = self.one
         acc = xs
         while n:
             if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
+                out = self._poly_mul(out, acc)
+            acc = self._poly_mul(acc, acc)
             n >>= 1
         return out
-
-    def inv(self, xs):
-        if xs == self._zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(xs, self.order - 1)
-
-    # -- construction --------------------------------------------------------
 
     def _poly_divisible(self, num, den):
         """num, den monic-or-not coefficient tuples over the base, low first."""
@@ -330,7 +365,7 @@ class _Level:
         for tail in itertools.product(range(self.base.q), repeat=self.degree):
             if all(c == 0 for c in tail):
                 continue
-            if all(self.pow(tail, m) != self._one() for m in prime_cofactors):
+            if all(self._poly_pow(tail, m) != self.one for m in prime_cofactors):
                 return tail
         raise AssertionError("no generator found")  # unreachable: F_q^d* is cyclic
 
@@ -432,6 +467,10 @@ class _ElementOps:
     neg = staticmethod(operator.neg)
     inv = staticmethod(FieldElement.inverse)
 
+    @staticmethod
+    def dot(a, b, c, d):
+        return a * b + c * d
+
     def __init__(self, tower: "FieldTower", level: int):
         self.zero = tower.zero(level)
         self.one = tower.one(level)
@@ -476,10 +515,10 @@ class FieldTower:
         return FieldElement(self, level, cs)
 
     def zero(self, level: int = 1) -> FieldElement:
-        return FieldElement(self, level, self._lv(level)._zero())
+        return FieldElement(self, level, self._lv(level).zero)
 
     def one(self, level: int = 1) -> FieldElement:
-        return FieldElement(self, level, self._lv(level)._one())
+        return FieldElement(self, level, self._lv(level).one)
 
     def scalar(self, level: int, n: int) -> FieldElement:
         """The integer scalar n*1 at the given level."""
@@ -532,22 +571,26 @@ class FieldTower:
     def discrete_log(self, x: FieldElement) -> int:
         if x.tower is not self:
             raise ValueError("element belongs to a different tower")
-        if x.is_zero():
-            raise ValueError("discrete log of zero")
-        return self._lv(x.level).log[x.coeffs]
+        return self._lv(x.level).log_of(x.coeffs)
 
     def frobenius(self, x: FieldElement) -> FieldElement:
         """The arithmetic Frobenius x -> x^q of the base field."""
         return x**self.q
 
     def sqrt(self, x: FieldElement) -> FieldElement:
-        """The canonical square root: the one with the lex-smaller coefficients."""
+        """The canonical square root: the one with the lex-smaller coefficients.
+
+        For x = g^e the roots are g^(e/2) and g^(e/2 + (q^d - 1)/2) = -g^(e/2);
+        an odd e means x is not a square.
+        """
         if x.is_zero():
             return x
-        roots = sorted(y.coeffs for y in self.units(x.level) if y * y == x)
-        if not roots:
+        lv = self._lv(x.level)
+        e = lv.log_of(x.coeffs)
+        if e % 2:
             raise ValueError(f"{x!r} is not a square at its level")
-        return FieldElement(self, x.level, roots[0])
+        root = lv.powers[e // 2]
+        return FieldElement(self, x.level, min(root, lv.powers[e // 2 + lv.order // 2]))
 
     def smallest_nonsquare(self) -> int:
         """Code of the first base unit that is not a square in F_q."""

@@ -73,10 +73,10 @@ def _cap(default: int) -> int:
 def _m_mul(F, x, y):
     (a, b), (c, d) = x
     (e, f), (g, h) = y
-    mul, add = F.mul, F.add
+    dot = F.dot
     return (
-        (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h))),
-        (add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))),
+        (dot(a, e, b, g), dot(a, f, b, h)),
+        (dot(c, e, d, g), dot(c, f, d, h)),
     )
 
 

@@ -209,6 +209,8 @@ def test_failure_with_out_writes_both(tmp_path, capsys, monkeypatch):
         ("verify", "theorem", "--q", "3"),
         ("verify", "sigma", "--data", "no_such_datum"),
         ("verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "3,19"),
+        ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
+        ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
     ),
 )
 def test_config_errors(capsys, argv):

@@ -36,6 +36,18 @@ def test_class_census(q):
     assert sum(c.size for c in table.classes) == g.order
 
 
+def test_brute_force_cross_check_runs_through_q9(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        ConjugacyTable,
+        "_cross_check_brute_force",
+        lambda table: checked.append(table.group.q),
+    )
+    for q in (3, 9, 11):
+        ConjugacyTable(MatrixGroup("gl2", q))
+    assert checked == [3, 9]
+
+
 def test_table_is_cached():
     g = MatrixGroup("gl2", 3)
     assert conjugacy_classes(g) is conjugacy_classes(g)

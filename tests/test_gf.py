@@ -5,6 +5,7 @@ canonical construction (lexicographically least monic irreducible, least
 generator in coefficient order) before the implementation existed.
 """
 
+import itertools
 import random
 
 import pytest
@@ -196,17 +197,88 @@ def test_scalar_reduces_mod_p():
     assert t.scalar(2, -1) == t.embed(4, 2)
 
 
+# Slow references for the table arithmetic: the convolution product modulo the
+# level's modulus, and square-and-multiply on top of it.
+
+
+def _conv_mul(t, level, xs, ys):
+    F = t.base
+    m = t.modulus(level)
+    conv = [0] * (2 * level - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            conv[i + j] = F.add(conv[i + j], F.mul(x, y))
+    for k in range(len(conv) - 1, level - 1, -1):
+        lead, conv[k] = conv[k], 0
+        for i in range(level):
+            conv[k - level + i] = F.sub(conv[k - level + i], F.mul(lead, m[i]))
+    return tuple(conv[:level])
+
+
+def _ref_pow(t, level, xs, n):
+    out = (1,) + (0,) * (level - 1)
+    while n:
+        if n & 1:
+            out = _conv_mul(t, level, out, xs)
+        xs = _conv_mul(t, level, xs, xs)
+        n >>= 1
+    return out
+
+
+@pytest.mark.parametrize("q,level", ((3, 2), (3, 4), (5, 2), (9, 2)))
+def test_table_arithmetic_matches_convolution(q, level):
+    t = build_field(q, degrees=(1, level))
+    lv = t._lv(level)
+    xs = [x.coeffs for x in t.elements(level)]
+    zero, one = xs[0], (1,) + (0,) * (level - 1)
+    for x in xs:
+        for y in xs:
+            assert lv.mul(x, y) == _conv_mul(t, level, x, y)
+    n = t.order(level)
+    for x in xs[1:]:
+        inv = lv.inv(x)
+        assert inv == _ref_pow(t, level, x, n - 1)
+        assert _conv_mul(t, level, x, inv) == one
+        for k in range(n + 2):
+            assert lv.pow(x, k) == _ref_pow(t, level, x, k)
+        assert lv.pow(x, -3) == _ref_pow(t, level, inv, 3)
+    assert lv.pow(zero, 0) == one
+    assert lv.pow(zero, 5) == zero
+    with pytest.raises(ZeroDivisionError):
+        lv.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        lv.pow(zero, -1)
+    stray = (q,) + (0,) * (level - 1)  # a code out of range: neither zero nor a unit
+    for bad in (lambda: lv.mul(stray, one), lambda: lv.mul(one, stray),
+                lambda: lv.inv(stray), lambda: lv.pow(stray, 2)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_sqrt_on_all_squares():
-    for q in (3, 7):
+    for q in (3, 5, 7, 9, 11, 13):
         t = build_field(q, degrees=(1, 2))
-        for x in t.units(2):
-            if t.discrete_log(x) % 2 == 0:
-                r = t.sqrt(x)
-                assert r * r == x
-            else:
-                with pytest.raises(ValueError):
-                    t.sqrt(x)
-        assert t.sqrt(t.zero(2)).is_zero()
+        for level in (1, 2):
+            roots = {}
+            for y in t.units(level):
+                roots.setdefault(_conv_mul(t, level, y.coeffs, y.coeffs), []).append(y.coeffs)
+            for x in t.units(level):
+                if x.coeffs in roots:
+                    assert t.sqrt(x).coeffs == min(roots[x.coeffs])
+                else:
+                    with pytest.raises(ValueError):
+                        t.sqrt(x)
+            assert len(roots) == t.order(level) // 2
+            assert t.sqrt(t.zero(level)).is_zero()
+
+
+@pytest.mark.parametrize("q", (3, 9))
+def test_dot_is_two_products_and_a_sum(q):
+    t = build_field(q, degrees=(1, 2))
+    levels = (1, 2) if q == 3 else (1,)
+    for F, xs in [(t.base, range(q))] + [(t.element_ops(d), list(t.elements(d))) for d in levels]:
+        for a, b, c, d in itertools.product(xs, repeat=4):
+            assert F.dot(a, b, c, d) == F.add(F.mul(a, b), F.mul(c, d))
 
 
 def test_base_arithmetic_q9():
