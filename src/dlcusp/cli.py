@@ -503,6 +503,10 @@ def _config_from(ns) -> RunConfig:
                 )
     if config.fmt == "csv" and config.command not in ("verify theorem", "table"):
         raise ConfigError("csv output is defined for theorem and table runs only")
+    if config.torus == "split" and config.command in ("verify theorem", "table"):
+        raise ConfigError("theorem runs use the elliptic torus; --torus split is refused")
+    if config.twists < 0:
+        raise ConfigError(f"--twists must be nonnegative, got {config.twists}")
     return config
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError
-from .groups import MatrixGroup, _m_inv, _m_mul
+from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
 
 __all__ = [
     "ConjugacyClass",
@@ -26,8 +26,6 @@ __all__ = [
     "cuspidal_character",
     "CuspidalCharacter",
 ]
-
-BRUTE_FORCE_Q = 9
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
@@ -49,6 +49,9 @@ __all__ = [
 # group kinds by factor count: KINDS[n - 1] has n GL2 factors
 KINDS = ("gl2", "gl2_x_gl2")
 Q_BOUND = {"gl2": 13, "gl2_x_gl2": 7}
+
+# up to this q, results read off a shortcut are also computed directly
+BRUTE_FORCE_Q = 9
 
 # census and materialization guards; DL_DISTINCT_BOUND overrides both
 ORBIT_CAP = 100_000
@@ -639,9 +642,52 @@ class TOrbit:
 
 @dataclass(frozen=True)
 class OrbitCensus:
+    """The conjugation orbit of a seed, its torus orbits, and for each member
+    th a transporter x with seed.conjugated(x) == th.
+
+    The stabilizers of a member are the seed's conjugated by its transporter,
+    so the seed's are filtered once and every other member's are transported.
+    """
+
     seed: "Involution"
     all_members: tuple
     t_orbits: tuple
+    transporters: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def _seed_stabilizers(self):
+        """(|G_theta|, G^theta) of the seed, by direct filtering.
+
+        Up to BRUTE_FORCE_Q one non-seed member is filtered directly as well,
+        and its sets must equal the transported ones.
+        """
+        seed_sets = _direct_stabilizers(self.seed)
+        witness = next((th for th in reversed(self.all_members) if th != self.seed), None)
+        if self.seed.group.q <= BRUTE_FORCE_Q and witness is not None:
+            order, fixed = _conjugate_stabilizers(
+                self.seed.group, self.transporters[witness], seed_sets
+            )
+            direct_order, direct_fixed = _direct_stabilizers(witness)
+            if order != direct_order or set(fixed) != set(direct_fixed):
+                raise ConsistencyError(
+                    "transported stabilizers differ from the direct filter",
+                    detail={
+                        "witness": witness.witness,
+                        "g_theta_order": (order, direct_order),
+                        "g_fixed_size": (len(set(fixed)), len(direct_fixed)),
+                    },
+                )
+        return seed_sets
+
+    def stabilizers(self, theta: "Involution"):
+        """(|G_theta|, G^theta) of a member, transported from the seed."""
+        x = self.transporters[theta]
+        if self.seed.conjugated(x) != theta:
+            raise ConsistencyError(
+                "transporter does not carry the seed to the member",
+                detail={"member": theta.witness, "transporter": x},
+            )
+        return _conjugate_stabilizers(self.seed.group, x, self._seed_stabilizers)
 
 
 def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
@@ -649,23 +695,24 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     group = theta0.group
     cap = _cap(ORBIT_CAP)
     gens = group.generators()
-    seen = {theta0}
+    # th = Int(x) theta0 Int(x)^-1, so th.conjugated(g) is reached by g x
+    transporters = {theta0: group.identity()}
     frontier = [theta0]
     while frontier:
         nxt = []
         for th in frontier:
             for g in gens:
                 im = th.conjugated(g)
-                if im not in seen:
-                    seen.add(im)
+                if im not in transporters:
+                    transporters[im] = group.mul(g, transporters[th])
                     nxt.append(im)
-                    if len(seen) > cap:
+                    if len(transporters) > cap:
                         raise ResourceBoundError(
                             f"involution orbit exceeds the cap {cap}",
-                            required=len(seen),
+                            required=len(transporters),
                         )
         frontier = nxt
-    members = sorted(seen, key=lambda th: th._key)
+    members = sorted(transporters, key=lambda th: th._key)
     # torus orbit partition
     unassigned = dict.fromkeys(members)
     t_orbits = []
@@ -686,7 +733,7 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
             )
         t_orbits.append(TOrbit(orbit, orbit[0], flags.pop()))
     t_orbits.sort(key=lambda o: o.representative._key)
-    return OrbitCensus(theta0, tuple(members), tuple(t_orbits))
+    return OrbitCensus(theta0, tuple(members), tuple(t_orbits), transporters)
 
 
 def fixed_subgroup(theta: Involution):
@@ -728,20 +775,41 @@ def _gl2_stabilizer_sets(factor: MatrixGroup, outer: bool, a, ai):
     return twisted, fixed
 
 
-def stabilizer_data(theta: Involution, torus: TorusEmbedding) -> StabilizerData:
-    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta]."""
+def _direct_stabilizers(theta: Involution):
+    """(|G_theta|, G^theta) by direct filtering (closed form for the swap)."""
     group = theta.group
     if theta._swaps:
-        g_fixed = fixed_subgroup(theta)
         # G_theta = {(z a h a^-1, h) : z scalar}
-        g_theta_order = group.gl2_order * (group.q - 1)
-    else:
-        per = [
-            _gl2_stabilizer_sets(group.factor, theta._outer, a, ai)
-            for a, ai in zip(*theta._factor_witnesses)
-        ]
-        g_theta_order = math.prod(len(twisted) for twisted, _ in per)
-        g_fixed = tuple(map(group.join, itertools.product(*(fixed for _, fixed in per))))
+        return group.gl2_order * (group.q - 1), fixed_subgroup(theta)
+    per = [
+        _gl2_stabilizer_sets(group.factor, theta._outer, a, ai)
+        for a, ai in zip(*theta._factor_witnesses)
+    ]
+    g_theta_order = math.prod(len(twisted) for twisted, _ in per)
+    return g_theta_order, tuple(
+        map(group.join, itertools.product(*(fixed for _, fixed in per)))
+    )
+
+
+def _conjugate_stabilizers(group: MatrixGroup, x, stabilizers):
+    """The stabilizers of Int(x) o theta o Int(x)^-1 from those of theta:
+    the same |G_theta|, and G^theta conjugated by x."""
+    g_theta_order, g_fixed = stabilizers
+    xi = group.inv(x)
+    mul = group.mul
+    return g_theta_order, tuple(mul(mul(x, h), xi) for h in g_fixed)
+
+
+def stabilizer_data(
+    theta: Involution, torus: TorusEmbedding, stabilizers=None
+) -> StabilizerData:
+    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
+
+    stabilizers: theta's (|G_theta|, G^theta) when they are already known,
+    for instance from OrbitCensus.stabilizers; filtered directly when omitted.
+    """
+    group = theta.group
+    g_theta_order, g_fixed = stabilizers or _direct_stabilizers(theta)
 
     t_theta = tuple(
         x

@@ -23,7 +23,6 @@ from .groups import (
     TorusEmbedding,
     derived_theta_star,
     elliptic_torus,
-    fixed_subgroup,
     involution_orbit,
     lie_fixed_det,
     named_involution,
@@ -127,7 +126,13 @@ class OrbitReport:
 
 
 class _OrbitEntry:
-    def __init__(self, orbit, torus):
+    """One torus orbit's index m and sampled epsilon characters.
+
+    The stabilizers of each sampled member are transported from the census
+    seed; m is still computed per member and must agree across the orbit.
+    """
+
+    def __init__(self, orbit, census: OrbitCensus, torus):
         self.orbit = orbit
         rep = orbit.representative
         members = orbit.members
@@ -137,9 +142,7 @@ class _OrbitEntry:
             for i in (1, len(members) // 2, len(members) - 1):
                 if members[i] not in picks:
                     picks.append(members[i])
-        self.sampled = picks
-        self.data = [stabilizer_data(th, torus) for th in picks]
-        ms = {d.m for d in self.data}
+        ms = {stabilizer_data(th, torus, census.stabilizers(th)).m for th in picks}
         if len(ms) != 1:
             raise ConsistencyError(
                 "orbit index m is not constant on a torus orbit", detail=sorted(ms)
@@ -158,7 +161,7 @@ def _analyze(census: OrbitCensus, torus: TorusEmbedding):
     key = census.seed._key
     got = cache.get(key)
     if got is None:
-        got = [_OrbitEntry(o, torus) for o in census.t_orbits]
+        got = [_OrbitEntry(o, census, torus) for o in census.t_orbits]
         cache[key] = got
     return got
 
@@ -214,6 +217,8 @@ class ProductCuspidal:
 def lhs_multiplicity(census: OrbitCensus, chi, tol: float = 1e-6, samples: int = 4):
     """Average of chi over G^theta, checked across sampled orbit members.
 
+    Each member's G^theta is the census seed's, transported by conjugation.
+
     Returns the common nonnegative integer; the average must be within tol
     of it, with vanishing imaginary part, for every sampled representative.
     """
@@ -224,7 +229,7 @@ def lhs_multiplicity(census: OrbitCensus, chi, tol: float = 1e-6, samples: int =
         picked[0] = census.seed
     values = []
     for th in picked:
-        fixed = fixed_subgroup(th)
+        _, fixed = census.stabilizers(th)
         acc = 0j
         for h in fixed:
             acc += chi.value(h)

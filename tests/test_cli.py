@@ -211,6 +211,9 @@ def test_failure_with_out_writes_both(tmp_path, capsys, monkeypatch):
         ("verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "3,19"),
         ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
         ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
+        ("verify", "theorem", "--group", "gl2", "--q", "3", "--torus", "split"),
+        ("table", "--group", "gl2", "--q", "3", "--torus", "split"),
+        ("verify", "sigma", "--twists", "-5"),
     ),
 )
 def test_config_errors(capsys, argv):

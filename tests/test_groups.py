@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from dlcusp import groups
 from dlcusp.errors import ConfigError, ConsistencyError, ResourceBoundError
 from dlcusp.groups import (
     Involution,
@@ -567,6 +568,88 @@ def test_literal_product_check_raises(monkeypatch):
     monkeypatch.setattr(MatrixGroup, "mul", lambda self, x, y: y)
     with pytest.raises(ConsistencyError, match="literal product"):
         stabilizer_data(th, split_torus(g))
+
+
+# ---------------------------------------------------------------------------
+# stabilizers transported from the census seed
+
+TRANSPORT_CENSUSES = [
+    ("gl2", q, seed, torus_kind)
+    for q in (3, 5)
+    for seed in ("diag", "antidiag", "transpose-inverse")
+    for torus_kind in ("split", "elliptic")
+] + [("gl2_x_gl2", 3, "swap", "elliptic")]
+
+
+def _census(kind, q, seed, torus_kind):
+    g = MatrixGroup(kind, q)
+    t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
+    return g, involution_orbit(named_involution(g, seed), t)
+
+
+def _census_id(key):
+    return "-".join(map(str, key))
+
+
+@pytest.mark.parametrize("key", TRANSPORT_CENSUSES, ids=_census_id)
+def test_transporters_carry_the_seed(key):
+    g, census = _census(*key)
+    assert set(census.transporters) == set(census.all_members)
+    assert census.transporters[census.seed] == g.identity()
+    for member in census.all_members:
+        assert census.seed.conjugated(census.transporters[member]) == member
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in TRANSPORT_CENSUSES if k[3] == "elliptic"], ids=_census_id
+)
+def test_transported_stabilizers_match_brute_force(key):
+    g, census = _census(*key)
+    elements = g.elements()
+    for member in census.all_members:
+        images = [(x, member.apply(x)) for x in elements]
+        fixed = {x for x, im in images if im == x}
+        g_theta = [x for x, im in images if g.is_central(g.mul(x, g.inv(im)))]
+        order, transported = census.stabilizers(member)
+        assert len(transported) == len(fixed)
+        assert set(transported) == fixed
+        assert order == len(g_theta)
+
+
+def test_wrong_transporter_fails_the_witness_check(monkeypatch):
+    g, census = _census("gl2", 3, "diag", "elliptic")
+    for member in census.all_members:
+        monkeypatch.setitem(census.transporters, member, g.identity())
+    with pytest.raises(ConsistencyError, match="differ from the direct filter"):
+        census.stabilizers(census.seed)
+
+
+def test_wrong_transporter_fails_the_member_check(monkeypatch):
+    # past BRUTE_FORCE_Q there is no witness: each member checks its own
+    monkeypatch.setattr(groups, "BRUTE_FORCE_Q", 1)
+    g, census = _census("gl2", 3, "transpose-inverse", "elliptic")
+    member = census.all_members[-1]
+    assert member != census.seed
+    census.stabilizers(census.seed)
+    monkeypatch.setitem(census.transporters, member, g.identity())
+    with pytest.raises(ConsistencyError, match="does not carry the seed"):
+        census.stabilizers(member)
+
+
+@pytest.mark.parametrize("brute_force_q, filters", ((9, 2), (1, 1)))
+def test_one_direct_filter_per_census(monkeypatch, brute_force_q, filters):
+    # the seed's, plus the witness's up to BRUTE_FORCE_Q
+    monkeypatch.setattr(groups, "BRUTE_FORCE_Q", brute_force_q)
+    calls = []
+    direct = groups._direct_stabilizers
+    monkeypatch.setattr(
+        groups, "_direct_stabilizers", lambda th: calls.append(th) or direct(th)
+    )
+    g, census = _census("gl2", 5, "diag", "elliptic")
+    for member in census.all_members:
+        census.stabilizers(member)
+    assert len(calls) == filters
+    assert calls[0] == census.seed
 
 
 # ---------------------------------------------------------------------------
