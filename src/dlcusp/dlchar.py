@@ -223,9 +223,6 @@ class ClassFunction:
     def value(self, g) -> complex:
         return self._complex[self.table.class_of(g)]
 
-    def value_by_class(self, i: int) -> complex:
-        return self._complex[i]
-
     def inner(self, other: "ClassFunction") -> complex:
         if other.table is not self.table:
             raise ConfigError("class functions live on different groups")
@@ -234,21 +231,6 @@ class ClassFunction:
         for cls, v, w in zip(self.table.classes, self._complex, other._complex):
             acc += cls.size * v * w.conjugate()
         return acc / order
-
-    def to_json_dict(self, lambda_exponent: int) -> dict:
-        return {
-            "q": self.table.group.q,
-            "lambda_exponent": lambda_exponent,
-            "classes": [
-                {
-                    "rep": [list(row) for row in cls.rep],
-                    "size": cls.size,
-                    "value_re": v.real,
-                    "value_im": v.imag,
-                }
-                for cls, v in zip(self.table.classes, self._complex)
-            ],
-        }
 
 
 def general_position_exponents(group: MatrixGroup):
@@ -291,9 +273,6 @@ class CuspidalCharacter:
     def central_log(self, z: int) -> int:
         """Exponent of the central character at the scalar z."""
         return (self.exponent * self.table._emb_log[z]) % self.table.n_modulus
-
-    def to_json_dict(self) -> dict:
-        return self.chi.to_json_dict(self.exponent)
 
 
 def _value_maps(table: ConjugacyTable, k: int):

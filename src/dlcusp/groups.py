@@ -465,23 +465,6 @@ class TorusEmbedding:
         b = (u - v) * half * delta_inv
         return ((a, b * eps), (b, a))
 
-    def extension_points(self, level: int = 2):
-        """All points of the torus over F_{q^level}, as (matrix, coords) pairs.
-
-        Matrices carry FieldElement entries, so involutions apply verbatim.
-        """
-        units = list(self.group.tower.units(level))
-        factor_points = [
-            (self._factor_point(u, v, level), (u, v)) for u in units for v in units
-        ]
-        return [
-            (
-                self.group.join(tuple(m for m, _ in combo)),
-                tuple(c for _, cs in combo for c in cs),
-            )
-            for combo in itertools.product(factor_points, repeat=self.group.n_factors)
-        ]
-
 
 def split_torus(group: MatrixGroup) -> TorusEmbedding:
     return TorusEmbedding(group, "split")
@@ -921,22 +904,19 @@ def lie_fixed_det(theta: Involution, g, space: LieFixedSpace | None = None) -> i
 def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOnDatum:
     """Recover the lattice involution induced on the torus character lattice.
 
-    Works from extension points whose discrete-log coordinate tuples are the
-    unit vectors, so each column of the matrix is read off exactly; the
-    result is validated against the aligned datum.
+    Works from the generator points over the quadratic extension, whose
+    discrete-log coordinate tuples are the unit vectors, so each column of
+    the matrix is read off exactly; the result is validated against the
+    aligned datum.
     """
     t = torus.group.tower
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize the torus")
     n = torus.coord_count
     N = t.order(2)
-    g2 = t.generator(2)
-    one = t.one(2)
     rows = [[0] * n for _ in range(n)]
     for k in range(n):
-        # the point with coords = unit vector in slot k
-        point = _point_from_coords(torus, tuple(g2 if i == k else one for i in range(n)))
-        coords = _coords_of_ext(torus, theta.apply_ext(point), 2)
+        coords = _coords_of_ext(torus, theta.apply_ext(_generator_point(torus, k, 2)), 2)
         for j in range(n):
             e = t.discrete_log(coords[j]) % N
             if e > N // 2:
@@ -949,6 +929,18 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
             rows[k][j] = e
     shadow = tuple(tuple(r) for r in rows)
     return InvolutionOnDatum(torus.datum, shadow, name="derived")
+
+
+def _generator_point(torus: TorusEmbedding, k: int, level: int):
+    """The point over F_{q^level} with the level's generator in coordinate k, 1 elsewhere.
+
+    These coord_count points generate the torus over F_{q^level}.
+    """
+    t = torus.group.tower
+    g, one = t.generator(level), t.one(level)
+    return _point_from_coords(
+        torus, tuple(g if i == k else one for i in range(torus.coord_count))
+    )
 
 
 def _point_from_coords(torus: TorusEmbedding, coords):
@@ -982,10 +974,13 @@ def _coords_of_ext(torus: TorusEmbedding, m, level: int):
 def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2):
     """Roots killed by the torus part of theta, certified three ways.
 
-    The set of roots vanishing on T+ = {t theta(t)} over the quadratic
-    extension must equal the set of roots negated by the lattice shadow,
-    and the centralizer of T+ in the Lie algebra must have dimension
-    rank + |the set|.  Returns the sorted root tuple.
+    t -> t theta(t) is a homomorphism of the abelian torus, so the images
+    s_k of the generator points generate T+ = {t theta(t)} over
+    F_{q^level}.  The set of roots equal to 1 at every s_k (those vanishing
+    on T+) must equal the set of roots negated by the lattice shadow, whose
+    exponents must be unimodular, and the common centralizer of the s_k in
+    the Lie algebra must have dimension rank + |the set|.  Returns the
+    sorted root tuple.
     """
     group = torus.group
     t = group.tower
@@ -996,21 +991,16 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2
     negated = set(
         a for a in datum.roots if shadow.apply(a) == tuple(-x for x in a)
     )
-    # T+ by full enumeration at the extension level, one point per coordinate key
     E = t.element_ops(level)
-    plus = {}
-    for m, _ in torus.extension_points(level):
-        image = theta.apply_ext(m, level)
-        tm = group.join(
-            tuple(map(partial(_m_mul, E), group.split(m), group.split(image)))
-        )
-        c2 = _coords_of_ext(torus, tm, level)
-        plus.setdefault(tuple(x.coeffs for x in c2), (tm, c2))
+    plus = []
+    for k in range(torus.coord_count):
+        e = _generator_point(torus, k, level)
+        image = theta.apply_ext(e, level)
+        s = group.join(tuple(map(partial(_m_mul, E), group.split(e), group.split(image))))
+        plus.append((s, _coords_of_ext(torus, s, level)))
     one = t.one(level)
     vanishing = set(
-        a
-        for a in datum.roots
-        if all(torus.root_value(a, c) == one for _, c in plus.values())
+        a for a in datum.roots if all(torus.root_value(a, c) == one for _, c in plus)
     )
     if vanishing != negated:
         raise ConsistencyError(
@@ -1018,7 +1008,7 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2
             detail={"vanishing": sorted(vanishing), "negated": sorted(negated)},
         )
     # centralizer dimension certificate
-    dim = _centralizer_dimension(group, [m for m, _ in plus.values()], E)
+    dim = _centralizer_dimension(group, [s for s, _ in plus], E)
     if dim != torus.coord_count + len(vanishing):
         raise ConsistencyError(
             "Lie centralizer of T+ has the wrong dimension",

@@ -157,9 +157,6 @@ class TwistedRootDatum:
     def positive_roots(self) -> tuple[Vec, ...]:
         return tuple(self.roots[i] for i in self.positive)
 
-    def is_positive(self, a: Vec) -> bool:
-        return a in set(self.positive_roots())
-
     def coroot_of(self, a: Vec) -> Vec:
         return self.coroots[self.roots.index(a)]
 
@@ -180,16 +177,28 @@ class GaloisOrbit:
         return self.elements[0]
 
 
+def _int(x) -> int:
+    """A JSON integer; a float, string or boolean is a mistyped field."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _datum_from_dict(obj, name: str) -> TwistedRootDatum:
-    return TwistedRootDatum(
-        rank=int(obj["rank"]),
-        roots=tuple(tuple(int(x) for x in v) for v in obj["roots"]),
-        coroots=tuple(tuple(int(x) for x in v) for v in obj["coroots"]),
-        positive=tuple(int(i) for i in obj["positive"]),
-        tau=tuple(tuple(int(x) for x in r) for r in obj["tau"]),
-        order=int(obj["order"]),
-        name=name,
-    )
+    try:
+        fields = dict(
+            rank=_int(obj["rank"]),
+            roots=tuple(tuple(map(_int, v)) for v in obj["roots"]),
+            coroots=tuple(tuple(map(_int, v)) for v in obj["coroots"]),
+            positive=tuple(map(_int, obj["positive"])),
+            tau=tuple(tuple(map(_int, r)) for r in obj["tau"]),
+            order=_int(obj["order"]),
+        )
+    except KeyError as e:
+        raise ConfigError(f"datum {name!r} has no field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"datum {name!r} has a mistyped field: {e}") from None
+    return TwistedRootDatum(**fields, name=name)
 
 
 def datum_names() -> list[str]:
@@ -203,8 +212,14 @@ def datum_names() -> list[str]:
 def load_datum(name: str) -> TwistedRootDatum:
     """Load a shipped datum by name, or any datum from a JSON path."""
     if "/" in name or name.endswith(".json"):
-        with open(name) as f:
-            return _datum_from_dict(json.load(f), name)
+        try:
+            with open(name) as f:
+                obj = json.load(f)
+        except OSError as e:
+            raise ConfigError(f"cannot read datum file {name!r}: {e.strerror}") from None
+        except ValueError as e:  # malformed JSON or text that is not UTF-8
+            raise ConfigError(f"datum file {name!r} is not valid JSON: {e}") from None
+        return _datum_from_dict(obj, name)
     ref = resources.files("dlcusp.data") / f"{name}.json"
     if not ref.is_file():
         raise ConfigError(f"unknown datum {name!r}; shipped: {', '.join(datum_names())}")

@@ -214,12 +214,30 @@ def test_failure_with_out_writes_both(tmp_path, capsys, monkeypatch):
         ("verify", "theorem", "--group", "gl2", "--q", "3", "--torus", "split"),
         ("table", "--group", "gl2", "--q", "3", "--torus", "split"),
         ("verify", "sigma", "--twists", "-5"),
+        ("verify", "sigma", "--data", "/nonexistent.json"),
     ),
 )
 def test_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "configuration error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ("sigma", "centralizer-sigma"))
+@pytest.mark.parametrize(
+    "text",
+    (
+        '{"rank": 2, "roots": [[1, -1], [-1, 1]',  # malformed JSON
+        '{"rank": 2, "coroots": [], "positive": [], "tau": [], "order": 1}',  # no roots
+    ),
+)
+def test_bad_datum_file_is_a_config_error(tmp_path, capsys, command, text):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", command, "--data", str(path))
+    assert code == 2
+    assert "configuration error" in err and "datum" in err
     assert out == ""
 
 

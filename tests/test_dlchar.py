@@ -211,17 +211,6 @@ def test_constant_function_inner():
     assert abs(one.inner(one) - 1) < 1e-12
 
 
-def test_json_shape():
-    g = MatrixGroup("gl2", 3)
-    chi = cuspidal_character(g, 5)
-    blob = chi.to_json_dict()
-    assert blob["q"] == 3 and blob["lambda_exponent"] == 5
-    assert len(blob["classes"]) == 8
-    entry = blob["classes"][0]
-    assert set(entry) == {"rep", "size", "value_re", "value_im"}
-    assert sum(c["size"] for c in blob["classes"]) == 48
-
-
 def test_unipotent_column_sums_vanish():
     # the defining cuspidality property, checked here at one group element
     g = MatrixGroup("gl2", 5)

@@ -183,14 +183,6 @@ def test_root_value_against_log_coords():
         assert tw.discrete_log(v) == expected if not v == tw.one(2) else True
 
 
-def test_extension_point_counts():
-    g3 = MatrixGroup("gl2", 3)
-    assert len(elliptic_torus(g3).extension_points(2)) == 64
-    assert len(split_torus(g3).extension_points(2)) == 64
-    gp = MatrixGroup("gl2_x_gl2", 3)
-    assert len(elliptic_torus(gp).extension_points(2)) == 64 * 64
-
-
 def test_extension_points_restrict_to_rational_points():
     g = MatrixGroup("gl2", 3)
     t = elliptic_torus(g)
@@ -198,11 +190,14 @@ def test_extension_points_restrict_to_rational_points():
     rational = {
         tuple(tuple(tw.embed(v, 2) for v in row) for row in m) for m in t.elements
     }
-    ext = t.extension_points(2)
-    # points whose coordinate pair is Frobenius-linked are the F_3 points
-    frob_fixed = [m for m, (u, v) in ext if v == u**3]
-    assert len(frob_fixed) == 8
-    assert set(frob_fixed) == rational
+    point = groups._point_from_coords
+    # the Frobenius-linked coordinate pairs (u, u^3) give the F_3 points, and
+    # no other pair does
+    frob_linked = {point(t, (u, u**3)) for u in tw.units(2)}
+    assert len(frob_linked) == 8
+    assert frob_linked == rational
+    units = list(tw.units(2))
+    assert not any(point(t, (u, v)) in rational for u in units for v in units if v != u**3)
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +800,33 @@ def test_phi_theta_certified_level4_cross_check():
                     assert level2 == level4
 
 
-def test_phi_theta_certified_product():
-    g = MatrixGroup("gl2_x_gl2", 3)
+@pytest.mark.parametrize("q", (3, 5))
+def test_phi_theta_certified_product(q):
+    g = MatrixGroup("gl2_x_gl2", q)
     t = elliptic_torus(g)
     census = involution_orbit(named_involution(g, "swap"), t)
     for orbit in census.t_orbits:
         if orbit.stable:
             assert phi_theta_certified(orbit.representative, t) == ()
+
+
+@pytest.mark.parametrize("kind", ("gl2", "gl2_x_gl2"))
+def test_phi_theta_certified_applies_theta_to_generators_only(monkeypatch, kind):
+    g = MatrixGroup(kind, 3)
+    t = elliptic_torus(g)
+    seed = "swap" if kind == "gl2_x_gl2" else "transpose-inverse"
+    census = involution_orbit(named_involution(g, seed), t)
+    calls = []
+    apply_ext = Involution.apply_ext
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return apply_ext(self, *args, **kwargs)
+
+    monkeypatch.setattr(Involution, "apply_ext", counted)
+    for orbit in census.t_orbits:
+        if orbit.stable:
+            calls.clear()
+            phi_theta_certified(orbit.representative, t)
+            # coord_count for the lattice shadow, coord_count for T+
+            assert 0 < len(calls) <= 2 * t.coord_count

@@ -23,6 +23,7 @@ REPORTS = {
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
     ),
+    "phi_theta_gl2_x_gl2_q3.json": ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3"),
     "table_gl2_q3.csv": ("table", "--group", "gl2", "--q", "3", "--format", "csv"),
 }
 

@@ -180,6 +180,11 @@ def test_load_datum_errors_and_paths(tmp_path):
     )
     loaded = load_datum(str(path))
     assert loaded.roots == d.roots and loaded.tau == d.tau
+    mistyped = tmp_path / "mistyped.json"
+    for rank in ('"two"', "2.5", "true"):
+        mistyped.write_text(path.read_text().replace(f'"rank": {d.rank}', f'"rank": {rank}'))
+        with pytest.raises(ConfigError, match="mistyped"):
+            load_datum(str(mistyped))
 
 
 # -- involutions on a datum ---------------------------------------------------
