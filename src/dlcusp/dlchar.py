@@ -53,7 +53,13 @@ class ConjugacyTable:
         q = group.q
         self.n_modulus = t.order(2)
         self._emb_log = {z: t.discrete_log(t.embed(z, 2)) for z in range(1, q)}
-        self._squares = {t.base.mul(x, x) for x in range(1, q)}
+        # each nonzero square with its least root, and the constants of class_key
+        self._least_root = {}
+        for x in range(1, q):
+            self._least_root.setdefault(t.base.mul(x, x), x)
+        self._four = t.base.embed_int(4)
+        self._half = t.base.inv(t.base.embed_int(2))
+        self._half2 = t.scalar(2, 2).inverse()
         classes = []
         for z in range(1, q):
             classes.append(
@@ -115,7 +121,6 @@ class ConjugacyTable:
     def class_key(self, g) -> tuple:
         t = self.group.tower
         F = t.base
-        q = self.group.q
         a, b = g[0]
         c, d = g[1]
         if b == 0 and c == 0 and a == d:
@@ -124,20 +129,19 @@ class ConjugacyTable:
         det = F.sub(F.mul(a, d), F.mul(b, c))
         if det == 0:
             raise ConfigError("singular matrix has no class")
-        disc = F.sub(F.mul(tr, tr), F.mul(F.embed_int(4), det))
-        half = F.inv(F.embed_int(2))
+        disc = F.sub(F.mul(tr, tr), F.mul(self._four, det))
+        half = self._half
         if disc == 0:
             return ("unipotent", F.mul(tr, half))
-        if disc in self._squares:
-            s = min(x for x in range(1, q) if F.mul(x, x) == disc)
+        s = self._least_root.get(disc)
+        if s is not None:
             r1 = F.mul(F.add(tr, s), half)
             r2 = F.mul(F.sub(tr, s), half)
             return ("split", tuple(sorted((r1, r2))))
         s2 = t.sqrt(t.embed(disc, 2))
-        half2 = t.scalar(2, 2).inverse()
-        u = (t.embed(tr, 2) + s2) * half2
+        u = (t.embed(tr, 2) + s2) * self._half2
         e = t.discrete_log(u)
-        return ("elliptic", min(e, (e * q) % self.n_modulus))
+        return ("elliptic", min(e, (e * self.group.q) % self.n_modulus))
 
     def class_of(self, g) -> int:
         got = self._class_of_cache.get(g)

@@ -19,8 +19,10 @@ import itertools
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import add
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
 from .gf import FieldElement, build_field
@@ -783,6 +785,55 @@ def _conjugate_stabilizers(group: MatrixGroup, x, stabilizers):
     return g_theta_order, tuple(mul(mul(x, h), xi) for h in g_fixed)
 
 
+def _row_times(F, r, y):
+    """The row vector r times the 2x2 matrix y, by the steps of _m_mul."""
+    (e, f), (g, h) = y
+    u, v = r
+    return F.dot(u, e, v, g), F.dot(u, f, v, h)
+
+
+def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
+    """The product set {x y : x in G^theta, y in T_theta}, one int code per element.
+
+    Row i of x y is (row i of x) y, so each distinct factor matrix y of the
+    T_theta points gets a table of r y over the rows r of G^theta's factor
+    matrices (at most q^2 of them), and a factor product is two lookups.  A
+    row (u, v) has code u q + v, a factor matrix the code (row 0) q^2 +
+    (row 1), and factor k of n has weight (q^4)^(n - 1 - k).  Entries lie in
+    range(q), so the packing is injective.
+    """
+    F, q = group.tower.base, group.q
+    q2 = q * q
+    # per factor slot k: the distinct rows of the factor-k matrices of
+    # G^theta, each element's top and bottom row as positions among them,
+    # the slot's weight, and for each factor matrix m met so far the
+    # weighted codes of the elements' factor-k products x m
+    slots = []
+    for k, parts in enumerate(zip(*map(group.split, g_fixed))):
+        rows = {}
+        for x in parts:
+            rows.setdefault(x[0], len(rows))
+            rows.setdefault(x[1], len(rows))
+        weight = q2 ** (2 * (group.n_factors - 1 - k))
+        top = [rows[x[0]] for x in parts]
+        bottom = [rows[x[1]] for x in parts]
+        slots.append((tuple(rows), top, bottom, weight, {}))
+    literal = set()
+    for y in t_theta:
+        codes = None
+        for (rows, top, bottom, weight, products), m in zip(slots, group.split(y)):
+            if m not in products:
+                # the weighted code of r m for each row r, as a bottom and as a top row
+                low = [(u * q + v) * weight for u, v in (_row_times(F, r, m) for r in rows)]
+                high = [c * q2 for c in low]
+                products[m] = array(
+                    "q", map(add, map(high.__getitem__, top), map(low.__getitem__, bottom))
+                )
+            codes = products[m] if codes is None else map(add, codes, products[m])
+        literal.update(codes)
+    return literal
+
+
 def stabilizer_data(
     theta: Involution, torus: TorusEmbedding, stabilizers=None
 ) -> StabilizerData:
@@ -802,23 +853,20 @@ def stabilizer_data(
     fixed_set = frozenset(g_fixed)
     fixed_in_t = tuple(x for x in t_theta if x in fixed_set)
 
-    prod = len(g_fixed) * len(t_theta)
     if len(fixed_in_t) == 0:
         raise ConsistencyError("identity missing from G^theta intersect T_theta")
-    m, rem = divmod(g_theta_order * len(fixed_in_t), prod)
+    m, rem = divmod(g_theta_order * len(fixed_in_t), len(g_fixed) * len(t_theta))
     if rem:
         raise ConsistencyError(
             "G^theta T_theta does not divide G_theta",
             detail=(g_theta_order, len(g_fixed), len(t_theta), len(fixed_in_t)),
         )
-    if prod <= 200_000:
-        mul = group.mul
-        literal = {mul(x, y) for x in g_fixed for y in t_theta}
-        if len(literal) * m != g_theta_order:
-            raise ConsistencyError(
-                "the literal product G^theta T_theta has the wrong size",
-                detail=(len(literal), m, g_theta_order),
-            )
+    literal = _literal_product(group, g_fixed, t_theta)
+    if len(literal) * m != g_theta_order:
+        raise ConsistencyError(
+            "the literal product G^theta T_theta has the wrong size",
+            detail=(len(literal), m, g_theta_order),
+        )
     if m <= 0:
         raise ConsistencyError(f"nonpositive index m = {m}")
     if m & (m - 1):

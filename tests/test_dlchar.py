@@ -48,6 +48,19 @@ def test_brute_force_cross_check_runs_through_q9(monkeypatch):
     assert checked == [3, 9]
 
 
+@pytest.mark.parametrize("q", (3, 9, 11, 13))
+def test_least_root_table_matches_the_scan(q):
+    # class_key reads the least square root off a table; it must be the
+    # root the scan over 1..q-1 finds, and exactly the squares are keys
+    g = MatrixGroup("gl2", q)
+    F = g.tower.base
+    table = conjugacy_classes(g)
+    squares = {F.mul(x, x) for x in range(1, q)}
+    assert set(table._least_root) == squares
+    for s in squares:
+        assert table._least_root[s] == min(x for x in range(1, q) if F.mul(x, x) == s)
+
+
 def test_table_is_cached():
     g = MatrixGroup("gl2", 3)
     assert conjugacy_classes(g) is conjugacy_classes(g)

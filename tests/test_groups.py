@@ -556,13 +556,33 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
 
 
 def test_literal_product_check_raises(monkeypatch):
-    # with a multiplication that returns its right factor, the literal
-    # G^theta T_theta has |T_theta| = 2 elements where |G_theta| / m = 4
+    # a multiplication that returns its right factor, injected at the row
+    # product of the literal check: G^theta of diag is diagonal, so each row
+    # of x is a multiple of a unit row and picking y's row of the same index
+    # makes x y = y; on the elliptic torus the literal G^theta T_theta then
+    # has |T_theta| = 4 elements where |G_theta| / m = 8
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "diag")
-    monkeypatch.setattr(MatrixGroup, "mul", lambda self, x, y: y)
+    t = elliptic_torus(g)
+    assert len(stabilizer_data(th, t).t_theta) == 4
+    monkeypatch.setattr(groups, "_row_times", lambda F, r, y: y[0] if r[0] else y[1])
     with pytest.raises(ConsistencyError, match="literal product"):
-        stabilizer_data(th, split_torus(g))
+        stabilizer_data(th, t)
+
+
+def test_literal_product_check_runs_on_large_cells(monkeypatch):
+    # the product swap at q = 7 fixes the elliptic torus, and its literal
+    # check forms 2016 * 288 products: it runs at this size too, and a wrong
+    # product (here x y = x) fails it
+    g = MatrixGroup("gl2_x_gl2", 7)
+    th = named_involution(g, "swap")
+    t = elliptic_torus(g)
+    data = stabilizer_data(th, t)
+    assert len(data.g_fixed) * len(data.t_theta) == 580_608 > 200_000
+    assert data.m == 1
+    monkeypatch.setattr(groups, "_row_times", lambda F, r, y: r)
+    with pytest.raises(ConsistencyError, match="literal product"):
+        stabilizer_data(th, t)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +665,45 @@ def test_one_direct_filter_per_census(monkeypatch, brute_force_q, filters):
         census.stabilizers(member)
     assert len(calls) == filters
     assert calls[0] == census.seed
+
+
+def _decode(g, code):
+    """The element with this literal-product code: four base-q digits per
+    factor matrix, row-major, the first factor most significant."""
+    parts = []
+    for _ in range(g.n_factors):
+        code, m = divmod(code, g.q**4)
+        digits = []
+        for _ in range(4):
+            m, v = divmod(m, g.q)
+            digits.append(v)
+        d, c, b, a = digits
+        parts.append(((a, b), (c, d)))
+    return g.join(tuple(reversed(parts)))
+
+
+LITERAL_CENSUSES = [
+    ("gl2", q, seed, torus_kind)
+    for q in (3, 5, 9)
+    for seed in ("diag", "antidiag", "transpose-inverse")
+    for torus_kind in ("split", "elliptic")
+] + [("gl2_x_gl2", 3, "swap", "elliptic")]
+
+
+@pytest.mark.parametrize("key", LITERAL_CENSUSES, ids=_census_id)
+def test_literal_product_matches_group_products(key):
+    # the row-table codes decode to exactly the products of group.mul, one
+    # code per element; at q = 9 the codes are not residues mod a prime
+    kind, q, seed, torus_kind = key
+    g = MatrixGroup(kind, q)
+    t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
+    census = involution_orbit(named_involution(g, seed), t)
+    for member in census.all_members:
+        data = stabilizer_data(member, t, census.stabilizers(member))
+        codes = groups._literal_product(g, data.g_fixed, data.t_theta)
+        expected = {g.mul(x, y) for x in data.g_fixed for y in data.t_theta}
+        assert len(codes) == len(expected)
+        assert {_decode(g, c) for c in codes} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 REPORTS = {
     "theorem_gl2_q3_5.json": ("verify", "theorem", "--group", "gl2", "--q", "3", "5"),
     "theorem_gl2_x_gl2_q3.json": ("verify", "theorem", "--group", "gl2_x_gl2", "--q", "3"),
+    "theorem_gl2_x_gl2_q5_e1_23.json": (
+        "verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "1,23",
+    ),
     "epsilon_gl2_q3.json": ("verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "both"),
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
