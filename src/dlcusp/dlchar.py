@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError
-from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
+from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_det, _m_inv, _m_mul
 
 __all__ = [
     "ConjugacyClass",
@@ -60,6 +60,8 @@ class ConjugacyTable:
         self._four = t.base.embed_int(4)
         self._half = t.base.inv(t.base.embed_int(2))
         self._half2 = t.scalar(2, 2).inverse()
+        # non-central class keys by (trace, det), which determine them
+        self._key_by_trace_det = {}
         classes = []
         for z in range(1, q):
             classes.append(
@@ -106,7 +108,6 @@ class ConjugacyTable:
             )
         if q <= BRUTE_FORCE_Q:
             self._cross_check_brute_force()
-        self._class_of_cache = {}
 
     def _trace_det_of_eigen(self, u):
         uc = u ** self.group.q
@@ -119,14 +120,22 @@ class ConjugacyTable:
     # -- classification ------------------------------------------------------
 
     def class_key(self, g) -> tuple:
-        t = self.group.tower
-        F = t.base
-        a, b = g[0]
-        c, d = g[1]
+        """The scalar of a central g; else the key of g's (trace, det), memoized."""
+        (a, b), (c, d) = g
         if b == 0 and c == 0 and a == d:
             return ("central", a)
-        tr = F.add(a, d)
-        det = F.sub(F.mul(a, d), F.mul(b, c))
+        F = self.group.tower.base
+        trace_det = (F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
+        got = self._key_by_trace_det.get(trace_det)
+        if got is None:
+            got = self._noncentral_key(*trace_det)
+            self._key_by_trace_det[trace_det] = got
+        return got
+
+    def _noncentral_key(self, tr: int, det: int) -> tuple:
+        """The class key of a non-central element with this trace and det."""
+        t = self.group.tower
+        F = t.base
         if det == 0:
             raise ConfigError("singular matrix has no class")
         disc = F.sub(F.mul(tr, tr), F.mul(self._four, det))
@@ -144,11 +153,7 @@ class ConjugacyTable:
         return ("elliptic", min(e, (e * self.group.q) % self.n_modulus))
 
     def class_of(self, g) -> int:
-        got = self._class_of_cache.get(g)
-        if got is None:
-            got = self.index[self.class_key(g)]
-            self._class_of_cache[g] = got
-        return got
+        return self.index[self.class_key(g)]
 
     # -- independent partition ----------------------------------------------
 
@@ -305,8 +310,11 @@ def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> Cuspida
     """The cuspidal character attached to a regular exponent, certified.
 
     Certification: unit norm, degree q - 1, vanishing unipotent-averaged
-    sums at every group element, and exact agreement with the Frobenius
-    partner exponent.  A character failing any check is not returned.
+    sums sum_b chi(g u_b) at every group element, and exact agreement with
+    the Frobenius partner exponent.  The sum at g is the sum over the coset
+    g N, so each coset's sum is formed once in a pass over GL2 and checked
+    for all q of its elements.  A character failing any check is not
+    returned.
     """
     table = conjugacy_classes(group)
     q = group.q
@@ -330,14 +338,42 @@ def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> Cuspida
     degree = chi.value(((1, 0), (0, 1)))
     if degree != q - 1:
         raise ConsistencyError(f"degree {degree} differs from q - 1 = {q - 1}")
-    F = group.tower.base
-    unipotents = [((1, b), (0, 1)) for b in range(q)]
-    for g in group.gl2_elements():
-        acc = 0j
-        for u in unipotents:
-            acc += chi.value(_m_mul(F, g, u))
+    sums = _coset_sums(group, chi)
+    if len(sums) * q != group.gl2_order:
+        raise ConsistencyError(
+            "the cosets g N do not have q elements each",
+            detail=(len(sums), group.gl2_order),
+        )
+    for key, acc in sums.items():
         if abs(acc) > tol:
+            F = group.tower.base
+            g = next(x for x in group.gl2_elements() if _coset_key(F, x) == key)
             raise ConsistencyError(
-                f"unipotent-averaged sum {acc} does not vanish", detail=g
+                f"unipotent-averaged sum {acc} does not vanish",
+                detail={"coset": key, "representative": g},
             )
     return CuspidalCharacter(group, k, partner, table, chi)
+
+
+def _coset_key(F, x) -> tuple:
+    """(x00, x10, det x): the coset x N = {x u_b} of N = {u_b = [[1, b], [0, 1]]}.
+
+    x u_b keeps x's first column and det, and the matrices with a given
+    nonzero first column and det form one affine line of q, so the key
+    names the coset.
+    """
+    return x[0][0], x[1][0], _m_det(F, x)
+
+
+def _coset_sums(group: MatrixGroup, f) -> dict:
+    """{coset key: the sum of f over the coset g N}, in one pass over GL2.
+
+    Each value is the unipotent-averaged sum sum_b f(g u_b) of every g in
+    the coset.
+    """
+    F = group.tower.base
+    sums = {}
+    for x in group.gl2_elements():
+        key = _coset_key(F, x)
+        sums[key] = sums.get(key, 0j) + f.value(x)
+    return sums

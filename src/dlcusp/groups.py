@@ -70,6 +70,22 @@ def _cap(default: int) -> int:
         raise ConfigError(f"DL_DISTINCT_BOUND must be an integer, got {env!r}") from None
 
 
+def _closure(start, gens, step) -> set:
+    """Everything reached from start by steps x -> step(x, s), s in gens."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = step(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices over a field F given by its operations: tower.base for base
 # codes, tower.element_ops(level) for FieldElement entries
@@ -375,6 +391,10 @@ class TorusEmbedding:
     pair (u, u^q) through the basis {1, delta} with delta^2 the canonical
     nonsquare.  Root vectors of the aligned twisted root datum are evaluated
     against these coordinates, one coordinate per lattice basis vector.
+
+    ``points`` is one factor's torus, and ``generators`` generate the whole
+    torus: one factor generator at a time in one factor, the identity in
+    the others.  Their closure is certified to be the torus at construction.
     """
 
     def __init__(self, group: MatrixGroup, kind: str):
@@ -402,6 +422,7 @@ class TorusEmbedding:
             raise ConsistencyError(
                 f"{kind} torus of GL2 has {len(points)} points, not {expected}"
             )
+        self.points = points
         self.elements = tuple(
             map(group.join, itertools.product(points, repeat=group.n_factors))
         )
@@ -409,6 +430,29 @@ class TorusEmbedding:
         self._set = frozenset(self.elements)
         self._log_cache = {}
         self._constants = {}
+        one = _m_identity()
+        n = group.n_factors
+        self.generators = tuple(
+            group.join(tuple(s if j == k else one for j in range(n)))
+            for k in range(n)
+            for s in self._factor_generators()
+        )
+        reached = _closure(group.identity(), self.generators, group.mul)
+        if reached != self._set:
+            raise ConsistencyError(
+                f"the {kind} torus generators reach {len(reached)} points, "
+                f"not the {len(self.elements)} of the torus"
+            )
+
+    def _factor_generators(self):
+        """Generators of one factor's torus: diag(gamma, 1) and diag(1, gamma) for
+        the split torus, the point with the eigenvalue generator(2) for the
+        cyclic elliptic one."""
+        if self.kind == "split":
+            gamma = self.group._base_unit_generator()
+            return (((gamma, 0), (0, 1)), ((1, 0), (0, gamma)))
+        u = self.group.tower.generator(2)
+        return (next(p for p in self.points if self._factor_coords(p)[0] == u),)
 
     def contains(self, x) -> bool:
         return x in self._set
@@ -588,7 +632,37 @@ class Involution:
         return Involution(self.group, self.kind, witness)
 
     def stabilizes(self, torus: TorusEmbedding) -> bool:
-        return all(torus.contains(self.apply(t)) for t in torus.elements)
+        """Whether theta(T) lies in T, which theta of T's generators decides."""
+        return all(torus.contains(self.apply(s)) for s in torus.generators)
+
+    def torus_fixed_points(self, torus: TorusEmbedding, up_to_centre: bool = False):
+        """The torus points x with theta(x) = x, in torus.elements order.
+
+        With up_to_centre, those with x theta(x)^-1 central instead (T_theta):
+        each factor of x is then a scalar multiple of the same factor of
+        theta(x), which is equality of their canonical forms.  Factor k of
+        theta(x) is factor s(k) of x (s the swap or the identity) under the
+        k-th witness, so theta is tabulated on the N factor points once per
+        factor, n N applications in place of N^n.
+        """
+        pts = torus.points
+        if up_to_centre:
+            key = partial(_canonical_witness, self.group.tower.base)
+        else:
+            key = lambda m: m
+        act = partial(_act, self.group.tower.base, self._outer)
+        own = {p: key(p) for p in pts}
+        witnesses = tuple(zip(*self._factor_witnesses))
+        if not self._swaps:
+            per = [[p for p in pts if own[p] == key(act(a, ai, p))] for a, ai in witnesses]
+            return tuple(map(self.group.join, itertools.product(*per)))
+        # theta(x0, x1) = (a x1 a^-1, a^-1 x0 a): x0 ~ a x1 a^-1 implies
+        # x1 ~ a^-1 x0 a, so the first factor decides
+        a, ai = witnesses[0]
+        partners = {}
+        for p in pts:
+            partners.setdefault(key(act(a, ai, p)), []).append(p)
+        return tuple((x0, x1) for x0 in pts for x1 in partners.get(own[x0], ()))
 
     def __eq__(self, other):
         return isinstance(other, Involution) and self._key == other._key
@@ -704,9 +778,7 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     for th in members:
         if th not in unassigned:
             continue
-        orbit = {th}
-        for t in torus.elements:
-            orbit.add(th.conjugated(t))
+        orbit = _closure(th, torus.generators, Involution.conjugated)
         for member in orbit:
             unassigned.pop(member, None)
         orbit = tuple(sorted(orbit, key=lambda x: x._key))
@@ -845,11 +917,7 @@ def stabilizer_data(
     group = theta.group
     g_theta_order, g_fixed = stabilizers or _direct_stabilizers(theta)
 
-    t_theta = tuple(
-        x
-        for x in torus.elements
-        if group.is_central(group.mul(x, group.inv(theta.apply(x))))
-    )
+    t_theta = theta.torus_fixed_points(torus, up_to_centre=True)
     fixed_set = frozenset(g_fixed)
     fixed_in_t = tuple(x for x in t_theta if x in fixed_set)
 

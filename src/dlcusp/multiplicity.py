@@ -71,7 +71,7 @@ def epsilon_character(theta: Involution, torus: TorusEmbedding) -> EpsilonCharac
     """
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize this torus")
-    domain = tuple(t for t in torus.elements if theta.apply(t) == t)
+    domain = theta.torus_fixed_points(torus)
     space = LieFixedSpace(theta)
     shadow = derived_theta_star(theta, torus)
     datum = torus.datum

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dlcusp import dlchar
 from dlcusp.dlchar import (
     ClassFunction,
     ConjugacyTable,
@@ -13,8 +14,8 @@ from dlcusp.dlchar import (
     cuspidal_character,
     general_position_exponents,
 )
-from dlcusp.errors import ConfigError
-from dlcusp.groups import MatrixGroup
+from dlcusp.errors import ConfigError, ConsistencyError
+from dlcusp.groups import MatrixGroup, _m_det
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9))
@@ -59,6 +60,24 @@ def test_least_root_table_matches_the_scan(q):
     assert set(table._least_root) == squares
     for s in squares:
         assert table._least_root[s] == min(x for x in range(1, q) if F.mul(x, x) == s)
+
+
+@pytest.mark.parametrize("q", (3, 9, 11, 13))
+def test_memoized_class_key_matches_the_direct_key(q):
+    # class_key memoizes non-central keys by (trace, det); every element
+    # must get the key computed afresh from its own trace and det
+    g = MatrixGroup("gl2", q)
+    F = g.tower.base
+    table = conjugacy_classes(g)
+    for x in g.gl2_elements():
+        (a, b), (c, d) = x
+        if b == c == 0 and a == d:
+            expected = ("central", a)
+        else:
+            expected = table._noncentral_key(F.add(a, d), _m_det(F, x))
+        assert table.class_key(x) == expected
+    # one entry per (trace, nonzero det) pair
+    assert len(table._key_by_trace_det) == q * (q - 1)
 
 
 def test_table_is_cached():
@@ -234,3 +253,64 @@ def test_unipotent_column_sums_vanish():
         u = ((1, b), (0, 1))
         total += chi.value(g.mul(x, u))
     assert abs(total) < 1e-9
+
+
+# -- the cuspidal certificate, one sum per coset g N ----------------------------
+
+
+def _u(b):
+    return ((1, b), (0, 1))
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_coset_keys_name_the_sets_g_u_b(q):
+    g = MatrixGroup("gl2", q)
+    F = g.tower.base
+    fibers = {}
+    for x in g.gl2_elements():
+        fibers.setdefault(dlchar._coset_key(F, x), set()).add(x)
+    assert len(fibers) * q == g.order
+    for x in g.gl2_elements():
+        assert {g.mul(x, _u(b)) for b in range(q)} == fibers[dlchar._coset_key(F, x)]
+
+
+@pytest.mark.parametrize("q", (3, 5))
+def test_coset_sums_are_the_per_element_sums(q):
+    # a class function with random values, so the sums do not all vanish
+    g = MatrixGroup("gl2", q)
+    F = g.tower.base
+    table = conjugacy_classes(g)
+    rng = random.Random(q)
+    f = ClassFunction(
+        table,
+        [{rng.randrange(table.n_modulus): rng.randint(-3, 3)} for _ in table.classes],
+    )
+    sums = dlchar._coset_sums(g, f)
+    assert any(abs(v) > 1e-6 for v in sums.values())
+    for x in g.gl2_elements():
+        per_g = sum(f.value(g.mul(x, _u(b))) for b in range(q))
+        assert abs(per_g - sums[dlchar._coset_key(F, x)]) < 1e-9
+
+
+def test_perturbed_character_fails_the_coset_check(monkeypatch):
+    # negating the value on the class of u_1 keeps the norm and the degree,
+    # and breaks the sum over N itself: chi(1) + (q - 1) chi(u_1) = 2 (q - 1)
+    g = MatrixGroup("gl2", 5)
+    F = g.tower.base
+    value_maps = dlchar._value_maps
+
+    def perturbed(table, k):
+        maps = value_maps(table, k)
+        i = table.index[("unipotent", 1)]
+        maps[i] = {e: -c for e, c in maps[i].items()}
+        return maps
+
+    monkeypatch.setattr(dlchar, "_value_maps", perturbed)
+    with pytest.raises(ConsistencyError, match="unipotent-averaged sum") as err:
+        cuspidal_character(g, 2)
+    detail = err.value.detail
+    rep = detail["representative"]
+    assert dlchar._coset_key(F, rep) == detail["coset"]
+    # the failure replays from its representative alone
+    chi = ClassFunction(conjugacy_classes(g), perturbed(conjugacy_classes(g), 2))
+    assert abs(sum(chi.value(g.mul(rep, _u(b))) for b in range(5))) > 1

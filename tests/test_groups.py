@@ -596,10 +596,15 @@ TRANSPORT_CENSUSES = [
 ] + [("gl2_x_gl2", 3, "swap", "elliptic")]
 
 
-def _census(kind, q, seed, torus_kind):
+def _torus_census(kind, q, seed, torus_kind):
     g = MatrixGroup(kind, q)
     t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
-    return g, involution_orbit(named_involution(g, seed), t)
+    return g, t, involution_orbit(named_involution(g, seed), t)
+
+
+def _census(kind, q, seed, torus_kind):
+    g, _, census = _torus_census(kind, q, seed, torus_kind)
+    return g, census
 
 
 def _census_id(key):
@@ -704,6 +709,73 @@ def test_literal_product_matches_group_products(key):
         expected = {g.mul(x, y) for x in data.g_fixed for y in data.t_theta}
         assert len(codes) == len(expected)
         assert {_decode(g, c) for c in codes} == expected
+
+
+# ---------------------------------------------------------------------------
+# the torus side from the factor points and the torus's generators
+
+TORUS_CENSUSES = LITERAL_CENSUSES + [
+    ("gl2_x_gl2", 5, "swap", "elliptic"),
+    ("gl2_x_gl2", 3, "diag", "elliptic"),
+    ("gl2_x_gl2", 3, "transpose-inverse", "elliptic"),
+]
+
+
+@pytest.mark.parametrize("key", TORUS_CENSUSES, ids=_census_id)
+def test_torus_side_matches_the_all_points_filters(key):
+    # stabilizes reads T's generators, and T_theta and the epsilon domain
+    # read theta's factor tables; each must equal its filter over all of T
+    g, t, census = _torus_census(*key)
+    for member in census.all_members:
+        images = [(x, member.apply(x)) for x in t.elements]
+        assert member.stabilizes(t) == all(t.contains(im) for _, im in images)
+        assert member.torus_fixed_points(t) == tuple(x for x, im in images if im == x)
+        assert member.torus_fixed_points(t, up_to_centre=True) == tuple(
+            x for x, im in images if g.is_central(g.mul(x, g.inv(im)))
+        )
+
+
+@pytest.mark.parametrize("key", TORUS_CENSUSES, ids=_census_id)
+def test_torus_orbits_match_conjugation_by_all_points(key):
+    # each torus orbit, closed under T's generators, is the set of conjugates
+    # of its representative by every point of T, and the orbits partition
+    # the census
+    g, t, census = _torus_census(*key)
+    seen = []
+    for orbit in census.t_orbits:
+        rep = orbit.representative
+        assert set(orbit.members) == {rep.conjugated(x) for x in t.elements}
+        assert orbit.stable == all(t.contains(rep.apply(x)) for x in t.elements)
+        seen.extend(orbit.members)
+    assert sorted(seen, key=lambda th: th._key) == list(census.all_members)
+
+
+@pytest.mark.parametrize(
+    "kind, torus_kind, n_gens",
+    (("gl2", "split", 2), ("gl2", "elliptic", 1), ("gl2_x_gl2", "elliptic", 2)),
+)
+def test_torus_generators(kind, torus_kind, n_gens):
+    g = MatrixGroup(kind, 5)
+    t = groups.TorusEmbedding(g, torus_kind)
+    assert len(t.generators) == n_gens
+    assert all(t.contains(s) for s in t.generators)
+    assert len(t.points) ** g.n_factors == len(t.elements)
+
+
+@pytest.mark.parametrize(
+    "kind, torus_kind", (("gl2", "split"), ("gl2", "elliptic"), ("gl2_x_gl2", "elliptic"))
+)
+def test_torus_generators_that_miss_points_raise(monkeypatch, kind, torus_kind):
+    # the squares of the generators reach an index-2 or index-4 subgroup
+    g = MatrixGroup(kind, 5)
+    factor_generators = groups.TorusEmbedding._factor_generators
+    monkeypatch.setattr(
+        groups.TorusEmbedding,
+        "_factor_generators",
+        lambda self: tuple(g.factor.mul(s, s) for s in factor_generators(self)),
+    )
+    with pytest.raises(ConsistencyError, match="generators reach"):
+        groups.TorusEmbedding(g, torus_kind)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ REPORTS = {
     "theorem_gl2_x_gl2_q5_e1_23.json": (
         "verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "1,23",
     ),
+    "theorem_gl2_q11_e7.json": (
+        "verify", "theorem", "--group", "gl2", "--q", "11", "--exponent", "7",
+    ),
     "epsilon_gl2_q3.json": ("verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "both"),
+    "epsilon_gl2_x_gl2_q3.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3"),
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
     ),
