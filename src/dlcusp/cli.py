@@ -17,6 +17,7 @@ configuration and package version.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -220,7 +221,9 @@ def _tori(config: RunConfig, group: MatrixGroup):
     return [split_torus(group) if k == "split" else elliptic_torus(group) for k in kinds]
 
 
-def cmd_verify_epsilon(config: RunConfig) -> int:
+def _stable_orbit_cells(config: RunConfig, certify) -> int:
+    """One cell per stable torus orbit of each (q, torus, seed) of the run,
+    with the fields that certify(representative, torus) returns."""
     results = []
     failures = []
     for kind, q in _group_qs(config):
@@ -239,9 +242,7 @@ def cmd_verify_epsilon(config: RunConfig) -> int:
                         "witness": _jsonable(orbit.representative.witness),
                     }
                     try:
-                        eps = epsilon_character(orbit.representative, torus)
-                        cell["domain_size"] = len(eps.domain)
-                        cell["signs"] = sorted(set(eps.signs.values()))
+                        cell.update(certify(orbit.representative, torus))
                         results.append(cell)
                     except ConsistencyError as e:
                         failures.append(
@@ -249,36 +250,23 @@ def cmd_verify_epsilon(config: RunConfig) -> int:
                         )
     _emit(config, results, failures)
     return _fail_exit(config, failures) if failures else 0
+
+
+def _epsilon_fields(theta, torus) -> dict:
+    eps = epsilon_character(theta, torus)
+    return {"domain_size": len(eps.domain), "signs": sorted(set(eps.signs.values()))}
+
+
+def _phi_theta_fields(theta, torus) -> dict:
+    return {"killed_roots": _jsonable(phi_theta_certified(theta, torus))}
+
+
+def cmd_verify_epsilon(config: RunConfig) -> int:
+    return _stable_orbit_cells(config, _epsilon_fields)
 
 
 def cmd_verify_phi_theta(config: RunConfig) -> int:
-    results = []
-    failures = []
-    for kind, q in _group_qs(config):
-        group = MatrixGroup(kind, q)
-        for torus in _tori(config, group):
-            for seed in _seeds_for(config, kind):
-                census = census_for(group, torus, seed)
-                for orbit in census.t_orbits:
-                    if not orbit.stable:
-                        continue
-                    cell = {
-                        "group": kind,
-                        "q": q,
-                        "torus": torus.kind,
-                        "seed": seed,
-                        "witness": _jsonable(orbit.representative.witness),
-                    }
-                    try:
-                        roots = phi_theta_certified(orbit.representative, torus)
-                        cell["killed_roots"] = _jsonable(roots)
-                        results.append(cell)
-                    except ConsistencyError as e:
-                        failures.append(
-                            dict(cell, message=str(e), detail=_jsonable(e.detail))
-                        )
-    _emit(config, results, failures)
-    return _fail_exit(config, failures) if failures else 0
+    return _stable_orbit_cells(config, _phi_theta_fields)
 
 
 def cmd_verify_centralizer_sigma(config: RunConfig) -> int:
@@ -305,46 +293,40 @@ def cmd_verify_centralizer_sigma(config: RunConfig) -> int:
 
 
 def _theorem_rows(config: RunConfig):
-    """One row per (group, q, seed, lambda pair), deterministic order.
+    """One row per (group, q, seed, lambda exponents), deterministic order.
 
-    An --exponent that names no cell at some q is refused, with the
+    The first factor's exponent runs over the Frobenius pair
+    representatives, every other factor's over their negatives.  An
+    --exponent that names no cell at some q is refused, with the
     representatives it may name instead.
     """
     cells = []
     for kind, q in _group_qs(config):
         group = MatrixGroup(kind, q)
-        pairs = general_position_exponents(group.factor)
-        n_cells = len(cells)
-        for seed in _seeds_for(config, kind):
-            if kind == "gl2":
-                for k, partner in pairs:
-                    if config.exponent and (k,) != config.exponent:
-                        continue
-                    cells.append((group, q, seed, (k,), partner))
-            else:
-                n = group.tower.order(2)
-                for ki, _ in pairs:
-                    for kj, _ in pairs:
-                        exps = (ki, (-kj) % n)
-                        if config.exponent and exps != config.exponent:
-                            continue
-                        cells.append((group, q, seed, exps, None))
-        if config.exponent and len(cells) == n_cells:
-            reps = [k for k, _ in pairs]
-            if kind == "gl2":
+        reps = [k for k, _ in general_position_exponents(group.factor)]
+        n = group.tower.order(2)
+        choices = [reps] + [[-k % n for k in reps]] * (group.n_factors - 1)
+        grid = list(itertools.product(*choices))
+        if config.exponent:
+            grid = [exps for exps in grid if exps == config.exponent]
+            if not grid:
                 allowed = f"k in {reps}"
-            else:
-                n = group.tower.order(2)
-                allowed = f"k1,k2 with k1 in {reps} and k2 in {[-k % n for k in reps]}"
-            raise ConfigError(
-                f"--exponent {','.join(map(str, config.exponent))} names no cell of "
-                f"{kind} at q = {q}; the representatives are {allowed}"
-            )
+                if group.n_factors > 1:
+                    names = [f"k{i}" for i in range(1, group.n_factors + 1)]
+                    allowed = f"{','.join(names)} with " + " and ".join(
+                        f"{a} in {c}" for a, c in zip(names, choices)
+                    )
+                raise ConfigError(
+                    f"--exponent {','.join(map(str, config.exponent))} names no cell of "
+                    f"{kind} at q = {q}; the representatives are {allowed}"
+                )
+        for seed in _seeds_for(config, kind):
+            cells.extend((group, q, seed, exps) for exps in grid)
     return cells
 
 
 def _run_theorem_cell(cell):
-    group, q, seed, exps, partner = cell
+    group, q, seed, exps = cell
     res = verify_theorem(group, seed, exps)
     row = {
         "group": group.kind,
@@ -388,7 +370,7 @@ def _theorem_cell_safe(cell):
     try:
         return True, _run_theorem_cell(cell)
     except (ConsistencyError,) as e:
-        group, q, seed, exps, _ = cell
+        group, q, seed, exps = cell
         return False, {
             "group": group.kind,
             "q": q,
@@ -495,6 +477,14 @@ def _config_from(ns) -> RunConfig:
         twists=getattr(ns, "twists", 0),
         rng_seed=getattr(ns, "rng_seed", 0),
     )
+    for flag, values in (
+        ("--q", config.qs),
+        ("--involution", config.involutions),
+        ("--data", config.data),
+    ):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{flag} {value} is given more than once")
     if config.group:
         for seed in config.involutions:
             if seed not in NAMED_SEEDS[config.group]:

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from .errors import ConfigError, ConsistencyError
 from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_det, _m_inv, _m_mul
 
+# the tolerance of every comparison of a complex character sum with its exact value
+TOL = 1e-6
+
 __all__ = [
+    "TOL",
     "ConjugacyClass",
     "ConjugacyTable",
     "conjugacy_classes",
@@ -306,7 +310,7 @@ def _value_maps(table: ConjugacyTable, k: int):
     return maps
 
 
-def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> CuspidalCharacter:
+def cuspidal_character(group: MatrixGroup, k: int) -> CuspidalCharacter:
     """The cuspidal character attached to a regular exponent, certified.
 
     Certification: unit norm, degree q - 1, vanishing unipotent-averaged
@@ -333,7 +337,7 @@ def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> Cuspida
             detail=(k, partner),
         )
     norm = chi.inner(chi)
-    if abs(norm - 1) > tol:
+    if abs(norm - 1) > TOL:
         raise ConsistencyError(f"character norm {norm} is not 1")
     degree = chi.value(((1, 0), (0, 1)))
     if degree != q - 1:
@@ -345,7 +349,7 @@ def cuspidal_character(group: MatrixGroup, k: int, tol: float = 1e-6) -> Cuspida
             detail=(len(sums), group.gl2_order),
         )
     for key, acc in sums.items():
-        if abs(acc) > tol:
+        if abs(acc) > TOL:
             F = group.tower.base
             g = next(x for x in group.gl2_elements() if _coset_key(F, x) == key)
             raise ConsistencyError(

@@ -704,8 +704,9 @@ class OrbitCensus:
     """The conjugation orbit of a seed, its torus orbits, and for each member
     th a transporter x with seed.conjugated(x) == th.
 
-    The stabilizers of a member are the seed's conjugated by its transporter,
-    so the seed's are filtered once and every other member's are transported.
+    A member th = Int(x) seed Int(x)^-1 has the seed's |G_theta| and
+    |G^theta|, and its G^theta is the seed's conjugated by x, so only the
+    seed's stabilizers are filtered and no member's are built.
     """
 
     seed: "Involution"
@@ -714,39 +715,40 @@ class OrbitCensus:
     transporters: dict = field(repr=False, compare=False)
 
     @cached_property
-    def _seed_stabilizers(self):
+    def seed_stabilizers(self):
         """(|G_theta|, G^theta) of the seed, by direct filtering.
 
         Up to BRUTE_FORCE_Q one non-seed member is filtered directly as well,
-        and its sets must equal the transported ones.
+        and its sets must equal the seed's conjugated by its transporter.
         """
-        seed_sets = _direct_stabilizers(self.seed)
+        group = self.seed.group
+        order, fixed = _direct_stabilizers(self.seed)
         witness = next((th for th in reversed(self.all_members) if th != self.seed), None)
-        if self.seed.group.q <= BRUTE_FORCE_Q and witness is not None:
-            order, fixed = _conjugate_stabilizers(
-                self.seed.group, self.transporters[witness], seed_sets
-            )
+        if group.q <= BRUTE_FORCE_Q and witness is not None:
+            x = self.transporters[witness]
+            xi = group.inv(x)
+            transported = {group.mul(group.mul(x, h), xi) for h in fixed}
             direct_order, direct_fixed = _direct_stabilizers(witness)
-            if order != direct_order or set(fixed) != set(direct_fixed):
+            if order != direct_order or transported != set(direct_fixed):
                 raise ConsistencyError(
                     "transported stabilizers differ from the direct filter",
                     detail={
                         "witness": witness.witness,
                         "g_theta_order": (order, direct_order),
-                        "g_fixed_size": (len(set(fixed)), len(direct_fixed)),
+                        "g_fixed_size": (len(transported), len(direct_fixed)),
                     },
                 )
-        return seed_sets
+        return order, fixed
 
-    def stabilizers(self, theta: "Involution"):
-        """(|G_theta|, G^theta) of a member, transported from the seed."""
+    def transporter(self, theta: "Involution"):
+        """The transporter x of a member, checked: seed.conjugated(x) == theta."""
         x = self.transporters[theta]
         if self.seed.conjugated(x) != theta:
             raise ConsistencyError(
                 "transporter does not carry the seed to the member",
                 detail={"member": theta.witness, "transporter": x},
             )
-        return _conjugate_stabilizers(self.seed.group, x, self._seed_stabilizers)
+        return x
 
 
 def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
@@ -795,23 +797,13 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
 
 def fixed_subgroup(theta: Involution):
     """G^theta(F_q) as an explicit element tuple."""
-    group = theta.group
-    F = group.tower.base
-    base = group.factor.gl2_elements()
-    ws, wis = theta._factor_witnesses
-    if theta._swaps:
-        # (g, h) is fixed exactly when h = a^-1 g a
-        return tuple(group.join((g, _act(F, False, ws[1], wis[1], g))) for g in base)
-    parts = [
-        [g for g in base if _act(F, theta._outer, a, ai, g) == g] for a, ai in zip(ws, wis)
-    ]
-    return tuple(map(group.join, itertools.product(*parts)))
+    return _direct_stabilizers(theta)[1]
 
 
 @dataclass(frozen=True)
 class StabilizerData:
     g_theta_order: int
-    g_fixed: tuple
+    g_fixed_order: int
     t_theta: tuple
     fixed_in_t_theta: tuple
     m: int
@@ -835,26 +827,23 @@ def _gl2_stabilizer_sets(factor: MatrixGroup, outer: bool, a, ai):
 def _direct_stabilizers(theta: Involution):
     """(|G_theta|, G^theta) by direct filtering (closed form for the swap)."""
     group = theta.group
+    ws, wis = theta._factor_witnesses
     if theta._swaps:
+        # (g, h) is fixed exactly when h = a^-1 g a, and
         # G_theta = {(z a h a^-1, h) : z scalar}
-        return group.gl2_order * (group.q - 1), fixed_subgroup(theta)
+        F = group.tower.base
+        fixed = tuple(
+            group.join((g, _act(F, False, ws[1], wis[1], g)))
+            for g in group.factor.gl2_elements()
+        )
+        return group.gl2_order * (group.q - 1), fixed
     per = [
-        _gl2_stabilizer_sets(group.factor, theta._outer, a, ai)
-        for a, ai in zip(*theta._factor_witnesses)
+        _gl2_stabilizer_sets(group.factor, theta._outer, a, ai) for a, ai in zip(ws, wis)
     ]
     g_theta_order = math.prod(len(twisted) for twisted, _ in per)
     return g_theta_order, tuple(
         map(group.join, itertools.product(*(fixed for _, fixed in per)))
     )
-
-
-def _conjugate_stabilizers(group: MatrixGroup, x, stabilizers):
-    """The stabilizers of Int(x) o theta o Int(x)^-1 from those of theta:
-    the same |G_theta|, and G^theta conjugated by x."""
-    g_theta_order, g_fixed = stabilizers
-    xi = group.inv(x)
-    mul = group.mul
-    return g_theta_order, tuple(mul(mul(x, h), xi) for h in g_fixed)
 
 
 def _row_times(F, r, y):
@@ -907,19 +896,25 @@ def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
 
 
 def stabilizer_data(
-    theta: Involution, torus: TorusEmbedding, stabilizers=None
+    theta: Involution, torus: TorusEmbedding, census: OrbitCensus | None = None
 ) -> StabilizerData:
     """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
 
-    stabilizers: theta's (|G_theta|, G^theta) when they are already known,
-    for instance from OrbitCensus.stabilizers; filtered directly when omitted.
+    census: an orbit census holding theta; without one theta is its own seed
+    and its transporter is 1.  theta = Int(x) seed Int(x)^-1 for its checked
+    transporter x, so |G_theta| and |G^theta| are the seed's, G^theta meets
+    T_theta in the torus points theta fixes, and the literal product
+    G^theta T_theta = x (G^seed x^-1 T_theta x) x^-1 is formed from the
+    seed's G^theta and T_theta conjugated by x^-1.
     """
     group = theta.group
-    g_theta_order, g_fixed = stabilizers or _direct_stabilizers(theta)
+    if census is None:
+        census = OrbitCensus(theta, (theta,), (), {theta: group.identity()})
+    g_theta_order, g_fixed = census.seed_stabilizers
+    x = census.transporter(theta)
 
     t_theta = theta.torus_fixed_points(torus, up_to_centre=True)
-    fixed_set = frozenset(g_fixed)
-    fixed_in_t = tuple(x for x in t_theta if x in fixed_set)
+    fixed_in_t = theta.torus_fixed_points(torus)
 
     if len(fixed_in_t) == 0:
         raise ConsistencyError("identity missing from G^theta intersect T_theta")
@@ -929,7 +924,9 @@ def stabilizer_data(
             "G^theta T_theta does not divide G_theta",
             detail=(g_theta_order, len(g_fixed), len(t_theta), len(fixed_in_t)),
         )
-    literal = _literal_product(group, g_fixed, t_theta)
+    xi = group.inv(x)
+    conjugated = [group.mul(group.mul(xi, y), x) for y in t_theta]
+    literal = _literal_product(group, g_fixed, conjugated)
     if len(literal) * m != g_theta_order:
         raise ConsistencyError(
             "the literal product G^theta T_theta has the wrong size",
@@ -939,7 +936,7 @@ def stabilizer_data(
         raise ConsistencyError(f"nonpositive index m = {m}")
     if m & (m - 1):
         warnings.warn(f"index m = {m} is not a power of two", stacklevel=2)
-    return StabilizerData(g_theta_order, g_fixed, t_theta, fixed_in_t, m)
+    return StabilizerData(g_theta_order, len(g_fixed), t_theta, fixed_in_t, m)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ refuses to return unequal sides silently.
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass
 
-from .dlchar import CuspidalCharacter, cuspidal_character, general_position_exponents
+from .dlchar import TOL, cuspidal_character, general_position_exponents
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
 from .groups import (
     Involution,
@@ -128,8 +130,9 @@ class OrbitReport:
 class _OrbitEntry:
     """One torus orbit's index m and sampled epsilon characters.
 
-    The stabilizers of each sampled member are transported from the census
-    seed; m is still computed per member and must agree across the orbit.
+    Each sampled member's stabilizer side is read off the census seed and
+    the member's own theta; m is computed per member and must agree across
+    the orbit.
     """
 
     def __init__(self, orbit, census: OrbitCensus, torus):
@@ -142,7 +145,7 @@ class _OrbitEntry:
             for i in (1, len(members) // 2, len(members) - 1):
                 if members[i] not in picks:
                     picks.append(members[i])
-        ms = {stabilizer_data(th, torus, census.stabilizers(th)).m for th in picks}
+        ms = {stabilizer_data(th, torus, census).m for th in picks}
         if len(ms) != 1:
             raise ConsistencyError(
                 "orbit index m is not constant on a torus orbit", detail=sorted(ms)
@@ -203,51 +206,38 @@ def rhs_orbit_sum(census: OrbitCensus, lam: TorusCharacterOnT, torus: TorusEmbed
 
 
 class ProductCuspidal:
-    """Outer product of two certified cuspidal characters of the factors."""
+    """Outer product of certified cuspidal characters, one per GL2 factor."""
 
-    def __init__(self, first: CuspidalCharacter, second: CuspidalCharacter):
-        self.first = first
-        self.second = second
-        self.exponents = (first.exponent, second.exponent)
+    def __init__(self, group: MatrixGroup, factors):
+        self.group = group
+        self.factors = tuple(factors)
+        self.exponents = tuple(chi.exponent for chi in self.factors)
 
     def value(self, g) -> complex:
-        return self.first.value(g[0]) * self.second.value(g[1])
+        values = [chi.value(m) for chi, m in zip(self.factors, self.group.split(g))]
+        return functools.reduce(operator.mul, values)
 
 
-def lhs_multiplicity(census: OrbitCensus, chi, tol: float = 1e-6, samples: int = 4):
-    """Average of chi over G^theta, checked across sampled orbit members.
+def lhs_multiplicity(census: OrbitCensus, chi):
+    """Average of the class function chi over the census seed's G^theta.
 
-    Each member's G^theta is the census seed's, transported by conjugation.
-
-    Returns the common nonnegative integer; the average must be within tol
-    of it, with vanishing imaginary part, for every sampled representative.
+    Every member's G^theta is the seed's conjugated, so the average is the
+    same for every member of the class.  Returns it as a nonnegative
+    integer; it must be within TOL of one, with vanishing imaginary part.
     """
-    members = census.all_members
-    step = max(1, len(members) // samples)
-    picked = list(members[::step][:samples])
-    if census.seed not in picked:
-        picked[0] = census.seed
-    values = []
-    for th in picked:
-        _, fixed = census.stabilizers(th)
-        acc = 0j
-        for h in fixed:
-            acc += chi.value(h)
-        avg = acc / len(fixed)
-        if abs(avg.imag) > tol:
-            raise ConsistencyError(f"multiplicity average {avg} is not real")
-        rounded = round(avg.real)
-        if abs(avg.real - rounded) > tol:
-            raise ConsistencyError(f"multiplicity average {avg.real} is not integral")
-        if rounded < 0:
-            raise ConsistencyError(f"negative multiplicity {rounded}")
-        values.append(rounded)
-    if len(set(values)) != 1:
-        raise ConsistencyError(
-            "multiplicity depends on the chosen involution representative",
-            detail=values,
-        )
-    return values[0]
+    _, fixed = census.seed_stabilizers
+    acc = 0j
+    for h in fixed:
+        acc += chi.value(h)
+    avg = acc / len(fixed)
+    if abs(avg.imag) > TOL:
+        raise ConsistencyError(f"multiplicity average {avg} is not real")
+    rounded = round(avg.real)
+    if abs(avg.real - rounded) > TOL:
+        raise ConsistencyError(f"multiplicity average {avg.real} is not integral")
+    if rounded < 0:
+        raise ConsistencyError(f"negative multiplicity {rounded}")
+    return rounded
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +277,13 @@ def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCen
 
 
 def _lambda_on(torus: TorusEmbedding, exponents) -> TorusCharacterOnT:
-    if torus.coord_count == 2:
-        (k,) = exponents
-        return torus.character((k, 0))
-    k1, k2 = exponents
-    return torus.character((k1, 0, k2, 0))
+    """The character with exponent k against each factor's eigenvalue."""
+    return torus.character(tuple(c for k in exponents for c in (k, 0)))
 
 
-def _chi_for(group: MatrixGroup, exponents):
-    if group.kind == "gl2":
-        (k,) = exponents
-        return cuspidal_character(group, k)
-    k1, k2 = exponents
+def _chi_for(group: MatrixGroup, exponents) -> ProductCuspidal:
     return ProductCuspidal(
-        cuspidal_character(group.factor, k1), cuspidal_character(group.factor, k2)
+        group, (cuspidal_character(group.factor, k) for k in exponents)
     )
 
 
@@ -309,7 +292,6 @@ def verify_theorem(
     seed: str,
     exponents,
     torus: TorusEmbedding | None = None,
-    tol: float = 1e-6,
 ) -> TheoremResult:
     """Check lhs == rhs for one involution class and one inducing character.
 
@@ -326,7 +308,7 @@ def verify_theorem(
         raise ConfigError(f"exponents {exponents} are not in general position")
     chi = _chi_for(group, exponents)
     census = census_for(group, torus, seed)
-    lhs = lhs_multiplicity(census, chi, tol=tol)
+    lhs = lhs_multiplicity(census, chi)
     rhs, reports = rhs_orbit_sum(census, lam, torus)
 
     # the right side may not depend on the Frobenius representative
@@ -370,7 +352,7 @@ def verify_theorem(
     return result
 
 
-def distinction_grid(group: MatrixGroup, tol: float = 1e-6):
+def distinction_grid(group: MatrixGroup):
     """The swap-distinction grid of the product group at one q.
 
     Cell (i, j) pairs the i-th cuspidal character with the inverse of the
@@ -390,11 +372,11 @@ def distinction_grid(group: MatrixGroup, tol: float = 1e-6):
     for ki in reps:
         row = []
         for kj in reps:
-            res = verify_theorem(group, "swap", (ki, (-kj) % n), torus=torus, tol=tol)
+            res = verify_theorem(group, "swap", (ki, (-kj) % n), torus=torus)
             chi_i = cuspidal_character(view, ki)
             chi_j = cuspidal_character(view, kj)
             ip = chi_i.chi.inner(chi_j.chi)
-            if abs(ip - res.lhs) > tol:
+            if abs(ip - res.lhs) > TOL:
                 raise ConsistencyError(
                     "grid multiplicity differs from the character inner product",
                     detail=(ki, kj, res.lhs, ip),

@@ -224,6 +224,28 @@ def test_config_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, repeated",
+    (
+        (("verify", "theorem", "--group", "gl2", "--q", "3", "3"), "--q 3"),
+        (
+            (
+                "verify", "epsilon", "--group", "gl2", "--q", "3",
+                "--involution", "diag", "--involution", "diag",
+            ),
+            "--involution diag",
+        ),
+        (("verify", "sigma", "--data", "gl2_split", "--data", "gl2_split"), "--data gl2_split"),
+    ),
+)
+def test_repeated_value_is_a_config_error(capsys, argv, repeated):
+    # a repeated value would run its cells twice and report each row twice
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"configuration error: {repeated} is given more than once" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ("sigma", "centralizer-sigma"))
 @pytest.mark.parametrize(
     "text",

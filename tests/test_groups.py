@@ -578,7 +578,7 @@ def test_literal_product_check_runs_on_large_cells(monkeypatch):
     th = named_involution(g, "swap")
     t = elliptic_torus(g)
     data = stabilizer_data(th, t)
-    assert len(data.g_fixed) * len(data.t_theta) == 580_608 > 200_000
+    assert data.g_fixed_order * len(data.t_theta) == 580_608 > 200_000
     assert data.m == 1
     monkeypatch.setattr(groups, "_row_times", lambda F, r, y: r)
     with pytest.raises(ConsistencyError, match="literal product"):
@@ -624,36 +624,45 @@ def test_transporters_carry_the_seed(key):
     "key", [k for k in TRANSPORT_CENSUSES if k[3] == "elliptic"], ids=_census_id
 )
 def test_transported_stabilizers_match_brute_force(key):
-    g, census = _census(*key)
+    # each member's G^theta is the seed's conjugated by its transporter, and
+    # stabilizer_data reads the member's orders and G^theta meet T_theta
+    # without building it
+    g, t, census = _torus_census(*key)
     elements = g.elements()
+    order, seed_fixed = census.seed_stabilizers
     for member in census.all_members:
         images = [(x, member.apply(x)) for x in elements]
         fixed = {x for x, im in images if im == x}
         g_theta = [x for x, im in images if g.is_central(g.mul(x, g.inv(im)))]
-        order, transported = census.stabilizers(member)
+        x = census.transporter(member)
+        xi = g.inv(x)
+        transported = [g.mul(g.mul(x, h), xi) for h in seed_fixed]
         assert len(transported) == len(fixed)
         assert set(transported) == fixed
         assert order == len(g_theta)
+        data = stabilizer_data(member, t, census)
+        assert (data.g_theta_order, data.g_fixed_order) == (len(g_theta), len(fixed))
+        assert set(data.fixed_in_t_theta) == fixed & set(data.t_theta)
 
 
 def test_wrong_transporter_fails_the_witness_check(monkeypatch):
-    g, census = _census("gl2", 3, "diag", "elliptic")
+    g, t, census = _torus_census("gl2", 3, "diag", "elliptic")
     for member in census.all_members:
         monkeypatch.setitem(census.transporters, member, g.identity())
     with pytest.raises(ConsistencyError, match="differ from the direct filter"):
-        census.stabilizers(census.seed)
+        stabilizer_data(census.seed, t, census)
 
 
 def test_wrong_transporter_fails_the_member_check(monkeypatch):
     # past BRUTE_FORCE_Q there is no witness: each member checks its own
     monkeypatch.setattr(groups, "BRUTE_FORCE_Q", 1)
-    g, census = _census("gl2", 3, "transpose-inverse", "elliptic")
+    g, t, census = _torus_census("gl2", 3, "transpose-inverse", "elliptic")
     member = census.all_members[-1]
     assert member != census.seed
-    census.stabilizers(census.seed)
+    stabilizer_data(census.seed, t, census)
     monkeypatch.setitem(census.transporters, member, g.identity())
     with pytest.raises(ConsistencyError, match="does not carry the seed"):
-        census.stabilizers(member)
+        stabilizer_data(member, t, census)
 
 
 @pytest.mark.parametrize("brute_force_q, filters", ((9, 2), (1, 1)))
@@ -665,9 +674,9 @@ def test_one_direct_filter_per_census(monkeypatch, brute_force_q, filters):
     monkeypatch.setattr(
         groups, "_direct_stabilizers", lambda th: calls.append(th) or direct(th)
     )
-    g, census = _census("gl2", 5, "diag", "elliptic")
+    g, t, census = _torus_census("gl2", 5, "diag", "elliptic")
     for member in census.all_members:
-        census.stabilizers(member)
+        stabilizer_data(member, t, census)
     assert len(calls) == filters
     assert calls[0] == census.seed
 
@@ -698,17 +707,23 @@ LITERAL_CENSUSES = [
 @pytest.mark.parametrize("key", LITERAL_CENSUSES, ids=_census_id)
 def test_literal_product_matches_group_products(key):
     # the row-table codes decode to exactly the products of group.mul, one
-    # code per element; at q = 9 the codes are not residues mod a prime
-    kind, q, seed, torus_kind = key
-    g = MatrixGroup(kind, q)
-    t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
-    census = involution_orbit(named_involution(g, seed), t)
+    # code per element; at q = 9 the codes are not residues mod a prime.
+    # stabilizer_data checks a member's G^theta T_theta as the seed's
+    # G^theta times T_theta conjugated by x^-1, the member's set conjugated
+    g, t, census = _torus_census(*key)
+    seed_fixed = census.seed_stabilizers[1]
     for member in census.all_members:
-        data = stabilizer_data(member, t, census.stabilizers(member))
-        codes = groups._literal_product(g, data.g_fixed, data.t_theta)
-        expected = {g.mul(x, y) for x in data.g_fixed for y in data.t_theta}
-        assert len(codes) == len(expected)
+        data = stabilizer_data(member, t, census)
+        x = census.transporter(member)
+        xi = g.inv(x)
+        pulled = [g.mul(g.mul(xi, y), x) for y in data.t_theta]
+        codes = groups._literal_product(g, seed_fixed, pulled)
+        expected = {g.mul(h, y) for h in seed_fixed for y in pulled}
+        assert len(codes) == len(expected) == data.g_theta_order // data.m
         assert {_decode(g, c) for c in codes} == expected
+        own_fixed = [g.mul(g.mul(x, h), xi) for h in seed_fixed]
+        own = {g.mul(h, y) for h in own_fixed for y in data.t_theta}
+        assert {g.mul(g.mul(x, z), xi) for z in expected} == own
 
 
 # ---------------------------------------------------------------------------

@@ -153,10 +153,12 @@ def test_product_cuspidal_values():
     view = MatrixGroup("gl2", 3)
     a = cuspidal_character(view, 1)
     b = cuspidal_character(view, 2)
-    chi = ProductCuspidal(a, b)
+    chi = ProductCuspidal(MatrixGroup("gl2_x_gl2", 3), (a, b))
     assert chi.exponents == (1, 2)
     g = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
     assert chi.value(g) == a.value(g[0]) * b.value(g[1])
+    # a gl2 cell is the one-factor case
+    assert ProductCuspidal(view, (b,)).value(g[1]) == b.value(g[1])
 
 
 # -- the theorem --------------------------------------------------------------

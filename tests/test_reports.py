@@ -22,6 +22,9 @@ REPORTS = {
     "theorem_gl2_x_gl2_q5_e1_23.json": (
         "verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "1,23",
     ),
+    "theorem_gl2_x_gl2_q7_e1_47.json": (
+        "verify", "theorem", "--group", "gl2_x_gl2", "--q", "7", "--exponent", "1,47",
+    ),
     "theorem_gl2_q11_e7.json": (
         "verify", "theorem", "--group", "gl2", "--q", "11", "--exponent", "7",
     ),
