@@ -283,10 +283,6 @@ class CuspidalCharacter:
     def value(self, g) -> complex:
         return self.chi.value(g)
 
-    def central_log(self, z: int) -> int:
-        """Exponent of the central character at the scalar z."""
-        return (self.exponent * self.table._emb_log[z]) % self.table.n_modulus
-
 
 def _value_maps(table: ConjugacyTable, k: int):
     n = table.n_modulus

@@ -573,10 +573,6 @@ class FieldTower:
             raise ValueError("element belongs to a different tower")
         return self._lv(x.level).log_of(x.coeffs)
 
-    def frobenius(self, x: FieldElement) -> FieldElement:
-        """The arithmetic Frobenius x -> x^q of the base field."""
-        return x**self.q
-
     def sqrt(self, x: FieldElement) -> FieldElement:
         """The canonical square root: the one with the lex-smaller coefficients.
 

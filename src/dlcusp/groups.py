@@ -26,7 +26,7 @@ from operator import add
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
 from .gf import FieldElement, build_field
-from .linalg import fq_det, fq_nullspace, fq_solve
+from .linalg import fq_det, fq_kernel, fq_nullspace
 from .rootdata import InvolutionOnDatum, TwistedRootDatum, load_datum
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "involution_orbit",
     "fixed_subgroup",
     "stabilizer_data",
+    "orbit_stabilizer_data",
     "lie_fixed_det",
     "derived_theta_star",
     "phi_theta_certified",
@@ -239,9 +240,6 @@ class MatrixGroup:
         scalars = [((z, 0), (0, z)) for z in range(1, self.q)]
         return tuple(map(self.join, itertools.product(scalars, repeat=self.n_factors)))
 
-    def is_central(self, x) -> bool:
-        return all(map(_m_is_scalar, self.split(x)))
-
     # -- enumeration --------------------------------------------------------
 
     def gl2_elements(self):
@@ -369,9 +367,6 @@ class TorusCharacterOnT:
 
     def inverse(self) -> "TorusCharacterOnT":
         return TorusCharacterOnT(self.torus, tuple(-k for k in self.exponents))
-
-    def is_trivial_on(self, ts) -> bool:
-        return all(self.log_value(t) == 0 for t in ts)
 
 
 # the aligned root datum of each (group kind, torus kind) that is wired
@@ -706,7 +701,7 @@ class OrbitCensus:
 
     A member th = Int(x) seed Int(x)^-1 has the seed's |G_theta| and
     |G^theta|, and its G^theta is the seed's conjugated by x, so only the
-    seed's stabilizers are filtered and no member's are built.
+    seed's stabilizers are built and no member's are.
     """
 
     seed: "Involution"
@@ -716,13 +711,18 @@ class OrbitCensus:
 
     @cached_property
     def seed_stabilizers(self):
-        """(|G_theta|, G^theta) of the seed, by direct filtering.
+        """(|G_theta|, G^theta) of the seed, G^theta in lexicographic order.
 
-        Up to BRUTE_FORCE_Q one non-seed member is filtered directly as well,
-        and its sets must equal the seed's conjugated by its transporter.
+        The swap's sets have a closed form (_direct_stabilizers); the other
+        kinds are read off the census (_schreier_stabilizers).  Up to
+        BRUTE_FORCE_Q one non-seed member is filtered directly as well, and
+        its sets must equal the seed's conjugated by its transporter.
         """
         group = self.seed.group
-        order, fixed = _direct_stabilizers(self.seed)
+        if self.seed._swaps:
+            order, fixed = _direct_stabilizers(self.seed)
+        else:
+            order, fixed = self._schreier_stabilizers()
         witness = next((th for th in reversed(self.all_members) if th != self.seed), None)
         if group.q <= BRUTE_FORCE_Q and witness is not None:
             x = self.transporters[witness]
@@ -739,6 +739,54 @@ class OrbitCensus:
                     },
                 )
         return order, fixed
+
+    def _schreier_generators(self):
+        """h = x(th.conjugated(s))^-1 s x(th) for each member th and group
+        generator s: each carries the seed to th, on to th.conjugated(s) and
+        back, so it fixes the seed, and together they generate G_theta."""
+        group = self.seed.group
+        gens = group.generators()
+        x = self.transporters
+        for th in self.all_members:
+            for s in gens:
+                yield group.mul(group.mul(group.inv(x[th.conjugated(s)]), s), x[th])
+
+    def _schreier_stabilizers(self):
+        """(|G_theta|, G^theta) from the census's Schreier generators.
+
+        G_theta is the seed's stabilizer in the conjugation action whose orbit
+        this census holds, so |G_theta| = |G| / |orbit|.  Schreier generators
+        are added while they leave the span, until the span has that many
+        elements.  It must have exactly that many, each fixing the seed: a
+        subgroup of G_theta that large is G_theta, and the census is then the
+        whole orbit.  G^theta is the part of the span that theta fixes.
+        """
+        seed = self.seed
+        group = seed.group
+        order = group.order // len(self.all_members)
+        one = group.identity()
+        span, gens = {one}, []
+        for h in self._schreier_generators():
+            if len(span) >= order:
+                break
+            if h not in span:
+                # checked on entry too, so a wrong transporter cannot grow
+                # the span past G_theta towards all of G
+                if seed.conjugated(h) != seed:
+                    raise ConsistencyError(
+                        "a Schreier generator does not fix the seed",
+                        detail={"seed": seed.witness, "generator": h},
+                    )
+                gens.append(h)
+                span = _closure(one, gens, group.mul)
+        if len(span) * len(self.all_members) != group.order or any(
+            seed.conjugated(h) != seed for h in span
+        ):
+            raise ConsistencyError(
+                "the Schreier generators do not span the seed's stabilizer",
+                detail={"seed": seed.witness, "span": len(span), "order": order},
+            )
+        return order, tuple(sorted(h for h in span if seed.apply(h) == h))
 
     def transporter(self, theta: "Involution"):
         """The transporter x of a member, checked: seed.conjugated(x) == theta."""
@@ -895,27 +943,18 @@ def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
     return literal
 
 
-def stabilizer_data(
-    theta: Involution, torus: TorusEmbedding, census: OrbitCensus | None = None
-) -> StabilizerData:
-    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
+def _stabilizer_sides(theta: Involution, torus: TorusEmbedding, census: OrbitCensus):
+    """(transporter, StabilizerData) of a census member, without the literal
+    product check.
 
-    census: an orbit census holding theta; without one theta is its own seed
-    and its transporter is 1.  theta = Int(x) seed Int(x)^-1 for its checked
-    transporter x, so |G_theta| and |G^theta| are the seed's, G^theta meets
-    T_theta in the torus points theta fixes, and the literal product
-    G^theta T_theta = x (G^seed x^-1 T_theta x) x^-1 is formed from the
-    seed's G^theta and T_theta conjugated by x^-1.
+    theta = Int(x) seed Int(x)^-1 for its checked transporter x, so
+    |G_theta| and |G^theta| are the seed's, and G^theta meets T_theta in the
+    torus points theta fixes.
     """
-    group = theta.group
-    if census is None:
-        census = OrbitCensus(theta, (theta,), (), {theta: group.identity()})
     g_theta_order, g_fixed = census.seed_stabilizers
     x = census.transporter(theta)
-
     t_theta = theta.torus_fixed_points(torus, up_to_centre=True)
     fixed_in_t = theta.torus_fixed_points(torus)
-
     if len(fixed_in_t) == 0:
         raise ConsistencyError("identity missing from G^theta intersect T_theta")
     m, rem = divmod(g_theta_order * len(fixed_in_t), len(g_fixed) * len(t_theta))
@@ -924,19 +963,62 @@ def stabilizer_data(
             "G^theta T_theta does not divide G_theta",
             detail=(g_theta_order, len(g_fixed), len(t_theta), len(fixed_in_t)),
         )
-    xi = group.inv(x)
-    conjugated = [group.mul(group.mul(xi, y), x) for y in t_theta]
-    literal = _literal_product(group, g_fixed, conjugated)
-    if len(literal) * m != g_theta_order:
-        raise ConsistencyError(
-            "the literal product G^theta T_theta has the wrong size",
-            detail=(len(literal), m, g_theta_order),
-        )
     if m <= 0:
         raise ConsistencyError(f"nonpositive index m = {m}")
     if m & (m - 1):
-        warnings.warn(f"index m = {m} is not a power of two", stacklevel=2)
-    return StabilizerData(g_theta_order, len(g_fixed), t_theta, fixed_in_t, m)
+        warnings.warn(f"index m = {m} is not a power of two", stacklevel=3)
+    return x, StabilizerData(g_theta_order, len(g_fixed), t_theta, fixed_in_t, m)
+
+
+def stabilizer_data(
+    theta: Involution, torus: TorusEmbedding, census: OrbitCensus | None = None
+) -> StabilizerData:
+    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
+
+    census: an orbit census holding theta; without one, theta's own census
+    is built.  The literal product G^theta T_theta = x (G^seed x^-1 T_theta
+    x) x^-1, for theta's transporter x, is formed from the seed's G^theta
+    and T_theta conjugated by x^-1, and must have |G_theta| / m elements.
+    """
+    group = theta.group
+    if census is None:
+        census = involution_orbit(theta, torus)
+    x, data = _stabilizer_sides(theta, torus, census)
+    xi = group.inv(x)
+    conjugated = [group.mul(group.mul(xi, y), x) for y in data.t_theta]
+    literal = _literal_product(group, census.seed_stabilizers[1], conjugated)
+    if len(literal) * data.m != data.g_theta_order:
+        raise ConsistencyError(
+            "the literal product G^theta T_theta has the wrong size",
+            detail=(len(literal), data.m, data.g_theta_order),
+        )
+    return data
+
+
+def orbit_stabilizer_data(picks, torus: TorusEmbedding, census: OrbitCensus):
+    """StabilizerData of members of one torus orbit, picks[0] its representative.
+
+    Another pick is Int(t) rep Int(t)^-1 for a torus point t, so its T_theta
+    and fixed torus points are the representative's, and its G^theta T_theta
+    is the representative's conjugated by t.  The literal product check
+    therefore runs on the representative only; every other pick gets its
+    own m and transporter check, and its two torus sets must equal the
+    representative's.
+    """
+    first = stabilizer_data(picks[0], torus, census)
+    out = [first]
+    for theta in picks[1:]:
+        _, data = _stabilizer_sides(theta, torus, census)
+        if (set(data.t_theta), set(data.fixed_in_t_theta)) != (
+            set(first.t_theta),
+            set(first.fixed_in_t_theta),
+        ):
+            raise ConsistencyError(
+                "torus orbit members differ in T_theta or their fixed torus points",
+                detail={"representative": picks[0].witness, "member": theta.witness},
+            )
+        out.append(data)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +1037,12 @@ def _unvec(group: MatrixGroup, v):
 
 
 class LieFixedSpace:
-    """Basis of the +1 eigenspace of d(theta) on the Lie algebra."""
+    """Basis of the +1 eigenspace of d(theta) on the Lie algebra.
+
+    Basis vector i is 1 at free coordinate i and 0 at the other free
+    coordinates (fq_kernel), so an element of the space has its entries
+    there as its coordinates.
+    """
 
     def __init__(self, theta: Involution):
         group = theta.group
@@ -964,7 +1051,7 @@ class LieFixedSpace:
         units = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         cols = [_vec(group, theta._d_apply(_unvec(group, e))) for e in units]
         # rows of (d theta - id) and (d theta + id), acting on coordinate vectors
-        plus = fq_nullspace(
+        plus, free = fq_kernel(
             [[F.sub(cols[j][i], units[i][j]) for j in range(n)] for i in range(n)], F
         )
         minus = fq_nullspace(
@@ -977,18 +1064,25 @@ class LieFixedSpace:
         self.theta = theta
         self.dimension = len(plus)
         self.vectors = plus
+        self.free = free
 
     def matrix_of_ad(self, g):
-        """Coordinates of Ad(g) restricted to the fixed space."""
+        """Coordinates of Ad(g) restricted to the fixed space.
+
+        Each image is read at the free coordinates and must equal the
+        combination of the basis with those coefficients.
+        """
         group = self.theta.group
         F = group.tower.base
         gi = group.inv(g)
-        a_rows = [list(row) for row in zip(*self.vectors)]
         cols = []
         for v in self.vectors:
-            image = group.mul(group.mul(g, _unvec(group, v)), gi)
-            coords = fq_solve(a_rows, _vec(group, image), F)
-            if coords is None:
+            image = _vec(group, group.mul(group.mul(g, _unvec(group, v)), gi))
+            coords = [image[c] for c in self.free]
+            rebuilt = [F.zero] * len(image)
+            for c, w in zip(coords, self.vectors):
+                rebuilt = [F.add(r, F.mul(c, x)) for r, x in zip(rebuilt, w)]
+            if rebuilt != image:
                 raise ConsistencyError("Ad(g) does not preserve the fixed space")
             cols.append(coords)
         n = self.dimension

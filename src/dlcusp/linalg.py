@@ -137,8 +137,13 @@ def fq_rref(rows, field):
     return m, pivots
 
 
-def fq_nullspace(rows, field):
-    """Basis of the right null space."""
+def fq_kernel(rows, field):
+    """Basis of the right null space, and the free (non-pivot) columns.
+
+    Basis vector i is 1 at free column i and 0 at every other free column,
+    so a null vector's coordinates in the basis are its entries at the free
+    columns.
+    """
     m, pivots = fq_rref(rows, field)
     ncols = len(rows[0]) if rows else 0
     free = [c for c in range(ncols) if c not in pivots]
@@ -149,25 +154,12 @@ def fq_nullspace(rows, field):
         for r, pc in enumerate(pivots):
             v[pc] = field.neg(m[r][fc])
         basis.append(tuple(v))
-    return basis
+    return basis, free
 
 
-def fq_solve(a_rows, b, field):
-    """One solution x of A x = b, or None when inconsistent."""
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    m, pivots = fq_rref(aug, field)
-    ncols = len(a_rows[0])
-    for r in range(len(m)):
-        if any(m[r][:ncols]):
-            continue
-        if m[r][ncols]:
-            return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = m[r][ncols]
-    return tuple(x)
+def fq_nullspace(rows, field):
+    """Basis of the right null space (see fq_kernel)."""
+    return fq_kernel(rows, field)[0]
 
 
 def fq_det(rows, field):
@@ -190,7 +182,3 @@ def fq_det(rows, field):
                 m[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[r], m[col])]
     return det
 
-
-def fq_rank(rows, field) -> int:
-    _, pivots = fq_rref(rows, field)
-    return len(pivots)

@@ -28,7 +28,7 @@ from .groups import (
     involution_orbit,
     lie_fixed_det,
     named_involution,
-    stabilizer_data,
+    orbit_stabilizer_data,
 )
 from .rootdata import epsilon_product
 
@@ -131,8 +131,9 @@ class _OrbitEntry:
     """One torus orbit's index m and sampled epsilon characters.
 
     Each sampled member's stabilizer side is read off the census seed and
-    the member's own theta; m is computed per member and must agree across
-    the orbit.
+    the member's own theta (orbit_stabilizer_data: the literal product
+    check runs on the representative); m is computed per member and must
+    agree across the orbit.
     """
 
     def __init__(self, orbit, census: OrbitCensus, torus):
@@ -145,7 +146,7 @@ class _OrbitEntry:
             for i in (1, len(members) // 2, len(members) - 1):
                 if members[i] not in picks:
                     picks.append(members[i])
-        ms = {stabilizer_data(th, torus, census).m for th in picks}
+        ms = {data.m for data in orbit_stabilizer_data(picks, torus, census)}
         if len(ms) != 1:
             raise ConsistencyError(
                 "orbit index m is not constant on a torus orbit", detail=sorted(ms)

@@ -181,7 +181,7 @@ def test_degree_and_central_values():
         assert chi.value(g.identity()) == q - 1
         n = g.tower.order(2)
         for z in range(1, q):
-            expected = chi.central_log(z)
+            expected = (k * g.tower.discrete_log(g.tower.embed(z, 2))) % n
             got = chi.value(g.scalar(z))
             import cmath
             import math

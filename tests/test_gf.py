@@ -111,8 +111,8 @@ def test_frobenius_is_dlog_multiplication():
     t = build_field(3, degrees=(1, 2))
     n = t.order(2)
     for x in t.units(2):
-        assert t.discrete_log(t.frobenius(x)) == (3 * t.discrete_log(x)) % n
-    assert t.frobenius(t.zero(2)).is_zero()
+        assert t.discrete_log(x**t.q) == (3 * t.discrete_log(x)) % n
+    assert (t.zero(2) ** t.q).is_zero()
 
 
 def test_frobenius_orbit_pairs_q3():
@@ -330,7 +330,7 @@ def test_character_trivial_on_base_units():
     base = [g.scalar(a) for a in (1, 2)]
     for k in range(8):
         chi = te.character((k, 0))
-        assert chi.is_trivial_on(base) == (k % 2 == 0)
+        assert all(chi.log_value(z) == 0 for z in base) == (k % 2 == 0)
 
 
 def test_character_value_on_unit_circle():

@@ -26,9 +26,14 @@ from dlcusp.groups import (
     split_torus,
     stabilizer_data,
 )
+from dlcusp.linalg import fq_rref
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+def _is_central(g, x):
+    return all(map(groups._m_is_scalar, g.split(x)))
 
 
 def test_group_orders():
@@ -95,8 +100,8 @@ def test_center():
     g = MatrixGroup("gl2", 5)
     z = g.center()
     assert len(z) == 4
-    assert all(g.is_central(x) for x in z)
-    assert not g.is_central(((1, 1), (0, 1)))
+    assert all(_is_central(g, x) for x in z)
+    assert not _is_central(g, ((1, 1), (0, 1)))
     prod = MatrixGroup("gl2_x_gl2", 3)
     assert len(prod.center()) == 4
 
@@ -521,7 +526,7 @@ def test_stabilizer_data_swap_against_brute_force():
     brute = [
         x
         for x in g.elements()
-        if g.is_central(g.mul(x, g.inv(th.apply(x))))
+        if _is_central(g, g.mul(x, g.inv(th.apply(x))))
     ]
     assert data.g_theta_order == len(brute) == 48 * 2
     assert data.m == 1
@@ -565,9 +570,13 @@ def test_literal_product_check_raises(monkeypatch):
     th = named_involution(g, "diag")
     t = elliptic_torus(g)
     assert len(stabilizer_data(th, t).t_theta) == 4
+    census = involution_orbit(th, t)
     monkeypatch.setattr(groups, "_row_times", lambda F, r, y: y[0] if r[0] else y[1])
     with pytest.raises(ConsistencyError, match="literal product"):
         stabilizer_data(th, t)
+    # a torus orbit's check runs on its first pick
+    with pytest.raises(ConsistencyError, match="literal product"):
+        groups.orbit_stabilizer_data((th,), t, census)
 
 
 def test_literal_product_check_runs_on_large_cells(monkeypatch):
@@ -633,7 +642,7 @@ def test_transported_stabilizers_match_brute_force(key):
     for member in census.all_members:
         images = [(x, member.apply(x)) for x in elements]
         fixed = {x for x, im in images if im == x}
-        g_theta = [x for x, im in images if g.is_central(g.mul(x, g.inv(im)))]
+        g_theta = [x for x, im in images if _is_central(g, g.mul(x, g.inv(im)))]
         x = census.transporter(member)
         xi = g.inv(x)
         transported = [g.mul(g.mul(x, h), xi) for h in seed_fixed]
@@ -646,11 +655,28 @@ def test_transported_stabilizers_match_brute_force(key):
 
 
 def test_wrong_transporter_fails_the_witness_check(monkeypatch):
+    # with every transporter 1 the Schreier generators are the group's
+    # generators, and a transvection does not fix the seed
     g, t, census = _torus_census("gl2", 3, "diag", "elliptic")
     for member in census.all_members:
         monkeypatch.setitem(census.transporters, member, g.identity())
-    with pytest.raises(ConsistencyError, match="differ from the direct filter"):
+    with pytest.raises(ConsistencyError, match="does not fix the seed"):
         stabilizer_data(census.seed, t, census)
+
+
+def test_witness_filter_disagreement_raises(monkeypatch):
+    # up to BRUTE_FORCE_Q the seed's sets are checked against one member's
+    # direct filter; a filter that drops an element makes them differ
+    direct = groups._direct_stabilizers
+
+    def dropped(th):
+        order, fixed = direct(th)
+        return order, fixed[1:]
+
+    monkeypatch.setattr(groups, "_direct_stabilizers", dropped)
+    g, t, census = _torus_census("gl2", 5, "transpose-inverse", "elliptic")
+    with pytest.raises(ConsistencyError, match="differ from the direct filter"):
+        census.seed_stabilizers
 
 
 def test_wrong_transporter_fails_the_member_check(monkeypatch):
@@ -665,9 +691,10 @@ def test_wrong_transporter_fails_the_member_check(monkeypatch):
         stabilizer_data(member, t, census)
 
 
-@pytest.mark.parametrize("brute_force_q, filters", ((9, 2), (1, 1)))
+@pytest.mark.parametrize("brute_force_q, filters", ((9, 1), (1, 0)))
 def test_one_direct_filter_per_census(monkeypatch, brute_force_q, filters):
-    # the seed's, plus the witness's up to BRUTE_FORCE_Q
+    # the seed's sets come from the census's Schreier generators; the one
+    # direct filter is the witness's, up to BRUTE_FORCE_Q
     monkeypatch.setattr(groups, "BRUTE_FORCE_Q", brute_force_q)
     calls = []
     direct = groups._direct_stabilizers
@@ -678,7 +705,62 @@ def test_one_direct_filter_per_census(monkeypatch, brute_force_q, filters):
     for member in census.all_members:
         stabilizer_data(member, t, census)
     assert len(calls) == filters
-    assert calls[0] == census.seed
+    assert census.seed not in calls
+
+
+# ---------------------------------------------------------------------------
+# the seed's stabilizers from the census's Schreier generators
+
+SCHREIER_SEEDS = [
+    ("gl2", q, seed) for q in (3, 5, 7, 9) for seed in ("diag", "antidiag", "transpose-inverse")
+] + [("gl2_x_gl2", 3, "diag"), ("gl2_x_gl2", 3, "transpose-inverse")]
+
+
+@pytest.mark.parametrize("key", SCHREIER_SEEDS, ids=_census_id)
+def test_schreier_stabilizers_match_the_filter(key):
+    kind, q, seed = key
+    g, t, census = _torus_census(kind, q, seed, "elliptic")
+    order, fixed = census._schreier_stabilizers()
+    assert (order, fixed) == groups._direct_stabilizers(census.seed)
+    assert order * len(census.all_members) == g.order
+
+
+def test_withheld_schreier_generator_raises(monkeypatch):
+    # without diag(gamma, 1) the generators are SL2's: the orbit is the
+    # same, but its Schreier generators span only G_theta meet SL2
+    g = MatrixGroup("gl2", 5)
+    t = elliptic_torus(g)
+    gens = g.generators()
+    assert gens[-1] == ((g._base_unit_generator(), 0), (0, 1))
+    full = len(involution_orbit(named_involution(g, "diag"), t).all_members)
+    monkeypatch.setattr(g, "generators", lambda: gens[:-1])
+    census = involution_orbit(named_involution(g, "diag"), t)
+    assert len(census.all_members) == full
+    with pytest.raises(ConsistencyError, match="do not span"):
+        census.seed_stabilizers
+
+
+def test_wrong_transporter_is_never_silently_short(monkeypatch):
+    # one member's transporter set to 1: the seed's sets either raise or
+    # are the filter's, whichever member it is
+    g = MatrixGroup("gl2", 5)
+    t = elliptic_torus(g)
+    seed = named_involution(g, "transpose-inverse")
+    expected = groups._direct_stabilizers(seed)
+    raised = 0
+    for i in range(len(involution_orbit(seed, t).all_members)):
+        census = involution_orbit(seed, t)
+        member = census.all_members[i]
+        if member == seed:
+            continue
+        census.transporters[member] = g.identity()
+        try:
+            got = census.seed_stabilizers
+        except ConsistencyError:
+            raised += 1
+        else:
+            assert got == expected
+    assert raised > 0
 
 
 def _decode(g, code):
@@ -726,6 +808,64 @@ def test_literal_product_matches_group_products(key):
         assert {g.mul(g.mul(x, z), xi) for z in expected} == own
 
 
+@pytest.mark.parametrize("key", [k for k in LITERAL_CENSUSES if k[1] < 9], ids=_census_id)
+def test_torus_orbit_literal_sets_are_t_conjugates(key):
+    # a member Int(t) rep Int(t)^-1 of a torus orbit has the representative's
+    # G^theta T_theta conjugated by t, so orbit_stabilizer_data's one literal
+    # check per orbit stands for every member, whose data it reads as
+    # stabilizer_data does
+    g, t, census = _torus_census(*key)
+    seed_fixed = census.seed_stabilizers[1]
+
+    def literal(th):
+        x = census.transporter(th)
+        xi = g.inv(x)
+        own_fixed = [g.mul(g.mul(x, h), xi) for h in seed_fixed]
+        return {g.mul(h, y) for h in own_fixed for y in th.torus_fixed_points(t, True)}
+
+    for orbit in census.t_orbits:
+        rep = orbit.representative
+        rep_set = literal(rep)
+        carriers = {}
+        for p in t.elements:
+            carriers.setdefault(rep.conjugated(p), p)
+        assert set(carriers) == set(orbit.members)
+        for member in orbit.members:
+            s = carriers[member]
+            si = g.inv(s)
+            assert literal(member) == {g.mul(g.mul(s, z), si) for z in rep_set}
+        assert groups.orbit_stabilizer_data(orbit.members, t, census) == tuple(
+            stabilizer_data(member, t, census) for member in orbit.members
+        )
+
+
+def test_tampered_pick_fails_the_orbit_check(monkeypatch):
+    # one pick's T_theta with a point swapped for one outside it: m is
+    # unchanged, and the comparison with the representative raises
+    g, t, census = _torus_census("gl2", 5, "diag", "elliptic")
+    orbit = next(
+        o
+        for o in census.t_orbits
+        if len(o.members) > 1
+        and len(o.representative.torus_fixed_points(t, True)) < len(t.elements)
+    )
+    picks = orbit.members[:2]
+    assert picks[0] == orbit.representative
+    groups.orbit_stabilizer_data(picks, t, census)
+    original = groups.Involution.torus_fixed_points
+
+    def tampered(self, torus, up_to_centre=False):
+        got = original(self, torus, up_to_centre)
+        if self == picks[1] and up_to_centre:
+            outside = next(x for x in torus.elements if x not in got)
+            got = (outside,) + got[1:]
+        return got
+
+    monkeypatch.setattr(groups.Involution, "torus_fixed_points", tampered)
+    with pytest.raises(ConsistencyError, match="differ in T_theta"):
+        groups.orbit_stabilizer_data(picks, t, census)
+
+
 # ---------------------------------------------------------------------------
 # the torus side from the factor points and the torus's generators
 
@@ -746,7 +886,7 @@ def test_torus_side_matches_the_all_points_filters(key):
         assert member.stabilizes(t) == all(t.contains(im) for _, im in images)
         assert member.torus_fixed_points(t) == tuple(x for x, im in images if im == x)
         assert member.torus_fixed_points(t, up_to_centre=True) == tuple(
-            x for x, im in images if g.is_central(g.mul(x, g.inv(im)))
+            x for x, im in images if _is_central(g, g.mul(x, g.inv(im)))
         )
 
 
@@ -805,6 +945,49 @@ def test_lie_fixed_space_dimensions():
     assert LieFixedSpace(named_involution(g, "transpose-inverse")).dimension == 1
     prod = MatrixGroup("gl2_x_gl2", 3)
     assert LieFixedSpace(named_involution(prod, "swap")).dimension == 4
+
+
+def _solve(a_rows, b, F):
+    """One solution x of A x = b by elimination of the augmented matrix."""
+    m, pivots = fq_rref([list(row) + [bv] for row, bv in zip(a_rows, b)], F)
+    n = len(a_rows[0])
+    assert n not in pivots
+    x = [0] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][n]
+    return x
+
+
+@pytest.mark.parametrize(
+    "kind, q, seed",
+    [("gl2", q, s) for q in (3, 5) for s in ("diag", "antidiag", "transpose-inverse")]
+    + [("gl2_x_gl2", q, "swap") for q in (3, 5)],
+)
+def test_matrix_of_ad_matches_solved_coordinates(kind, q, seed):
+    # the free-coordinate read equals the coordinates found by elimination,
+    # on G^theta and on the torus points theta fixes
+    g = MatrixGroup(kind, q)
+    th = named_involution(g, seed)
+    space = LieFixedSpace(th)
+    F = g.tower.base
+    basis_rows = [list(row) for row in zip(*space.vectors)]
+    points = fixed_subgroup(th)[::7] + th.torus_fixed_points(elliptic_torus(g))
+    for x in points:
+        xi = g.inv(x)
+        solved = [
+            _solve(basis_rows, groups._vec(g, g.mul(g.mul(x, groups._unvec(g, v)), xi)), F)
+            for v in space.vectors
+        ]
+        n = space.dimension
+        assert space.matrix_of_ad(x) == [[solved[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_matrix_of_ad_raises_off_the_fixed_space():
+    # a transvection moves the diagonal line diag(1, 0) off the diagonal
+    g = MatrixGroup("gl2", 3)
+    space = LieFixedSpace(named_involution(g, "diag"))
+    with pytest.raises(ConsistencyError, match="does not preserve the fixed space"):
+        space.matrix_of_ad(((1, 1), (0, 1)))
 
 
 def test_lie_fixed_det_values():

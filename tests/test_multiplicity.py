@@ -3,6 +3,7 @@ subgroup averages, and the grid of verified cells at small q."""
 
 import pytest
 
+from dlcusp import groups
 from dlcusp.dlchar import cuspidal_character
 from dlcusp.errors import ConfigError, MethodDisagreement, TheoremViolation
 from dlcusp.groups import MatrixGroup, elliptic_torus, named_involution, split_torus
@@ -192,6 +193,25 @@ def test_gl2_q7_spot_checks():
     assert verify_theorem(group, "diag", (6,)).lhs == 1
     assert verify_theorem(group, "diag", (4,)).lhs == 0
     assert verify_theorem(group, "transpose-inverse", (34,)).lhs == 1
+
+
+def test_cold_gl2_cell_filters_nothing(monkeypatch):
+    # past BRUTE_FORCE_Q the seed's stabilizers come from the census and no
+    # stabilizer filter runs; the literal check runs once per torus orbit
+    calls = {"_direct_stabilizers": 0, "_literal_product": 0}
+    for name in calls:
+        original = getattr(groups, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groups, name, counted)
+    group = MatrixGroup("gl2", 11)
+    torus = elliptic_torus(group)
+    verify_theorem(group, "diag", (7,), torus=torus)
+    n_orbits = len(census_for(group, torus, "diag").t_orbits)
+    assert calls == {"_direct_stabilizers": 0, "_literal_product": n_orbits}
 
 
 def test_rejects_degenerate_exponent():

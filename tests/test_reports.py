@@ -28,6 +28,9 @@ REPORTS = {
     "theorem_gl2_q11_e7.json": (
         "verify", "theorem", "--group", "gl2", "--q", "11", "--exponent", "7",
     ),
+    "theorem_gl2_q13_e12.json": (
+        "verify", "theorem", "--group", "gl2", "--q", "13", "--exponent", "12",
+    ),
     "epsilon_gl2_q3.json": ("verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "both"),
     "epsilon_gl2_x_gl2_q3.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3"),
     "phi_theta_gl2_q3.json": (
