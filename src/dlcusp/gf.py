@@ -8,10 +8,11 @@ by a brute-force discrete-log table for a fixed generator.  Everything stays
 small enough (q^d in the thousands) that exhaustive tables beat anything
 clever, and exhaustive tables cannot be silently wrong.
 
-Base-field scalars are carried as integer codes 0..q-1.  For prime q the
-code is the residue itself; for q = p^f it is the base-p digit encoding of
-the coefficient vector in the canonical modulus basis, so code arithmetic
-is table-driven.  The matrix layer works directly on these codes.
+Base-field scalars are carried as integer codes 0..q-1 with table-driven
+arithmetic.  For prime q the code is the residue itself.  For q = p^f with
+f > 1, F_q is built as the degree-f level over F_p, the same construction
+as every extension, and a code is the base-p value of its coefficient
+tuple, low degree first.  The matrix layer works directly on these codes.
 
 Every level keeps a discrete-log table (``powers`` and its inverse ``log``)
 for a fixed generator of its multiplicative group.  Products, powers,
@@ -69,71 +70,17 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Z/p (digit tuples, low degree first)
-
-
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
-
-
-def _pmod(a, m, p):
-    """a mod m with m monic, over Z/p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1] % p
-        if lead:
-            for i in range(dm + 1):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - lead * m[i]) % p
-        a.pop()
-    return _ptrim(tuple(a))
-
-
-def _p_divisible(a, b, p):
-    """True if monic b divides a over Z/p."""
-    return not _pmod(a, b, p)
-
-
-def _p_irreducible(m, p):
-    """Trial division; fine for the tiny degrees used here."""
-    deg = len(m) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if _p_divisible(m, tail + (1,), p):
-                return False
-    return True
-
-
-def _canonical_irreducible_modp(p: int, deg: int) -> tuple[int, ...]:
-    for tail in itertools.product(range(p), repeat=deg):
-        m = tail + (1,)
-        if _p_irreducible(m, p):
-            return m
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
 # base field F_q on integer codes
 
 
 class _BaseField:
-    """F_q arithmetic on codes 0..q-1; q = p^f, base-p digit encoding."""
+    """F_q arithmetic on codes 0..q-1, q = p^f, read off addition and
+    multiplication tables.
+
+    F_p is arithmetic mod p.  For f > 1, F_q is the degree-f level over F_p
+    and a code is the base-p value of its coefficient tuple, low degree
+    first; the tables are filled from that level's operations.
+    """
 
     zero = 0
     one = 1
@@ -141,54 +88,20 @@ class _BaseField:
     def __init__(self, p: int, f: int):
         self.p = p
         self.f = f
-        self.q = p**f
+        self.q = q = p**f
         if f == 1:
             self.modulus = (0, 1)
+            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
         else:
-            self.modulus = _canonical_irreducible_modp(p, f)
-        q = self.q
-        self._mul = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self._add = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._add_inverse(a) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
-
-    def _digits(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.f):
-            out.append(code % self.p)
-            code //= self.p
-        return _ptrim(tuple(out))
-
-    def _code(self, digits) -> int:
-        c = 0
-        for d in reversed(digits):
-            c = c * self.p + d
-        return c
-
-    def _raw_add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        n = max(len(da), len(db))
-        da += (0,) * (n - len(da))
-        db += (0,) * (n - len(db))
-        return self._code(tuple((x + y) % self.p for x, y in zip(da, db)))
-
-    def _raw_mul(self, a, b):
-        if self.f == 1:
-            return (a * b) % self.p
-        prod = _pmul(self._digits(a), self._digits(b), self.p)
-        return self._code(_pmod(prod, self.modulus, self.p))
-
-    def _add_inverse(self, a):
-        if self.f == 1:
-            return (-a) % self.p
-        return self._code(tuple((-d) % self.p for d in self._digits(a)))
+            level = _Level(_BaseField(p, 1), f)
+            self.modulus = level.modulus
+            digits = [tuple(c // p**i % p for i in range(f)) for c in range(q)]
+            code = {d: c for c, d in enumerate(digits)}
+            self._add = [[code[level.add(x, y)] for y in digits] for x in digits]
+            self._mul = [[code[level.mul(x, y)] for y in digits] for x in digits]
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a, b):
         return self._add[a][b]
@@ -261,10 +174,6 @@ class _Level:
     def neg(self, xs):
         b = self.base
         return tuple(b.neg(x) for x in xs)
-
-    def scale(self, c, xs):
-        b = self.base
-        return tuple(b.mul(c, x) for x in xs)
 
     # -- multiplicative operations, read off the log table -------------------
 
@@ -506,7 +415,7 @@ class FieldTower:
     # -- element constructors ------------------------------------------------
 
     def element(self, level: int, coeffs) -> FieldElement:
-        lv = self._lv(level)
+        self._lv(level)  # refuses a level outside the tower
         cs = tuple(int(c) for c in coeffs)
         if len(cs) != level:
             raise ValueError(f"need {level} coefficients, got {len(cs)}")
@@ -536,7 +445,7 @@ class FieldTower:
             code = int(x)
             if not 0 <= code < self.q:
                 raise ValueError("base code out of range")
-        lv = self._lv(level)
+        self._lv(level)  # refuses a level outside the tower
         return FieldElement(self, level, (code,) + (0,) * (level - 1))
 
     def element_ops(self, level: int) -> _ElementOps:

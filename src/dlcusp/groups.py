@@ -41,7 +41,6 @@ __all__ = [
     "elliptic_torus",
     "named_involution",
     "involution_orbit",
-    "fixed_subgroup",
     "stabilizer_data",
     "orbit_stabilizer_data",
     "lie_fixed_det",
@@ -283,7 +282,7 @@ class MatrixGroup:
         t = self.tower
         basis = [t.base.embed_int(1)]
         # the base multiplicative generator's powers give an F_p-basis for q = p^f
-        gamma = self._base_unit_generator()
+        gamma = t.generator(1).coeffs[0]
         for i in range(1, t.f):
             basis.append(t.base.mul(basis[-1], gamma))
         gens = []
@@ -292,17 +291,6 @@ class MatrixGroup:
             gens.append(((1, 0), (b, 1)))
         gens.append(((gamma, 0), (0, 1)))
         return tuple(gens)
-
-    def _base_unit_generator(self) -> int:
-        n = self.q - 1
-        for c in range(2, self.q):
-            x, k = c, 1
-            while x != 1:
-                x = self.tower.base.mul(x, c)
-                k += 1
-            if k == n:
-                return c
-        raise ConsistencyError("no multiplicative generator found")
 
     def generators(self):
         """The gl2 generators placed in each factor in turn."""
@@ -342,11 +330,6 @@ class TorusCharacterOnT:
         logs = self.torus.log_coords(t)
         return sum(k * c for k, c in zip(self.exponents, logs)) % self.modulus
 
-    def value(self, t) -> complex:
-        import cmath
-
-        return cmath.exp(2j * math.pi * self.log_value(t) / self.modulus)
-
     def factor_exponents(self):
         """One collapsed exponent per elliptic factor."""
         if self.torus.kind != "elliptic":
@@ -364,9 +347,6 @@ class TorusCharacterOnT:
     def frobenius_partner(self) -> "TorusCharacterOnT":
         q = self.torus.group.q
         return TorusCharacterOnT(self.torus, tuple(k * q for k in self.exponents))
-
-    def inverse(self) -> "TorusCharacterOnT":
-        return TorusCharacterOnT(self.torus, tuple(-k for k in self.exponents))
 
 
 # the aligned root datum of each (group kind, torus kind) that is wired
@@ -387,9 +367,11 @@ class TorusEmbedding:
     nonsquare.  Root vectors of the aligned twisted root datum are evaluated
     against these coordinates, one coordinate per lattice basis vector.
 
-    ``points`` is one factor's torus, and ``generators`` generate the whole
-    torus: one factor generator at a time in one factor, the identity in
-    the others.  Their closure is certified to be the torus at construction.
+    ``points`` is one factor's torus, ``canonical`` maps each point to its
+    canonical form modulo central scaling, and ``generators`` generate the
+    whole torus: one factor generator at a time in one factor, the identity
+    in the others.  Their closure is certified to be the torus at
+    construction.
     """
 
     def __init__(self, group: MatrixGroup, kind: str):
@@ -418,6 +400,7 @@ class TorusEmbedding:
                 f"{kind} torus of GL2 has {len(points)} points, not {expected}"
             )
         self.points = points
+        self.canonical = {p: _canonical_witness(t.base, p) for p in points}
         self.elements = tuple(
             map(group.join, itertools.product(points, repeat=group.n_factors))
         )
@@ -444,7 +427,7 @@ class TorusEmbedding:
         the split torus, the point with the eigenvalue generator(2) for the
         cyclic elliptic one."""
         if self.kind == "split":
-            gamma = self.group._base_unit_generator()
+            gamma = self.group.tower.generator(1).coeffs[0]
             return (((gamma, 0), (0, 1)), ((1, 0), (0, gamma)))
         u = self.group.tower.generator(2)
         return (next(p for p in self.points if self._factor_coords(p)[0] == u),)
@@ -630,34 +613,45 @@ class Involution:
         """Whether theta(T) lies in T, which theta of T's generators decides."""
         return all(torus.contains(self.apply(s)) for s in torus.generators)
 
-    def torus_fixed_points(self, torus: TorusEmbedding, up_to_centre: bool = False):
-        """The torus points x with theta(x) = x, in torus.elements order.
+    def torus_side(self, torus: TorusEmbedding):
+        """(T_theta, the fixed points) of a torus, both in torus.elements order.
 
-        With up_to_centre, those with x theta(x)^-1 central instead (T_theta):
-        each factor of x is then a scalar multiple of the same factor of
+        T_theta holds the torus points x with x theta(x)^-1 central: each
+        factor of x is then a scalar multiple of the same factor of
         theta(x), which is equality of their canonical forms.  Factor k of
         theta(x) is factor s(k) of x (s the swap or the identity) under the
         k-th witness, so theta is tabulated on the N factor points once per
         factor, n N applications in place of N^n.
         """
-        pts = torus.points
-        if up_to_centre:
-            key = partial(_canonical_witness, self.group.tower.base)
-        else:
-            key = lambda m: m
-        act = partial(_act, self.group.tower.base, self._outer)
-        own = {p: key(p) for p in pts}
+        F = self.group.tower.base
+        pts, canonical = torus.points, torus.canonical
+        act = partial(_act, F, self._outer)
         witnesses = tuple(zip(*self._factor_witnesses))
         if not self._swaps:
-            per = [[p for p in pts if own[p] == key(act(a, ai, p))] for a, ai in witnesses]
-            return tuple(map(self.group.join, itertools.product(*per)))
+            t_theta, fixed = [], []
+            for a, ai in witnesses:
+                images = [act(a, ai, p) for p in pts]
+                t_theta.append(
+                    [p for p, im in zip(pts, images) if canonical[p] == _canonical_witness(F, im)]
+                )
+                fixed.append([p for p, im in zip(pts, images) if im == p])
+            join = self.group.join
+            return (
+                tuple(map(join, itertools.product(*t_theta))),
+                tuple(map(join, itertools.product(*fixed))),
+            )
         # theta(x0, x1) = (a x1 a^-1, a^-1 x0 a): x0 ~ a x1 a^-1 implies
         # x1 ~ a^-1 x0 a, so the first factor decides
         a, ai = witnesses[0]
-        partners = {}
+        by_image, by_form = {}, {}
         for p in pts:
-            partners.setdefault(key(act(a, ai, p)), []).append(p)
-        return tuple((x0, x1) for x0 in pts for x1 in partners.get(own[x0], ()))
+            im = act(a, ai, p)
+            by_image.setdefault(im, []).append(p)
+            by_form.setdefault(_canonical_witness(F, im), []).append(p)
+        return (
+            tuple((x0, x1) for x0 in pts for x1 in by_form.get(canonical[x0], ())),
+            tuple((x0, x1) for x0 in pts for x1 in by_image.get(x0, ())),
+        )
 
     def __eq__(self, other):
         return isinstance(other, Involution) and self._key == other._key
@@ -843,11 +837,6 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     return OrbitCensus(theta0, tuple(members), tuple(t_orbits), transporters)
 
 
-def fixed_subgroup(theta: Involution):
-    """G^theta(F_q) as an explicit element tuple."""
-    return _direct_stabilizers(theta)[1]
-
-
 @dataclass(frozen=True)
 class StabilizerData:
     g_theta_order: int
@@ -953,8 +942,7 @@ def _stabilizer_sides(theta: Involution, torus: TorusEmbedding, census: OrbitCen
     """
     g_theta_order, g_fixed = census.seed_stabilizers
     x = census.transporter(theta)
-    t_theta = theta.torus_fixed_points(torus, up_to_centre=True)
-    fixed_in_t = theta.torus_fixed_points(torus)
+    t_theta, fixed_in_t = theta.torus_side(torus)
     if len(fixed_in_t) == 0:
         raise ConsistencyError("identity missing from G^theta intersect T_theta")
     m, rem = divmod(g_theta_order * len(fixed_in_t), len(g_fixed) * len(t_theta))

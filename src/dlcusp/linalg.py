@@ -8,10 +8,15 @@ floating point anywhere in this module.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from types import SimpleNamespace
 
 # ---------------------------------------------------------------------------
 # integer / rational matrices
+
+# the field operations fq_rref needs, over Q
+_RATIONALS = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda x: 1 / Fraction(x))
 
 
 def int_identity(n: int) -> list[list[int]]:
@@ -71,26 +76,7 @@ def int_mat_inverse(a):
 
 def rational_rank(rows) -> int:
     """Rank over Q of an integer (or Fraction) matrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    return len(fq_rref(rows, _RATIONALS)[1])
 
 
 def int_matrix_order(a, cap: int = 64) -> int:

@@ -73,7 +73,7 @@ def epsilon_character(theta: Involution, torus: TorusEmbedding) -> EpsilonCharac
     """
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize this torus")
-    domain = theta.torus_fixed_points(torus)
+    domain = theta.torus_side(torus)[1]
     space = LieFixedSpace(theta)
     shadow = derived_theta_star(theta, torus)
     datum = torus.datum
@@ -132,8 +132,9 @@ class _OrbitEntry:
 
     Each sampled member's stabilizer side is read off the census seed and
     the member's own theta (orbit_stabilizer_data: the literal product
-    check runs on the representative); m is computed per member and must
-    agree across the orbit.
+    check runs on the representative).  Every pick's T_theta and fixed
+    torus points equal the representative's there, and m is a function of
+    those sets and the seed's orders, so m is the representative's.
     """
 
     def __init__(self, orbit, census: OrbitCensus, torus):
@@ -146,12 +147,7 @@ class _OrbitEntry:
             for i in (1, len(members) // 2, len(members) - 1):
                 if members[i] not in picks:
                     picks.append(members[i])
-        ms = {data.m for data in orbit_stabilizer_data(picks, torus, census)}
-        if len(ms) != 1:
-            raise ConsistencyError(
-                "orbit index m is not constant on a torus orbit", detail=sorted(ms)
-            )
-        self.m = ms.pop()
+        self.m = orbit_stabilizer_data(picks, torus, census)[0].m
         self.eps = (
             [epsilon_character(th, torus) for th in picks] if orbit.stable else None
         )

@@ -1,6 +1,7 @@
 """Exact linear algebra tests: integer matrices and base-field code matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,14 @@ def test_rational_rank_fixed_spaces():
     minus = [[-1, 0], [0, -1]]
     assert rational_rank(sub(minus, ident)) == 2
     assert rational_rank([[2, 4], [1, 2]]) == 1
+
+
+def test_rational_rank_integer_and_fraction_matrices():
+    # row 3 = row 1 + row 2, so the rank is 2 over Q
+    assert rational_rank([[1, 2, 3], [4, 5, 6], [5, 7, 9]]) == 2
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert rational_rank([[half, third], [3 * half, 1]]) == 1
+    assert rational_rank([[half, third], [third, half]]) == 2
 
 
 def test_int_matrix_order():

@@ -31,7 +31,11 @@ REPORTS = {
     "theorem_gl2_q13_e12.json": (
         "verify", "theorem", "--group", "gl2", "--q", "13", "--exponent", "12",
     ),
+    "theorem_gl2_q9_e8.json": (
+        "verify", "theorem", "--group", "gl2", "--q", "9", "--exponent", "8",
+    ),
     "epsilon_gl2_q3.json": ("verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "both"),
+    "epsilon_gl2_q9.json": ("verify", "epsilon", "--group", "gl2", "--q", "9", "--torus", "both"),
     "epsilon_gl2_x_gl2_q3.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3"),
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
