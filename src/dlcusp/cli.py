@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from . import __version__
 from .dlchar import general_position_exponents
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
-from .groups import (
-    MatrixGroup,
-    elliptic_torus,
-    phi_theta_certified,
-    split_torus,
-)
+from .groups import TORUS_DATA, MatrixGroup, TorusEmbedding, phi_theta_certified
 from .multiplicity import census_for, epsilon_character, verify_theorem
 from .rootdata import (
     datum_involutions,
@@ -98,8 +93,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, (int, float, str, bool)) or x is None:
         return x
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     return str(x)
 
 
@@ -142,12 +135,13 @@ def _emit(config: RunConfig, results, failures) -> None:
 
 
 def _fail_exit(config, failures) -> int:
-    # without --out the report (which embeds the failures) is already on stdout
+    # without --out a JSON report, which embeds the failures, is already on
+    # stdout; a CSV report there does not, and stdout stays one CSV stream
+    text = json.dumps({"failures": _jsonable(failures)}, indent=2, sort_keys=True) + "\n"
     if config is None or config.out:
-        sys.stdout.write(
-            json.dumps({"failures": _jsonable(failures)}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        sys.stdout.write(text)
+    elif config.fmt == "csv":
+        sys.stderr.write(text)
     return 1
 
 
@@ -214,11 +208,9 @@ def _tori(config: RunConfig, group: MatrixGroup):
     explicitly that is not wired for the group is refused by TorusEmbedding."""
     if config.torus != "both":
         kinds = (config.torus,)
-    elif group.kind == "gl2_x_gl2":
-        kinds = ("elliptic",)
     else:
-        kinds = ("split", "elliptic")
-    return [split_torus(group) if k == "split" else elliptic_torus(group) for k in kinds]
+        kinds = [torus for kind, torus in TORUS_DATA if kind == group.kind]
+    return [TorusEmbedding(group, k) for k in kinds]
 
 
 def _stable_orbit_cells(config: RunConfig, certify) -> int:
@@ -497,6 +489,13 @@ def _config_from(ns) -> RunConfig:
         raise ConfigError("theorem runs use the elliptic torus; --torus split is refused")
     if config.twists < 0:
         raise ConfigError(f"--twists must be nonnegative, got {config.twists}")
+    if config.out:
+        # refused before any cell runs: the report is written after the last
+        if os.path.isdir(config.out):
+            raise ConfigError(f"--out {config.out} is a directory")
+        directory = os.path.dirname(os.path.abspath(config.out))
+        if not os.path.isdir(directory):
+            raise ConfigError(f"--out {config.out}: no directory {directory}")
     return config
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -55,19 +54,8 @@ Q_BOUND = {"gl2": 13, "gl2_x_gl2": 7}
 # up to this q, results read off a shortcut are also computed directly
 BRUTE_FORCE_Q = 9
 
-# census and materialization guards; DL_DISTINCT_BOUND overrides both
+# the census guard: larger involution orbits are refused
 ORBIT_CAP = 100_000
-MATERIALIZE_CAP = 250_000
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("DL_DISTINCT_BOUND")
-    if env is None:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"DL_DISTINCT_BOUND must be an integer, got {env!r}") from None
 
 
 def _closure(start, gens, step) -> set:
@@ -184,7 +172,6 @@ class MatrixGroup:
         self.n_factors = n_factors
         self.gl2_order = (q * q - 1) * (q * q - q)
         self.order = self.gl2_order**n_factors
-        self._elements = None
         self._gl2_elements = None
         self._mul2 = partial(_m_mul, tower.base)
         if n_factors == 1:
@@ -213,9 +200,6 @@ class MatrixGroup:
 
     def identity(self):
         return self.scalar(1)
-
-    def det(self, x):
-        return self.join(tuple(_m_det(self.tower.base, m) for m in self.split(x)))
 
     def contains(self, x) -> bool:
         try:
@@ -261,21 +245,6 @@ class MatrixGroup:
                 )
             self._gl2_elements = tuple(out)
         return self._gl2_elements
-
-    def elements(self):
-        """All elements, lexicographic on entries."""
-        if self._elements is None:
-            cap = _cap(MATERIALIZE_CAP)
-            if self.order > cap:
-                raise ResourceBoundError(
-                    f"materializing {self.order} elements exceeds the cap {cap}",
-                    required=self.order,
-                )
-            base = self.factor.gl2_elements()
-            self._elements = tuple(
-                map(self.join, itertools.product(base, repeat=self.n_factors))
-            )
-        return self._elements
 
     def gl2_generators(self):
         """Transvections over a p-basis plus one determinant generator."""
@@ -350,7 +319,7 @@ class TorusCharacterOnT:
 
 
 # the aligned root datum of each (group kind, torus kind) that is wired
-_TORUS_DATA = {
+TORUS_DATA = {
     ("gl2", "split"): "gl2_split",
     ("gl2", "elliptic"): "gl2_elliptic",
     ("gl2_x_gl2", "elliptic"): "gl2xgl2_elliptic",
@@ -377,11 +346,11 @@ class TorusEmbedding:
     def __init__(self, group: MatrixGroup, kind: str):
         if kind not in ("split", "elliptic"):
             raise ConfigError(f"unknown torus kind {kind!r}")
-        if (group.kind, kind) not in _TORUS_DATA:
+        if (group.kind, kind) not in TORUS_DATA:
             raise ConfigError("only the elliptic torus is wired for the product group")
         self.group = group
         self.kind = kind
-        self.datum_name = _TORUS_DATA[group.kind, kind]
+        self.datum_name = TORUS_DATA[group.kind, kind]
         self.coord_count = 2 * group.n_factors
         t = group.tower
         q = group.q
@@ -796,7 +765,6 @@ class OrbitCensus:
 def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     """Full conjugation orbit of theta0, partitioned into torus orbits."""
     group = theta0.group
-    cap = _cap(ORBIT_CAP)
     gens = group.generators()
     # th = Int(x) theta0 Int(x)^-1, so th.conjugated(g) is reached by g x
     transporters = {theta0: group.identity()}
@@ -809,9 +777,9 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
                 if im not in transporters:
                     transporters[im] = group.mul(g, transporters[th])
                     nxt.append(im)
-                    if len(transporters) > cap:
+                    if len(transporters) > ORBIT_CAP:
                         raise ResourceBoundError(
-                            f"involution orbit exceeds the cap {cap}",
+                            f"involution orbit exceeds the cap {ORBIT_CAP}",
                             required=len(transporters),
                         )
         frontier = nxt
@@ -959,18 +927,16 @@ def _stabilizer_sides(theta: Involution, torus: TorusEmbedding, census: OrbitCen
 
 
 def stabilizer_data(
-    theta: Involution, torus: TorusEmbedding, census: OrbitCensus | None = None
+    theta: Involution, torus: TorusEmbedding, census: OrbitCensus
 ) -> StabilizerData:
     """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
 
-    census: an orbit census holding theta; without one, theta's own census
-    is built.  The literal product G^theta T_theta = x (G^seed x^-1 T_theta
-    x) x^-1, for theta's transporter x, is formed from the seed's G^theta
-    and T_theta conjugated by x^-1, and must have |G_theta| / m elements.
+    census: an orbit census holding theta.  The literal product
+    G^theta T_theta = x (G^seed x^-1 T_theta x) x^-1, for theta's
+    transporter x, is formed from the seed's G^theta and T_theta conjugated
+    by x^-1, and must have |G_theta| / m elements.
     """
     group = theta.group
-    if census is None:
-        census = involution_orbit(theta, torus)
     x, data = _stabilizer_sides(theta, torus, census)
     xi = group.inv(x)
     conjugated = [group.mul(group.mul(xi, y), x) for y in data.t_theta]
@@ -1077,10 +1043,8 @@ class LieFixedSpace:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def lie_fixed_det(theta: Involution, g, space: LieFixedSpace | None = None) -> int:
+def lie_fixed_det(theta: Involution, g, space: LieFixedSpace) -> int:
     """det(Ad(g)) on the theta-fixed Lie subalgebra, certified to be a sign."""
-    if space is None:
-        space = LieFixedSpace(theta)
     F = theta.group.tower.base
     if space.dimension == 0:
         return 1

@@ -14,7 +14,7 @@ import operator
 import time
 from dataclasses import dataclass
 
-from .dlchar import TOL, cuspidal_character, general_position_exponents
+from .dlchar import TOL, cuspidal_character
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
 from .groups import (
     Involution,
@@ -37,13 +37,13 @@ __all__ = [
     "epsilon_character",
     "character_matches_epsilon",
     "OrbitReport",
+    "orbit_entries",
     "rhs_orbit_sum",
     "lhs_multiplicity",
     "ProductCuspidal",
     "TheoremResult",
     "verify_theorem",
     "census_for",
-    "distinction_grid",
 ]
 
 
@@ -153,22 +153,16 @@ class _OrbitEntry:
         )
 
 
-def _analyze(census: OrbitCensus, torus: TorusEmbedding):
-    cache = getattr(torus, "_census_analysis", None)
-    if cache is None:
-        cache = {}
-        torus._census_analysis = cache
-    key = census.seed._key
-    got = cache.get(key)
-    if got is None:
-        got = [_OrbitEntry(o, census, torus) for o in census.t_orbits]
-        cache[key] = got
-    return got
+def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
+    """One _OrbitEntry per torus orbit of the census, in census order."""
+    return [_OrbitEntry(o, census, torus) for o in census.t_orbits]
 
 
-def rhs_orbit_sum(census: OrbitCensus, lam: TorusCharacterOnT, torus: TorusEmbedding):
-    """Sum of orbit indices over matching stable orbits, with full reports."""
-    entries = _analyze(census, torus)
+def rhs_orbit_sum(entries, lam: TorusCharacterOnT):
+    """Sum of orbit indices over matching stable orbits, with full reports.
+
+    entries: orbit_entries of the census, shared by every lambda of a cell.
+    """
     total = 0
     reports = []
     for entry in entries:
@@ -262,15 +256,8 @@ class TheoremResult:
 
 
 def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCensus:
-    cache = getattr(torus, "_census_cache", None)
-    if cache is None:
-        cache = {}
-        torus._census_cache = cache
-    got = cache.get(seed)
-    if got is None:
-        got = involution_orbit(named_involution(group, seed), torus)
-        cache[seed] = got
-    return got
+    """The class of the named seed, partitioned into torus orbits."""
+    return involution_orbit(named_involution(group, seed), torus)
 
 
 def _lambda_on(torus: TorusEmbedding, exponents) -> TorusCharacterOnT:
@@ -284,12 +271,7 @@ def _chi_for(group: MatrixGroup, exponents) -> ProductCuspidal:
     )
 
 
-def verify_theorem(
-    group: MatrixGroup,
-    seed: str,
-    exponents,
-    torus: TorusEmbedding | None = None,
-) -> TheoremResult:
+def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     """Check lhs == rhs for one involution class and one inducing character.
 
     exponents: (k,) for gl2, (k1, k2) for the product group; each component
@@ -298,19 +280,19 @@ def verify_theorem(
     """
     t0 = time.perf_counter()
     exponents = tuple(exponents)
-    if torus is None:
-        torus = elliptic_torus(group)
+    torus = elliptic_torus(group)
     lam = _lambda_on(torus, exponents)
     if not lam.is_general_position():
         raise ConfigError(f"exponents {exponents} are not in general position")
     chi = _chi_for(group, exponents)
     census = census_for(group, torus, seed)
     lhs = lhs_multiplicity(census, chi)
-    rhs, reports = rhs_orbit_sum(census, lam, torus)
+    entries = orbit_entries(census, torus)
+    rhs, reports = rhs_orbit_sum(entries, lam)
 
     # the right side may not depend on the Frobenius representative
     partner = lam.frobenius_partner()
-    rhs_partner, reports_partner = rhs_orbit_sum(census, partner, torus)
+    rhs_partner, reports_partner = rhs_orbit_sum(entries, partner)
     if rhs_partner != rhs or [r.matching for r in reports_partner] != [
         r.matching for r in reports
     ]:
@@ -347,37 +329,3 @@ def verify_theorem(
             detail=result,
         )
     return result
-
-
-def distinction_grid(group: MatrixGroup):
-    """The swap-distinction grid of the product group at one q.
-
-    Cell (i, j) pairs the i-th cuspidal character with the inverse of the
-    j-th (both indexed by sorted Frobenius pair representatives) against
-    the swap involution class.  Returns (pair representatives, matrix of
-    TheoremResult).  Each multiplicity is cross-checked against the exact
-    character inner product of the two factors.
-    """
-    if group.kind != "gl2_x_gl2":
-        raise ConfigError("the distinction grid needs the product group")
-    view = group.factor
-    pairs = general_position_exponents(view)
-    reps = [k for k, _ in pairs]
-    torus = elliptic_torus(group)
-    n = group.tower.order(2)
-    grid = []
-    for ki in reps:
-        row = []
-        for kj in reps:
-            res = verify_theorem(group, "swap", (ki, (-kj) % n), torus=torus)
-            chi_i = cuspidal_character(view, ki)
-            chi_j = cuspidal_character(view, kj)
-            ip = chi_i.chi.inner(chi_j.chi)
-            if abs(ip - res.lhs) > TOL:
-                raise ConsistencyError(
-                    "grid multiplicity differs from the character inner product",
-                    detail=(ki, kj, res.lhs, ip),
-                )
-            row.append(res)
-        grid.append(row)
-    return tuple(reps), tuple(tuple(r) for r in grid)

@@ -20,7 +20,6 @@ from dlcusp.groups import (
 )
 from dlcusp.multiplicity import (
     census_for,
-    distinction_grid,
     epsilon_character,
     lhs_multiplicity,
     verify_theorem,
@@ -201,9 +200,23 @@ def test_criterion_6_main_identity_full_grid():
 
 def test_criterion_7_product_swap_inner_product():
     t0 = time.perf_counter()
+    # cell (i, j) pairs the i-th cuspidal character with the inverse of the
+    # j-th, both indexed by the Frobenius pair representatives; its
+    # multiplicity must be the character inner product of the two factors
     group = MatrixGroup("gl2_x_gl2", 3)
-    reps, grid = distinction_grid(group)
+    view = group.factor
+    reps = tuple(k for k, _ in general_position_exponents(view))
     assert reps == (1, 2, 5)
+    n = group.tower.order(2)
+    grid = []
+    for ki in reps:
+        row = []
+        for kj in reps:
+            res = verify_theorem(group, "swap", (ki, -kj % n))
+            ip = cuspidal_character(view, ki).chi.inner(cuspidal_character(view, kj).chi)
+            assert abs(ip - res.lhs) < 1e-6
+            row.append(res)
+        grid.append(row)
     for i in range(3):
         for j in range(3):
             assert grid[i][j].lhs == grid[i][j].rhs == (1 if i == j else 0)

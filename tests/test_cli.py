@@ -9,8 +9,9 @@ import re
 
 import pytest
 
-from dlcusp import __version__
+from dlcusp import __version__, groups
 from dlcusp.cli import CSV_COLUMNS, main
+from dlcusp.errors import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +196,27 @@ def test_failure_with_out_writes_both(tmp_path, capsys, monkeypatch):
     assert stdout_doc["failures"]  # counterexample echoed to stdout
 
 
+def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
+    # a CSV report does not embed its failures: stdout stays one CSV
+    # stream, and the counterexample document goes to stderr
+    def forced(census, chi):
+        raise ConsistencyError("forced failure")
+
+    monkeypatch.setattr("dlcusp.multiplicity.lhs_multiplicity", forced)
+    code, out, err = run_cli(
+        capsys,
+        "table", "--group", "gl2", "--q", "3", "--exponent", "2",
+        "--involution", "diag", "--format", "csv",
+    )
+    assert code == 1
+    assert csv_rows(out) == []
+    failures = json.loads(err)["failures"]
+    assert [
+        (f["group"], f["q"], f["involution_seed"], f["lambda_exponent"], f["message"])
+        for f in failures
+    ] == [("gl2", 3, "diag", "2", "forced failure")]
+
+
 # -- exit 2: configuration errors --------------------------------------------
 
 
@@ -222,6 +244,21 @@ def test_config_errors(capsys, argv):
     assert code == 2
     assert "configuration error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("directory", (False, True))
+def test_unusable_out_is_a_config_error(tmp_path, capsys, directory):
+    # refused before any cell runs, with nothing written
+    target = tmp_path / "r.json" if directory else tmp_path / "missing" / "r.json"
+    if directory:
+        target.mkdir()
+    code, out, err = run_cli(
+        capsys, "verify", "theorem", "--group", "gl2", "--q", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert "configuration error" in err
+    assert out == ""
+    assert list(tmp_path.rglob("*")) == ([target] if directory else [])
 
 
 @pytest.mark.parametrize(
@@ -267,7 +304,7 @@ def test_bad_datum_file_is_a_config_error(tmp_path, capsys, command, text):
 
 
 def test_resource_bound(monkeypatch, capsys):
-    monkeypatch.setenv("DL_DISTINCT_BOUND", "4")
+    monkeypatch.setattr(groups, "ORBIT_CAP", 4)
     code, out, err = run_cli(
         capsys,
         "verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "elliptic",

@@ -6,6 +6,7 @@ orbit sizes are index computations in GL2, and the outer censuses count
 symmetric witnesses with square determinant modulo scaling.
 """
 
+import itertools
 import random
 
 import pytest
@@ -35,6 +36,18 @@ def _is_central(g, x):
     return all(map(groups._m_is_scalar, g.split(x)))
 
 
+def _elements(g):
+    """All elements of g, lexicographic on entries."""
+    return tuple(
+        map(g.join, itertools.product(g.factor.gl2_elements(), repeat=g.n_factors))
+    )
+
+
+def _det(g, m):
+    """The determinant code of a gl2 matrix."""
+    return groups._m_det(g.tower.base, m)
+
+
 def test_group_orders():
     assert MatrixGroup("gl2", 3).order == 48
     assert MatrixGroup("gl2", 5).order == 480
@@ -56,7 +69,7 @@ def test_group_validation():
 
 def test_enumeration_is_lex_and_complete():
     g = MatrixGroup("gl2", 3)
-    els = g.elements()
+    els = _elements(g)
     assert len(els) == 48
     assert len(set(els)) == 48
     assert list(els) == sorted(els)
@@ -66,7 +79,7 @@ def test_enumeration_is_lex_and_complete():
 
 def test_group_arithmetic_exhaustive_q3():
     g = MatrixGroup("gl2", 3)
-    els = g.elements()
+    els = _elements(g)
     ident = g.identity()
     for x in els:
         assert g.mul(x, g.inv(x)) == ident
@@ -74,7 +87,7 @@ def test_group_arithmetic_exhaustive_q3():
     for _ in range(300):
         x, y, z = (rng.choice(els) for _ in range(3))
         assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
-        assert g.det(g.mul(x, y)) == g.tower.base.mul(g.det(x), g.det(y))
+        assert _det(g, g.mul(x, y)) == g.tower.base.mul(_det(g, x), _det(g, y))
 
 
 def test_generators_generate():
@@ -107,18 +120,10 @@ def test_center():
 
 def test_product_elements_and_membership():
     g = MatrixGroup("gl2_x_gl2", 3)
-    els = g.elements()
+    els = _elements(g)
     assert len(els) == 2304
     assert g.contains(els[17])
     assert not g.contains(els[17][0])
-
-
-def test_materialize_cap(monkeypatch):
-    monkeypatch.setenv("DL_DISTINCT_BOUND", "100")
-    g = MatrixGroup("gl2", 5)
-    with pytest.raises(ResourceBoundError) as e:
-        g.elements()
-    assert e.value.required == 480
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,7 @@ def test_elliptic_coords_are_eigenvalues():
         assert k2 == (5 * k1) % n
         # the characteristic polynomial of x vanishes at u
         tr = tw.embed(tw.base.add(x[0][0], x[1][1]), 2)
-        det = tw.embed(g.det(x), 2)
+        det = tw.embed(_det(g, x), 2)
         assert u * u - tr * u + det == tw.zero(2)
 
 
@@ -298,7 +303,7 @@ def test_involution_is_an_automorphism_exhaustive():
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "diag")
     tinv = named_involution(g, "transpose-inverse")
-    els = g.elements()
+    els = _elements(g)
     for x in els:
         assert th.apply(th.apply(x)) == x
         assert tinv.apply(tinv.apply(x)) == x
@@ -317,14 +322,14 @@ def test_swap_involution_exchanges_factors():
     assert th.apply(th.apply(x)) == x
     rng = random.Random(1)
     for _ in range(200):
-        a, b = rng.choice(g.elements()), rng.choice(g.elements())
+        a, b = rng.choice(_elements(g)), rng.choice(_elements(g))
         assert th.apply(g.mul(a, b)) == g.mul(th.apply(a), th.apply(b))
 
 
 def test_conjugation_is_an_action():
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "antidiag")
-    els = g.elements()
+    els = _elements(g)
     rng = random.Random(4)
     for _ in range(100):
         x, y = rng.choice(els), rng.choice(els)
@@ -338,10 +343,10 @@ def test_conjugated_matches_composition():
     g = MatrixGroup("gl2", 3)
     for seed in ("diag", "transpose-inverse"):
         th = named_involution(g, seed)
-        for x in g.elements()[:12]:
+        for x in _elements(g)[:12]:
             conj = th.conjugated(x)
             xi = g.inv(x)
-            for y in g.elements():
+            for y in _elements(g):
                 assert conj.apply(y) == g.mul(
                     x, g.mul(th.apply(g.mul(xi, g.mul(y, x))), xi)
                 )
@@ -352,7 +357,7 @@ def test_apply_ext_extends_apply():
     tw = g.tower
     for seed in ("diag", "antidiag", "transpose-inverse"):
         th = named_involution(g, seed)
-        for m in g.elements()[:20]:
+        for m in _elements(g)[:20]:
             lifted = tuple(tuple(tw.embed(v, 2) for v in row) for row in m)
             image = th.apply_ext(lifted, 2)
             expected = tuple(
@@ -455,7 +460,7 @@ def test_torus_orbit_shapes(key):
 
 
 def test_census_cap(monkeypatch):
-    monkeypatch.setenv("DL_DISTINCT_BOUND", "4")
+    monkeypatch.setattr(groups, "ORBIT_CAP", 4)
     g = MatrixGroup("gl2", 3)
     with pytest.raises(ResourceBoundError):
         involution_orbit(named_involution(g, "diag"), split_torus(g))
@@ -501,7 +506,7 @@ def test_fixed_subgroup_swap_closed_form():
     th = named_involution(g, "swap")
     fixed = groups._direct_stabilizers(th)[1]
     assert len(fixed) == 48
-    brute = [x for x in g.elements() if th.apply(x) == x]
+    brute = [x for x in _elements(g) if th.apply(x) == x]
     assert sorted(fixed) == sorted(brute)
 
 
@@ -513,7 +518,7 @@ def test_stabilizer_orbit_theorem():
         for seed in ("diag", "transpose-inverse"):
             th = named_involution(g, seed)
             census = involution_orbit(th, t)
-            data = stabilizer_data(th, t)
+            data = stabilizer_data(th, t, census)
             assert len(census.all_members) * data.g_theta_order == g.order
 
 
@@ -521,10 +526,10 @@ def test_stabilizer_data_swap_against_brute_force():
     g = MatrixGroup("gl2_x_gl2", 3)
     th = named_involution(g, "swap")
     t = elliptic_torus(g)
-    data = stabilizer_data(th, t)
+    data = stabilizer_data(th, t, involution_orbit(th, t))
     brute = [
         x
-        for x in g.elements()
+        for x in _elements(g)
         if _is_central(g, g.mul(x, g.inv(th.apply(x))))
     ]
     assert data.g_theta_order == len(brute) == 48 * 2
@@ -553,7 +558,7 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
             census = involution_orbit(named_involution(g, seed), torus)
             for orbit in census.t_orbits:
                 if orbit.stable:
-                    data = stabilizer_data(orbit.representative, torus)
+                    data = stabilizer_data(orbit.representative, torus, census)
                     seen[(torus.kind, seed, orbit.representative.witness)] = data.m
                     assert set(data.fixed_in_t_theta) <= set(data.t_theta)
     assert seen == expected
@@ -568,11 +573,11 @@ def test_literal_product_check_raises(monkeypatch):
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "diag")
     t = elliptic_torus(g)
-    assert len(stabilizer_data(th, t).t_theta) == 4
     census = involution_orbit(th, t)
+    assert len(stabilizer_data(th, t, census).t_theta) == 4
     monkeypatch.setattr(groups, "_row_times", lambda F, r, y: y[0] if r[0] else y[1])
     with pytest.raises(ConsistencyError, match="literal product"):
-        stabilizer_data(th, t)
+        stabilizer_data(th, t, census)
     # a torus orbit's check runs on its first pick
     with pytest.raises(ConsistencyError, match="literal product"):
         groups.orbit_stabilizer_data((th,), t, census)
@@ -585,12 +590,13 @@ def test_literal_product_check_runs_on_large_cells(monkeypatch):
     g = MatrixGroup("gl2_x_gl2", 7)
     th = named_involution(g, "swap")
     t = elliptic_torus(g)
-    data = stabilizer_data(th, t)
+    census = involution_orbit(th, t)
+    data = stabilizer_data(th, t, census)
     assert data.g_fixed_order * len(data.t_theta) == 580_608 > 200_000
     assert data.m == 1
     monkeypatch.setattr(groups, "_row_times", lambda F, r, y: r)
     with pytest.raises(ConsistencyError, match="literal product"):
-        stabilizer_data(th, t)
+        stabilizer_data(th, t, census)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +642,7 @@ def test_transported_stabilizers_match_brute_force(key):
     # stabilizer_data reads the member's orders and G^theta meet T_theta
     # without building it
     g, t, census = _torus_census(*key)
-    elements = g.elements()
+    elements = _elements(g)
     order, seed_fixed = census.seed_stabilizers
     for member in census.all_members:
         images = [(x, member.apply(x)) for x in elements]
@@ -995,13 +1001,15 @@ def test_lie_fixed_det_values():
     tinv = named_involution(g, "transpose-inverse")
     # on the 1-dimensional fixed space (the antisymmetric line) conjugation
     # by diag(1, -1) acts by the determinant, which is -1
-    assert lie_fixed_det(tinv, ((1, 0), (0, 2))) == -1
-    assert lie_fixed_det(tinv, g.identity()) == 1
+    space = LieFixedSpace(tinv)
+    assert lie_fixed_det(tinv, ((1, 0), (0, 2)), space) == -1
+    assert lie_fixed_det(tinv, g.identity(), space) == 1
     diag = named_involution(g, "diag")
     # diagonal matrices act trivially on the diagonal fixed space
-    assert lie_fixed_det(diag, ((2, 0), (0, 1))) == 1
+    space = LieFixedSpace(diag)
+    assert lie_fixed_det(diag, ((2, 0), (0, 1)), space) == 1
     w = ((0, 1), (1, 0))
-    assert lie_fixed_det(diag, w) == -1  # swaps the two diagonal lines
+    assert lie_fixed_det(diag, w, space) == -1  # swaps the two diagonal lines
 
 
 def test_lie_fixed_det_multiplicative():

@@ -3,7 +3,7 @@ subgroup averages, and the grid of verified cells at small q."""
 
 import pytest
 
-from dlcusp import groups
+from dlcusp import groups, multiplicity
 from dlcusp.dlchar import cuspidal_character
 from dlcusp.errors import ConfigError, MethodDisagreement, TheoremViolation
 from dlcusp.groups import MatrixGroup, elliptic_torus, named_involution, split_torus
@@ -11,9 +11,9 @@ from dlcusp.multiplicity import (
     ProductCuspidal,
     census_for,
     character_matches_epsilon,
-    distinction_grid,
     epsilon_character,
     lhs_multiplicity,
+    orbit_entries,
     rhs_orbit_sum,
     verify_theorem,
 )
@@ -113,7 +113,7 @@ def test_rhs_orbit_sum_reports_q3_diag():
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
     lam = torus.character((2, 0))
-    total, reports = rhs_orbit_sum(census, lam, torus)
+    total, reports = rhs_orbit_sum(orbit_entries(census, torus), lam)
     assert total == 1
     assert [r.n_members for r in reports] == [2, 4]
     assert [r.stable for r in reports] == [True, False]
@@ -127,15 +127,9 @@ def test_rhs_orbit_sum_no_match():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
-    total, reports = rhs_orbit_sum(census, torus.character((1, 0)), torus)
+    total, reports = rhs_orbit_sum(orbit_entries(census, torus), torus.character((1, 0)))
     assert total == 0
     assert all(not r.matching for r in reports)
-
-
-def test_census_for_is_cached():
-    group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
-    assert census_for(group, torus, "diag") is census_for(group, torus, "diag")
 
 
 # -- character side -----------------------------------------------------------
@@ -208,9 +202,8 @@ def test_cold_gl2_cell_filters_nothing(monkeypatch):
 
         monkeypatch.setattr(groups, name, counted)
     group = MatrixGroup("gl2", 11)
-    torus = elliptic_torus(group)
-    verify_theorem(group, "diag", (7,), torus=torus)
-    n_orbits = len(census_for(group, torus, "diag").t_orbits)
+    verify_theorem(group, "diag", (7,))
+    n_orbits = len(census_for(group, elliptic_torus(group), "diag").t_orbits)
     assert calls == {"_direct_stabilizers": 0, "_literal_product": n_orbits}
 
 
@@ -238,18 +231,44 @@ def test_product_swap_diagonal():
 
 
 def test_distinction_grid_q3_is_identity():
+    # chi_i against the inverse of chi_j, over the Frobenius pair
+    # representatives 1, 2, 5 of F_9^x (the inverse of chi_j has exponent -j)
     group = MatrixGroup("gl2_x_gl2", 3)
-    reps, grid = distinction_grid(group)
-    assert reps == (1, 2, 5)
-    for i in range(3):
-        for j in range(3):
-            assert grid[i][j].lhs == (1 if i == j else 0)
-            assert grid[i][j].lhs == grid[i][j].rhs
+    reps = (1, 2, 5)
+    for i in reps:
+        for j in reps:
+            res = verify_theorem(group, "swap", (i, -j % 8))
+            assert res.lhs == (1 if i == j else 0)
+            assert res.lhs == res.rhs
 
 
-def test_distinction_grid_needs_product():
-    with pytest.raises(ConfigError):
-        distinction_grid(MatrixGroup("gl2", 3))
+def test_one_census_and_one_orbit_analysis_per_cell(monkeypatch):
+    # the Frobenius partner's orbit sum reuses the cell's orbit entries, so
+    # nothing is analysed twice
+    censuses = []
+    entries = []
+
+    def counted_orbit(*args):
+        censuses.append(groups.involution_orbit(*args))
+        return censuses[-1]
+
+    class CountedEntry(multiplicity._OrbitEntry):
+        def __init__(self, *args):
+            entries.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(multiplicity, "involution_orbit", counted_orbit)
+    monkeypatch.setattr(multiplicity, "_OrbitEntry", CountedEntry)
+    for kind, q, seed, exponents in (
+        ("gl2", 5, "transpose-inverse", (2,)),
+        ("gl2_x_gl2", 3, "swap", (1, 7)),
+    ):
+        censuses.clear()
+        entries.clear()
+        verify_theorem(MatrixGroup(kind, q), seed, exponents)
+        assert len(censuses) == 1
+        assert len(entries) == len(censuses[0].t_orbits) > 1
+        assert [e.orbit for e in entries] == list(censuses[0].t_orbits)
 
 
 def test_violation_carries_result():
@@ -266,6 +285,6 @@ def test_violation_carries_result():
 
     lam = torus.character((1, 0))
     lhs = lhs_multiplicity(census, One())
-    rhs, _ = rhs_orbit_sum(census, lam, torus)
+    rhs, _ = rhs_orbit_sum(orbit_entries(census, torus), lam)
     assert lhs == 1 and rhs == 0
     assert issubclass(TheoremViolation, Exception)
