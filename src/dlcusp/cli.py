@@ -34,6 +34,7 @@ from .rootdata import (
     datum_names,
     fq_rank_sigma,
     load_datum,
+    random_twists,
     sigma_group,
     sigma_product,
     verify_centralizer_sigma,
@@ -157,8 +158,6 @@ def _data_list(config: RunConfig):
 
 
 def cmd_verify_sigma(config: RunConfig) -> int:
-    from .rootdata import random_twists
-
     results = []
     failures = []
     for name in _data_list(config):
@@ -178,14 +177,27 @@ def cmd_verify_sigma(config: RunConfig) -> int:
         except ConsistencyError as e:
             failures.append({"datum": name, "message": str(e), "detail": e.detail})
         if config.twists:
+            # equal draws share one datum: certify it once, report every index
+            verdicts = {}
             for i, twisted in enumerate(
                 random_twists(datum, config.twists, seed=config.rng_seed)
             ):
-                try:
-                    sigma_product(twisted)
-                except ConsistencyError as e:
+                if twisted.tau not in verdicts:
+                    try:
+                        sigma_product(twisted)
+                        verdicts[twisted.tau] = None
+                    except ConsistencyError as e:
+                        verdicts[twisted.tau] = e
+                e = verdicts[twisted.tau]
+                if e is not None:
                     failures.append(
-                        {"datum": name, "twist": i, "message": str(e)}
+                        {
+                            "datum": name,
+                            "twist": i,
+                            "tau": twisted.tau,
+                            "message": str(e),
+                            "detail": e.detail,
+                        }
                     )
     _emit(config, results, failures)
     return _fail_exit(config, failures) if failures else 0

@@ -244,14 +244,9 @@ def with_twist(datum: TwistedRootDatum, tau) -> TwistedRootDatum:
 # sign invariants
 
 
-def fq_rank_sigma(datum: TwistedRootDatum, lattice: str = "character"):
+def fq_rank_sigma(datum: TwistedRootDatum):
     """(rank, sigma) of the torus: rank of the twist-fixed subspace, sign (-1)^rank."""
-    if lattice == "character":
-        m = [list(r) for r in datum.tau]
-    elif lattice == "cocharacter":
-        m = datum.tau_dual()
-    else:
-        raise ConfigError(f"unknown lattice {lattice!r}")
+    m = datum.tau
     n = datum.rank
     delta = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     rank = n - rational_rank(delta)
@@ -533,13 +528,22 @@ def datum_involutions(datum: TwistedRootDatum) -> dict[str, InvolutionOnDatum]:
 
 
 def random_twists(datum: TwistedRootDatum, count: int, seed: int = 0):
-    """Randomized valid retwists of a shipped datum (products of pool matrices)."""
+    """Randomized valid retwists of a shipped datum (products of pool matrices).
+
+    Each of the ``count`` draws is the product of two seeded pool choices.
+    Each pair is multiplied once, and draws with the same product share one
+    datum, validated once."""
     pool = list(_matrix_pool(datum.rank).values())
     rng = random.Random(seed)
+    by_pair, by_product = {}, {}
     out = []
     for _ in range(count):
-        a = rng.choice(pool)
-        b = rng.choice(pool)
-        m = int_mat_mul([list(r) for r in a], [list(r) for r in b])
-        out.append(with_twist(datum, m))
+        pair = (rng.choice(pool), rng.choice(pool))
+        if pair not in by_pair:
+            a, b = ([list(r) for r in m] for m in pair)
+            m = tuple(map(tuple, int_mat_mul(a, b)))
+            if m not in by_product:
+                by_product[m] = with_twist(datum, m)
+            by_pair[pair] = by_product[m]
+        out.append(by_pair[pair])
     return out

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from dlcusp import __version__, groups
+from dlcusp import __version__, cli, groups, rootdata
 from dlcusp.cli import CSV_COLUMNS, main
 from dlcusp.errors import ConsistencyError
 
@@ -116,6 +116,74 @@ def test_verify_sigma_with_twists(capsys):
     )
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_verify_sigma_certifies_each_distinct_twist_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(datum):
+        calls.append((datum.name, datum.tau))
+        return rootdata.sigma_product(datum)
+
+    monkeypatch.setattr(cli, "sigma_product", counting)
+    code, out, _ = run_cli(capsys, "verify", "sigma", "--twists", "300", "--rng-seed", "11")
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+    names = rootdata.datum_names()
+    assert sorted(n for n, _ in calls if not n.endswith(":retwisted")) == names
+    for name in names:
+        datum = rootdata.load_datum(name)
+        drawn = {t.tau for t in rootdata.random_twists(datum, 300, seed=11)}
+        certified = [tau for n, tau in calls if n == f"{name}:retwisted"]
+        assert sorted(certified) == sorted(drawn)
+        assert len(certified) <= {1: 2, 2: 4, 4: 32}[datum.rank]
+
+
+def test_rank_without_twist_pool(tmp_path, capsys):
+    # rank 3 has no pool: its datum is certified, and only a twist request is refused
+    path = tmp_path / "a1_rank3.json"
+    path.write_text(json.dumps({
+        "rank": 3,
+        "roots": [[1, 0, 0], [-1, 0, 0]],
+        "coroots": [[2, 0, 0], [-2, 0, 0]],
+        "positive": [0],
+        "tau": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "order": 1,
+    }))
+    code, out, _ = run_cli(capsys, "verify", "sigma", "--data", str(path))
+    assert code == 0
+    assert json.loads(out)["results"][0]["sigma_product"] == 1
+    code, _, err = run_cli(capsys, "verify", "sigma", "--data", str(path), "--twists", "1")
+    assert code == 2
+    assert "no matrix pool for rank 3" in err
+
+
+def test_failing_twist_is_reported_at_every_draw(capsys, monkeypatch):
+    bad = ((-1, 0), (0, -1))
+
+    def failing(datum):
+        if datum.tau == bad:
+            raise ConsistencyError("sigma routes disagree", detail={"routes": [1, -1]})
+        return rootdata.sigma_product(datum)
+
+    monkeypatch.setattr(cli, "sigma_product", failing)
+    code, out, _ = run_cli(
+        capsys, "verify", "sigma", "--data", "gl2_split", "--twists", "20", "--rng-seed", "3"
+    )
+    assert code == 1
+    twists = rootdata.random_twists(rootdata.load_datum("gl2_split"), 20, seed=3)
+    drawn_at = [i for i, t in enumerate(twists) if t.tau == bad]
+    assert 1 < len(drawn_at) < 20
+    assert json.loads(out)["failures"] == [
+        {
+            "datum": "gl2_split",
+            "twist": i,
+            "tau": [[-1, 0], [0, -1]],
+            "message": "sigma routes disagree",
+            "detail": {"routes": [1, -1]},
+        }
+        for i in drawn_at
+    ]
 
 
 def test_verify_centralizer_sigma(capsys):

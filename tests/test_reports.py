@@ -42,6 +42,8 @@ REPORTS = {
     ),
     "phi_theta_gl2_x_gl2_q3.json": ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3"),
     "table_gl2_q3.csv": ("table", "--group", "gl2", "--q", "3", "--format", "csv"),
+    "sigma_twists_s11.json": ("verify", "sigma", "--twists", "300", "--rng-seed", "11"),
+    "centralizer_sigma.json": ("verify", "centralizer-sigma"),
 }
 
 

@@ -7,11 +7,13 @@ any code ran.
 """
 
 import json
+import random
 
 import pytest
 
 from dlcusp.errors import ConfigError, ConsistencyError
 from dlcusp.gf import build_field
+from dlcusp.linalg import int_mat_mul, rational_rank
 from dlcusp.rootdata import (
     GaloisOrbit,
     InvolutionOnDatum,
@@ -31,6 +33,7 @@ from dlcusp.rootdata import (
     sub_datum_on,
     verify_centralizer_sigma,
     with_twist,
+    _matrix_pool,
 )
 
 ALL_NAMES = (
@@ -76,11 +79,14 @@ def test_frozen_sign_table(name):
 
 
 def test_cocharacter_rank_agrees():
+    # the twist-fixed rank is the same on the cocharacter lattice
     for name in ALL_NAMES:
         datum = load_datum(name)
-        assert fq_rank_sigma(datum, "cocharacter") == fq_rank_sigma(datum)
-    with pytest.raises(ConfigError):
-        fq_rank_sigma(load_datum("gl2_split"), "weight")
+        dual = datum.tau_dual()
+        n = datum.rank
+        delta = [[dual[i][j] - (i == j) for j in range(n)] for i in range(n)]
+        co_rank = n - rational_rank(delta)
+        assert (co_rank, (-1) ** co_rank) == fq_rank_sigma(datum)
 
 
 def test_orbit_shapes():
@@ -130,6 +136,27 @@ def test_random_twists_deterministic():
     a = random_twists(datum, 10, seed=3)
     b = random_twists(datum, 10, seed=3)
     assert [t.tau for t in a] == [t.tau for t in b]
+
+
+@pytest.mark.parametrize("seed", (0, 3, 17))
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_random_twists_sequence(name, seed):
+    # each draw is the product of two seeded pool choices, in order
+    datum = load_datum(name)
+    pool = list(_matrix_pool(datum.rank).values())
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(60):
+        a = rng.choice(pool)
+        b = rng.choice(pool)
+        m = int_mat_mul([list(r) for r in a], [list(r) for r in b])
+        expected.append(tuple(map(tuple, m)))
+    twists = random_twists(datum, 60, seed=seed)
+    assert [t.tau for t in twists] == expected
+    # equal draws share one validated datum
+    by_tau = {t.tau: t for t in twists}
+    assert all(t is by_tau[t.tau] for t in twists)
+    assert len(by_tau) <= {1: 2, 2: 4, 4: 32}[datum.rank]
 
 
 # -- datum validation ---------------------------------------------------------
