@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError
-from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_det, _m_inv, _m_mul
+from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
 
 # the tolerance of every comparison of a complex character sum with its exact value
 TOL = 1e-6
@@ -43,10 +43,14 @@ class ConjugacyClass:
 class ConjugacyTable:
     """All conjugacy classes of GL2(F_q), with an exact element classifier.
 
-    The canonical classifier reads (trace, det, scalar flag); for q up to
-    BRUTE_FORCE_Q the table is also built independently by closing each
-    class under conjugation by group generators, and the two partitions
-    must agree class by class.
+    A non-central class is determined by (trace, det), so the table maps
+    each of the q(q - 1) pairs with det != 0 to its class key.  The
+    non-central classes are the distinct keys of that table, each with its
+    companion matrix [[0, -det], [1, trace]] as representative and its
+    size from its kind; the central classes are the q - 1 scalars.  For q
+    up to BRUTE_FORCE_Q the classifier is also checked against a partition
+    built independently by closing each class under conjugation by group
+    generators, and the two must agree class by class.
     """
 
     def __init__(self, group: MatrixGroup):
@@ -54,58 +58,35 @@ class ConjugacyTable:
             raise ConfigError("conjugacy tables are built for gl2 only")
         self.group = group
         t = group.tower
+        F = t.base
         q = group.q
         self.n_modulus = t.order(2)
         self._emb_log = {z: t.discrete_log(t.embed(z, 2)) for z in range(1, q)}
-        # each nonzero square with its least root, and the constants of class_key
+        # each nonzero square with its least root, and the constants of _noncentral_key
         self._least_root = {}
         for x in range(1, q):
-            self._least_root.setdefault(t.base.mul(x, x), x)
-        self._four = t.base.embed_int(4)
-        self._half = t.base.inv(t.base.embed_int(2))
+            self._least_root.setdefault(F.mul(x, x), x)
+        self._four = F.embed_int(4)
+        self._half = F.inv(F.embed_int(2))
         self._half2 = t.scalar(2, 2).inverse()
-        # non-central class keys by (trace, det), which determine them
-        self._key_by_trace_det = {}
-        classes = []
-        for z in range(1, q):
-            classes.append(
-                ConjugacyClass("central", ("central", z), ((z, 0), (0, z)), 1)
-            )
-        for z in range(1, q):
-            classes.append(
-                ConjugacyClass(
-                    "unipotent", ("unipotent", z), ((z, 1), (0, z)), q * q - 1
-                )
-            )
-        for a in range(1, q):
-            for b in range(a + 1, q):
-                classes.append(
-                    ConjugacyClass(
-                        "split", ("split", (a, b)), ((a, 0), (0, b)), q * q + q
-                    )
-                )
-        seen_elliptic = set()
-        for e in range(self.n_modulus):
-            if (e * q - e) % self.n_modulus == 0:
-                continue  # the eigenvalue would be rational
-            key = min(e, (e * q) % self.n_modulus)
-            if key in seen_elliptic:
-                continue
-            seen_elliptic.add(key)
-            u = t.generator(2) ** key
-            tr, det = self._trace_det_of_eigen(u)
-            classes.append(
-                ConjugacyClass(
-                    "elliptic",
-                    ("elliptic", key),
-                    ((0, t.base.neg(det)), (1, tr)),
-                    q * q - q,
-                )
-            )
+        self._key_by_trace_det = {
+            (tr, det): self._noncentral_key(tr, det)
+            for tr in range(q)
+            for det in range(1, q)
+        }
+        classes = [
+            ConjugacyClass("central", ("central", z), ((z, 0), (0, z)), 1)
+            for z in range(1, q)
+        ]
+        size = {"unipotent": q * q - 1, "split": q * q + q, "elliptic": q * q - q}
+        for (tr, det), key in self._key_by_trace_det.items():
+            rep = ((0, F.neg(det)), (1, tr))
+            classes.append(ConjugacyClass(key[0], key, rep, size[key[0]]))
         classes.sort(key=lambda c: (c.kind, c.key))
         self.classes = tuple(classes)
         self.index = {c.key: i for i, c in enumerate(self.classes)}
-        sizes = (len(self.classes), sum(c.size for c in self.classes))
+        # counting distinct keys checks that no two (trace, det) share a class
+        sizes = (len(self.index), sum(c.size for c in self.classes))
         if sizes != (q * q - 1, group.gl2_order):
             raise ConsistencyError(
                 "class count or class sizes do not match GL2", detail=sizes
@@ -113,35 +94,23 @@ class ConjugacyTable:
         if q <= BRUTE_FORCE_Q:
             self._cross_check_brute_force()
 
-    def _trace_det_of_eigen(self, u):
-        uc = u ** self.group.q
-        tr = u + uc
-        det = u * uc
-        if tr.coeffs[1] != 0 or det.coeffs[1] != 0:
-            raise ConsistencyError("an eigenvalue has irrational trace or determinant")
-        return tr.coeffs[0], det.coeffs[0]
-
     # -- classification ------------------------------------------------------
 
     def class_key(self, g) -> tuple:
-        """The scalar of a central g; else the key of g's (trace, det), memoized."""
+        """The scalar of a central g; else the table's key for g's (trace, det)."""
         (a, b), (c, d) = g
         if b == 0 and c == 0 and a == d:
             return ("central", a)
         F = self.group.tower.base
-        trace_det = (F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c)))
-        got = self._key_by_trace_det.get(trace_det)
-        if got is None:
-            got = self._noncentral_key(*trace_det)
-            self._key_by_trace_det[trace_det] = got
-        return got
+        key = self._key_by_trace_det.get((F.add(a, d), F.sub(F.mul(a, d), F.mul(b, c))))
+        if key is None:
+            raise ConfigError("singular matrix has no class")
+        return key
 
     def _noncentral_key(self, tr: int, det: int) -> tuple:
         """The class key of a non-central element with this trace and det."""
         t = self.group.tower
         F = t.base
-        if det == 0:
-            raise ConfigError("singular matrix has no class")
         disc = F.sub(F.mul(tr, tr), F.mul(self._four, det))
         half = self._half
         if disc == 0:
@@ -312,9 +281,11 @@ def cuspidal_character(group: MatrixGroup, k: int) -> CuspidalCharacter:
     Certification: unit norm, degree q - 1, vanishing unipotent-averaged
     sums sum_b chi(g u_b) at every group element, and exact agreement with
     the Frobenius partner exponent.  The sum at g is the sum over the coset
-    g N, so each coset's sum is formed once in a pass over GL2 and checked
-    for all q of its elements.  A character failing any check is not
-    returned.
+    g N, which depends only on the coset's type (`_coset_type_sums`), so
+    each type's sum is formed once from the (trace, det) table and GL2 is
+    never enumerated.  A failure names a representative g of the type,
+    where the literal sum over g u_b replays it.  A character failing any
+    check is not returned.
     """
     table = conjugacy_classes(group)
     q = group.q
@@ -338,42 +309,36 @@ def cuspidal_character(group: MatrixGroup, k: int) -> CuspidalCharacter:
     degree = chi.value(((1, 0), (0, 1)))
     if degree != q - 1:
         raise ConsistencyError(f"degree {degree} differs from q - 1 = {q - 1}")
-    sums = _coset_sums(group, chi)
-    if len(sums) * q != group.gl2_order:
-        raise ConsistencyError(
-            "the cosets g N do not have q elements each",
-            detail=(len(sums), group.gl2_order),
-        )
-    for key, acc in sums.items():
+    for g, acc in _coset_type_sums(chi).items():
         if abs(acc) > TOL:
-            F = group.tower.base
-            g = next(x for x in group.gl2_elements() if _coset_key(F, x) == key)
             raise ConsistencyError(
                 f"unipotent-averaged sum {acc} does not vanish",
-                detail={"coset": key, "representative": g},
+                detail={"representative": g},
             )
     return CuspidalCharacter(group, k, partner, table, chi)
 
 
-def _coset_key(F, x) -> tuple:
-    """(x00, x10, det x): the coset x N = {x u_b} of N = {u_b = [[1, b], [0, 1]]}.
+def _coset_type_sums(f: ClassFunction) -> dict:
+    """{representative g: the sum of f over the coset g N}, one per coset type.
 
-    x u_b keeps x's first column and det, and the matrices with a given
-    nonzero first column and det form one affine line of q, so the key
-    names the coset.
+    For g = [[a, c], [x, d]], g u_b = [[a, ab + c], [x, xb + d]].  If x != 0
+    the trace runs over F_q once at the fixed det, and no element is
+    central.  If x = 0 and a != d every element is split with eigenvalues
+    {a, d}; if x = 0 and a = d one is the scalar a and q - 1 are unipotent.
     """
-    return x[0][0], x[1][0], _m_det(F, x)
+    table = f.table
+    F = table.group.tower.base
+    q = table.group.q
 
+    def at(tr, det):
+        return f._complex[table.index[table._key_by_trace_det[tr, det]]]
 
-def _coset_sums(group: MatrixGroup, f) -> dict:
-    """{coset key: the sum of f over the coset g N}, in one pass over GL2.
-
-    Each value is the unipotent-averaged sum sum_b f(g u_b) of every g in
-    the coset.
-    """
-    F = group.tower.base
     sums = {}
-    for x in group.gl2_elements():
-        key = _coset_key(F, x)
-        sums[key] = sums.get(key, 0j) + f.value(x)
+    for det in range(1, q):
+        sums[((0, F.neg(det)), (1, 0))] = sum(at(tr, det) for tr in range(q))
+    for a in range(1, q):
+        central = f._complex[table.index[("central", a)]]
+        sums[((a, 0), (0, a))] = central + (q - 1) * at(F.add(a, a), F.mul(a, a))
+        for d in range(a + 1, q):
+            sums[((a, 0), (0, d))] = q * at(F.add(a, d), F.mul(a, d))
     return sums

@@ -36,7 +36,6 @@ __all__ = [
     "OrbitCensus",
     "TOrbit",
     "StabilizerData",
-    "split_torus",
     "elliptic_torus",
     "named_involution",
     "involution_orbit",
@@ -457,10 +456,6 @@ class TorusEmbedding:
         a = (u + v) * half
         b = (u - v) * half * delta_inv
         return ((a, b * eps), (b, a))
-
-
-def split_torus(group: MatrixGroup) -> TorusEmbedding:
-    return TorusEmbedding(group, "split")
 
 
 def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:

@@ -14,9 +14,9 @@ from dlcusp.dlchar import cuspidal_character, general_position_exponents
 from dlcusp.errors import MethodDisagreement
 from dlcusp.groups import (
     MatrixGroup,
+    TorusEmbedding,
     elliptic_torus,
     phi_theta_certified,
-    split_torus,
 )
 from dlcusp.multiplicity import (
     census_for,
@@ -67,7 +67,7 @@ def test_criterion_2_epsilon_two_routes_agree():
     disagreements = []
     for q in (3, 5, 7):
         group = MatrixGroup("gl2", q)
-        for torus in (split_torus(group), elliptic_torus(group)):
+        for torus in (TorusEmbedding(group, "split"), elliptic_torus(group)):
             for seed in GL2_SEEDS:
                 census = census_for(group, torus, seed)
                 for orbit in census.t_orbits:
@@ -95,7 +95,7 @@ def test_criterion_3_killed_root_three_way():
     checked = 0
     for q in (3, 5):
         group = MatrixGroup("gl2", q)
-        for torus in (split_torus(group), elliptic_torus(group)):
+        for torus in (TorusEmbedding(group, "split"), elliptic_torus(group)):
             for seed in GL2_SEEDS:
                 census = census_for(group, torus, seed)
                 for orbit in census.t_orbits:

@@ -428,6 +428,19 @@ def test_atomic_out_leaves_no_temp_files(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_out_mode_follows_the_umask(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run_cli(
+            capsys, "table", "--group", "gl2", "--q", "3", "--out", str(target)
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o644
+
+
 def test_out_csv(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(

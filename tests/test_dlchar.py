@@ -3,6 +3,7 @@ classical count (q^2 - 1 classes in four families) and hand-expanded value
 maps at q = 3."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -64,8 +65,8 @@ def test_least_root_table_matches_the_scan(q):
 
 @pytest.mark.parametrize("q", (3, 9, 11, 13))
 def test_memoized_class_key_matches_the_direct_key(q):
-    # class_key memoizes non-central keys by (trace, det); every element
-    # must get the key computed afresh from its own trace and det
+    # class_key reads non-central keys off the (trace, det) table; every
+    # element must get the key computed afresh from its own trace and det
     g = MatrixGroup("gl2", q)
     F = g.tower.base
     table = conjugacy_classes(g)
@@ -255,26 +256,45 @@ def test_unipotent_column_sums_vanish():
     assert abs(total) < 1e-9
 
 
-# -- the cuspidal certificate, one sum per coset g N ----------------------------
+# -- the cuspidal certificate, one sum per coset type ---------------------------
 
 
 def _u(b):
     return ((1, b), (0, 1))
 
 
+def _coset_key(F, x):
+    """The representative of the type of the coset x N that _coset_type_sums uses."""
+    (a, _), (c, d) = x
+    if c != 0:
+        return ((0, F.neg(_m_det(F, x))), (1, 0))
+    return ((min(a, d), 0), (0, max(a, d)))
+
+
 @pytest.mark.parametrize("q", (3, 5, 9))
 def test_coset_keys_name_the_sets_g_u_b(q):
+    # the classes met along x u_b are the ones the coset type prescribes,
+    # and the ones met along rep u_b for the type's representative rep
     g = MatrixGroup("gl2", q)
     F = g.tower.base
-    fibers = {}
+    table = conjugacy_classes(g)
+
+    def met(y):
+        return Counter(table.class_key(g.mul(y, _u(b))) for b in range(q))
+
     for x in g.gl2_elements():
-        fibers.setdefault(dlchar._coset_key(F, x), set()).add(x)
-    assert len(fibers) * q == g.order
-    for x in g.gl2_elements():
-        assert {g.mul(x, _u(b)) for b in range(q)} == fibers[dlchar._coset_key(F, x)]
+        (a, _), (c, d) = x
+        det = _m_det(F, x)
+        if c != 0:
+            expected = Counter(table._noncentral_key(tr, det) for tr in range(q))
+        elif a != d:
+            expected = Counter({("split", (min(a, d), max(a, d))): q})
+        else:
+            expected = Counter({("central", a): 1, ("unipotent", a): q - 1})
+        assert met(x) == expected == met(_coset_key(F, x))
 
 
-@pytest.mark.parametrize("q", (3, 5))
+@pytest.mark.parametrize("q", (3, 5, 9))
 def test_coset_sums_are_the_per_element_sums(q):
     # a class function with random values, so the sums do not all vanish
     g = MatrixGroup("gl2", q)
@@ -285,18 +305,17 @@ def test_coset_sums_are_the_per_element_sums(q):
         table,
         [{rng.randrange(table.n_modulus): rng.randint(-3, 3)} for _ in table.classes],
     )
-    sums = dlchar._coset_sums(g, f)
+    sums = dlchar._coset_type_sums(f)
     assert any(abs(v) > 1e-6 for v in sums.values())
     for x in g.gl2_elements():
         per_g = sum(f.value(g.mul(x, _u(b))) for b in range(q))
-        assert abs(per_g - sums[dlchar._coset_key(F, x)]) < 1e-9
+        assert abs(per_g - sums[_coset_key(F, x)]) < 1e-9
 
 
 def test_perturbed_character_fails_the_coset_check(monkeypatch):
     # negating the value on the class of u_1 keeps the norm and the degree,
     # and breaks the sum over N itself: chi(1) + (q - 1) chi(u_1) = 2 (q - 1)
     g = MatrixGroup("gl2", 5)
-    F = g.tower.base
     value_maps = dlchar._value_maps
 
     def perturbed(table, k):
@@ -308,9 +327,21 @@ def test_perturbed_character_fails_the_coset_check(monkeypatch):
     monkeypatch.setattr(dlchar, "_value_maps", perturbed)
     with pytest.raises(ConsistencyError, match="unipotent-averaged sum") as err:
         cuspidal_character(g, 2)
-    detail = err.value.detail
-    rep = detail["representative"]
-    assert dlchar._coset_key(F, rep) == detail["coset"]
+    rep = err.value.detail["representative"]
     # the failure replays from its representative alone
     chi = ClassFunction(conjugacy_classes(g), perturbed(conjugacy_classes(g), 2))
     assert abs(sum(chi.value(g.mul(rep, _u(b))) for b in range(5))) > 1
+
+
+@pytest.mark.parametrize("q", (5, 11))
+def test_cuspidal_character_never_enumerates_gl2(q, monkeypatch):
+    # the table is built first: at q <= BRUTE_FORCE_Q its cross-check enumerates
+    g = MatrixGroup("gl2", q)
+    conjugacy_classes(g)
+
+    def refuse(self):
+        raise AssertionError("GL2 enumerated")
+
+    monkeypatch.setattr(MatrixGroup, "gl2_elements", refuse)
+    chi = cuspidal_character(g, 2)
+    assert chi.value(((1, 0), (0, 1))) == q - 1

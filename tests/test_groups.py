@@ -17,13 +17,13 @@ from dlcusp.groups import (
     Involution,
     LieFixedSpace,
     MatrixGroup,
+    TorusEmbedding,
     derived_theta_star,
     elliptic_torus,
     involution_orbit,
     lie_fixed_det,
     named_involution,
     phi_theta_certified,
-    split_torus,
     stabilizer_data,
 )
 from dlcusp.linalg import fq_rref
@@ -133,7 +133,7 @@ def test_product_elements_and_membership():
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_torus_element_counts(q):
     g = MatrixGroup("gl2", q)
-    assert len(split_torus(g).elements) == (q - 1) ** 2
+    assert len(TorusEmbedding(g, "split").elements) == (q - 1) ** 2
     assert len(elliptic_torus(g).elements) == q * q - 1
 
 
@@ -143,7 +143,7 @@ def test_product_torus():
     assert len(t.elements) == 64
     assert t.coord_count == 4
     with pytest.raises(ConfigError):
-        split_torus(g)
+        TorusEmbedding(g, "split")
 
 
 def test_elliptic_coords_are_eigenvalues():
@@ -164,7 +164,7 @@ def test_elliptic_coords_are_eigenvalues():
 
 def test_split_coords():
     g = MatrixGroup("gl2", 3)
-    t = split_torus(g)
+    t = TorusEmbedding(g, "split")
     x = ((2, 0), (0, 1))
     u, v = t.eigen_coords(x)
     assert u == g.tower.embed(2, 2)
@@ -173,7 +173,7 @@ def test_split_coords():
 
 def test_torus_membership_map_is_group_closed():
     g = MatrixGroup("gl2", 3)
-    for t in (split_torus(g), elliptic_torus(g)):
+    for t in (TorusEmbedding(g, "split"), elliptic_torus(g)):
         for x in t.elements:
             for y in t.elements:
                 assert t.contains(g.mul(x, y))
@@ -232,7 +232,7 @@ def test_factor_exponents_collapse():
     assert t.character((0, 2)).factor_exponents() == (6,)
     assert t.character((1, 1)).factor_exponents() == (4,)
     with pytest.raises(ConfigError):
-        split_torus(g).character((1, 0)).factor_exponents()
+        TorusEmbedding(g, "split").character((1, 0)).factor_exponents()
 
 
 def test_general_position_on_torus_characters():
@@ -368,7 +368,7 @@ def test_apply_ext_extends_apply():
 
 def test_stabilizes():
     g = MatrixGroup("gl2", 5)
-    ts, te = split_torus(g), elliptic_torus(g)
+    ts, te = TorusEmbedding(g, "split"), elliptic_torus(g)
     assert named_involution(g, "diag").stabilizes(ts)
     assert named_involution(g, "antidiag").stabilizes(ts)
     assert named_involution(g, "transpose-inverse").stabilizes(ts)
@@ -395,7 +395,7 @@ CENSUS_SIZES = {
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_census_sizes(q):
     g = MatrixGroup("gl2", q)
-    t = split_torus(g)
+    t = TorusEmbedding(g, "split")
     for seed in ("diag", "antidiag", "transpose-inverse"):
         census = involution_orbit(named_involution(g, seed), t)
         assert len(census.all_members) == CENSUS_SIZES[(q, seed)]
@@ -408,7 +408,7 @@ def test_census_sizes(q):
 
 def test_diag_and_antidiag_share_a_census():
     g = MatrixGroup("gl2", 5)
-    t = split_torus(g)
+    t = TorusEmbedding(g, "split")
     a = involution_orbit(named_involution(g, "diag"), t)
     b = involution_orbit(named_involution(g, "antidiag"), t)
     assert set(a.all_members) == set(b.all_members)
@@ -453,7 +453,7 @@ ORBIT_SHAPES = {
 def test_torus_orbit_shapes(key):
     q, seed, torus_kind = key
     g = MatrixGroup("gl2", q)
-    t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
+    t = TorusEmbedding(g, "split") if torus_kind == "split" else elliptic_torus(g)
     census = involution_orbit(named_involution(g, seed), t)
     got = sorted((len(o.members), o.stable) for o in census.t_orbits)
     assert got == ORBIT_SHAPES[key]
@@ -463,7 +463,7 @@ def test_census_cap(monkeypatch):
     monkeypatch.setattr(groups, "ORBIT_CAP", 4)
     g = MatrixGroup("gl2", 3)
     with pytest.raises(ResourceBoundError):
-        involution_orbit(named_involution(g, "diag"), split_torus(g))
+        involution_orbit(named_involution(g, "diag"), TorusEmbedding(g, "split"))
 
 
 def test_swap_census_is_inner_forms():
@@ -514,7 +514,7 @@ def test_stabilizer_orbit_theorem():
     # |orbit of theta| * |G_theta| = |G|
     for q in (3, 5):
         g = MatrixGroup("gl2", q)
-        t = split_torus(g)
+        t = TorusEmbedding(g, "split")
         for seed in ("diag", "transpose-inverse"):
             th = named_involution(g, seed)
             census = involution_orbit(th, t)
@@ -553,7 +553,7 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
         ("elliptic", "transpose-inverse", ((1, 1), (1, 2))): 1,
     }
     seen = {}
-    for torus in (split_torus(g), elliptic_torus(g)):
+    for torus in (TorusEmbedding(g, "split"), elliptic_torus(g)):
         for seed in ("diag", "antidiag", "transpose-inverse"):
             census = involution_orbit(named_involution(g, seed), torus)
             for orbit in census.t_orbits:
@@ -612,7 +612,7 @@ TRANSPORT_CENSUSES = [
 
 def _torus_census(kind, q, seed, torus_kind):
     g = MatrixGroup(kind, q)
-    t = split_torus(g) if torus_kind == "split" else elliptic_torus(g)
+    t = TorusEmbedding(g, "split") if torus_kind == "split" else elliptic_torus(g)
     return g, t, involution_orbit(named_involution(g, seed), t)
 
 
@@ -1031,7 +1031,7 @@ def test_lie_fixed_det_multiplicative():
 def test_derived_theta_star_matrices():
     g = MatrixGroup("gl2", 3)
     te = elliptic_torus(g)
-    ts = split_torus(g)
+    ts = TorusEmbedding(g, "split")
 
     # conjugation by the antidiagonal witness acts on the elliptic torus as
     # Frobenius: exponent coordinates swap
@@ -1113,7 +1113,7 @@ def test_phi_theta_certified_values():
     assert killed[1] == ()  # inverted Frobenius fixes the root
     assert killed[2] == KILLED_BOTH  # inversion negates both roots
 
-    ts = split_torus(g)
+    ts = TorusEmbedding(g, "split")
     census = involution_orbit(named_involution(g, "antidiag"), ts)
     for orbit in census.t_orbits:
         if orbit.stable:
@@ -1127,7 +1127,7 @@ def test_phi_theta_certified_values():
 
 def test_phi_theta_certified_level4_cross_check():
     g = MatrixGroup("gl2", 3, degrees=(1, 2, 4))
-    for torus in (split_torus(g), elliptic_torus(g)):
+    for torus in (TorusEmbedding(g, "split"), elliptic_torus(g)):
         for seed in ("diag", "transpose-inverse"):
             census = involution_orbit(named_involution(g, seed), torus)
             for orbit in census.t_orbits:

@@ -6,7 +6,12 @@ import pytest
 from dlcusp import groups, multiplicity
 from dlcusp.dlchar import cuspidal_character
 from dlcusp.errors import ConfigError, MethodDisagreement, TheoremViolation
-from dlcusp.groups import MatrixGroup, elliptic_torus, named_involution, split_torus
+from dlcusp.groups import (
+    MatrixGroup,
+    TorusEmbedding,
+    elliptic_torus,
+    named_involution,
+)
 from dlcusp.multiplicity import (
     ProductCuspidal,
     census_for,
@@ -52,7 +57,7 @@ def test_epsilon_domain_sizes_q3_transpose_inverse():
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_epsilon_methods_disagree_on_split_transpose_inverse(q, monkeypatch):
     group = MatrixGroup("gl2", q)
-    torus = split_torus(group)
+    torus = TorusEmbedding(group, "split")
     theta = named_involution(group, "transpose-inverse")
     # the fixed Lie algebra is so(2), on which diag(a, b) acts by a/b: both
     # routes give -1 at diag(1, -1) and +1 at the center
@@ -77,7 +82,7 @@ def test_epsilon_methods_disagree_on_split_transpose_inverse(q, monkeypatch):
 
 def test_epsilon_split_diag_is_fine():
     group = MatrixGroup("gl2", 3)
-    torus = split_torus(group)
+    torus = TorusEmbedding(group, "split")
     theta = named_involution(group, "diag")
     eps = epsilon_character(theta, torus)
     assert set(eps.signs.values()) == {1}
