@@ -398,10 +398,6 @@ def _row_key(row):
     )
 
 
-def cmd_table(config: RunConfig) -> int:
-    return cmd_verify_theorem(config)
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -416,7 +412,8 @@ def _parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run one verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    def common(p, group=True):
+    def common(p, group=True, torus=False, fmt=None):
+        # fmt: the default of --format, on the runs that can write csv
         if group:
             p.add_argument("--group", choices=("gl2", "gl2_x_gl2"))
             p.add_argument("--q", type=int, nargs="+", default=[])
@@ -426,9 +423,11 @@ def _parser() -> argparse.ArgumentParser:
                 default=[],
                 help="named seed; repeatable (default: all named for the group)",
             )
+        if torus:
             p.add_argument("--torus", choices=("split", "elliptic", "both"), default="both")
         p.add_argument("--out", help="report path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
 
     sigma = vsub.add_parser("sigma", help="four-route sign identity")
     sigma.add_argument("--data", action="append", default=[], help="datum name or 'all'")
@@ -437,30 +436,25 @@ def _parser() -> argparse.ArgumentParser:
     common(sigma, group=False)
 
     eps = vsub.add_parser("epsilon", help="sign character method agreement")
-    common(eps)
+    common(eps, torus=True)
 
     pt = vsub.add_parser("phi-theta", help="killed-root set certification")
-    common(pt)
+    common(pt, torus=True)
 
     cs = vsub.add_parser("centralizer-sigma", help="sign transfer to the centralizer")
     cs.add_argument("--data", action="append", default=[], help="datum name or 'all'")
     common(cs, group=False)
 
-    th = vsub.add_parser("theorem", help="multiplicity identity grid")
-    th.add_argument(
-        "--exponent",
-        help="restrict to one lambda exponent (k, or k1,k2 for the product group)",
-    )
-    common(th)
-
-    table = sub.add_parser("table", help="emit the multiplicity table")
-    table.add_argument("--exponent")
-    table.add_argument("--group", choices=("gl2", "gl2_x_gl2"))
-    table.add_argument("--q", type=int, nargs="+", default=[])
-    table.add_argument("--involution", action="append", default=[])
-    table.add_argument("--torus", choices=("split", "elliptic", "both"), default="both")
-    table.add_argument("--out")
-    table.add_argument("--format", choices=("json", "csv"), default="csv")
+    # theorem and table runs use the elliptic torus, so they take no --torus
+    for p, fmt in (
+        (vsub.add_parser("theorem", help="multiplicity identity grid"), "json"),
+        (sub.add_parser("table", help="emit the multiplicity table"), "csv"),
+    ):
+        p.add_argument(
+            "--exponent",
+            help="restrict to one lambda exponent (k, or k1,k2 for the product group)",
+        )
+        common(p, fmt=fmt)
     return top
 
 
@@ -499,10 +493,6 @@ def _config_from(ns) -> RunConfig:
                 raise ConfigError(
                     f"seed {seed!r} is not a named involution for {config.group}"
                 )
-    if config.fmt == "csv" and config.command not in ("verify theorem", "table"):
-        raise ConfigError("csv output is defined for theorem and table runs only")
-    if config.torus == "split" and config.command in ("verify theorem", "table"):
-        raise ConfigError("theorem runs use the elliptic torus; --torus split is refused")
     if config.twists < 0:
         raise ConfigError(f"--twists must be nonnegative, got {config.twists}")
     if config.out:
@@ -521,7 +511,7 @@ DISPATCH = {
     "verify phi-theta": cmd_verify_phi_theta,
     "verify centralizer-sigma": cmd_verify_centralizer_sigma,
     "verify theorem": cmd_verify_theorem,
-    "table": cmd_table,
+    "table": cmd_verify_theorem,
 }
 
 

@@ -1,35 +1,51 @@
 """Cuspidal irreducible characters of GL2 over a small odd field.
 
-Character values are stored exactly, as integer combinations of roots of
-unity indexed by discrete-log exponents; complex floats are derived views.
-A character object is only handed out after passing a four-part
-certification (norm one, correct degree, unipotent-averaged sums vanish,
-and invariance under the Frobenius partner exponent), so downstream
-consumers can treat "cuspidal" as a checked property rather than a label.
+Character values are stored exactly, as integer combinations of n-th roots
+of unity indexed by discrete-log exponents, and each sum of them is tested
+exactly in Z[zeta_n], by its residue modulo the cyclotomic polynomial Phi_n.
+A character is only handed out after passing a four-part certification
+(norm one, correct degree, unipotent-averaged sums vanish, and invariance
+under the Frobenius partner exponent), so downstream consumers can treat
+"cuspidal" as a checked property rather than a label.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConsistencyError
 from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
 
-# the tolerance of every comparison of a complex character sum with its exact value
-TOL = 1e-6
-
 __all__ = [
-    "TOL",
+    "cyclotomic",
     "ConjugacyClass",
     "ConjugacyTable",
     "conjugacy_classes",
     "ClassFunction",
     "general_position_exponents",
     "cuspidal_character",
-    "CuspidalCharacter",
 ]
+
+
+def cyclotomic(n: int) -> list:
+    """The coefficients of Phi_n, lowest degree first: Phi_d for each divisor
+    d of n in turn is x^d - 1 divided exactly by the earlier Phi_e, e | d."""
+    phis = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in [e for e in phis if d % e == 0]:
+            b, quotient = phis[e], []
+            while len(p) >= len(b):  # long division by the monic b, top down
+                c = p.pop()
+                quotient.append(c)
+                if c:
+                    for j, bj in enumerate(b[:-1], len(p) + 1 - len(b)):
+                        p[j] -= c * bj
+            if any(p):
+                raise ConsistencyError(f"Phi_{e} does not divide x^{d} - 1")
+            p = quotient[::-1]
+        phis[d] = p
+    return phis[n]
 
 
 @dataclass(frozen=True)
@@ -50,7 +66,8 @@ class ConjugacyTable:
     size from its kind; the central classes are the q - 1 scalars.  For q
     up to BRUTE_FORCE_Q the classifier is also checked against a partition
     built independently by closing each class under conjugation by group
-    generators, and the two must agree class by class.
+    generators, and the two must agree class by class.  The table also
+    holds each x^e modulo Phi_n, n = q^2 - 1, to reduce character sums by.
     """
 
     def __init__(self, group: MatrixGroup):
@@ -60,7 +77,19 @@ class ConjugacyTable:
         t = group.tower
         F = t.base
         q = group.q
-        self.n_modulus = t.order(2)
+        n = self.n_modulus = t.order(2)
+        # x^e mod Phi_n for each exponent e, as {degree: nonzero coefficient}:
+        # x^e = x^(e - deg) x^deg, and x^deg = x^deg - Phi_n mod Phi_n
+        phi = cyclotomic(n)
+        d = self.degree = len(phi) - 1
+        phi_terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+        self._powers = [{e: 1} for e in range(d)]
+        for e in range(d, n):
+            r = {}
+            for j, c in phi_terms:
+                for i, v in self._powers[e - d + j].items():
+                    r[i] = r.get(i, 0) - c * v
+            self._powers.append({i: v for i, v in r.items() if v})
         self._emb_log = {z: t.discrete_log(t.embed(z, 2)) for z in range(1, q)}
         # each nonzero square with its least root, and the constants of _noncentral_key
         self._least_root = {}
@@ -128,6 +157,28 @@ class ConjugacyTable:
     def class_of(self, g) -> int:
         return self.index[self.class_key(g)]
 
+    # -- exact sums in Z[zeta_n] --------------------------------------------
+
+    def reduce(self, terms) -> tuple:
+        """sum c zeta^e over the {e: c} terms, as coordinates on 1, zeta, zeta^2, ..."""
+        acc = [0] * self.degree
+        for e, c in terms.items():
+            if c:
+                for j, r in self._powers[e % self.n_modulus].items():
+                    acc[j] += c * r
+        return tuple(acc)
+
+    def average(self, terms, count: int) -> int:
+        """(1 / count) sum c zeta^e over the {e: c} terms, which must be an
+        integer; else ConsistencyError with the reduced sum as detail."""
+        reduced = self.reduce(terms)
+        if any(reduced[1:]) or reduced[0] % count:
+            raise ConsistencyError(
+                f"exact sum is not an integer multiple of {count}",
+                detail={"reduced_sum": reduced, "count": count},
+            )
+        return reduced[0] // count
+
     # -- independent partition ----------------------------------------------
 
     def _cross_check_brute_force(self):
@@ -191,28 +242,22 @@ class ClassFunction:
         self.maps = tuple(dict(m) for m in maps)
         if len(self.maps) != len(table.classes):
             raise ConfigError("need one value per conjugacy class")
-        n = table.n_modulus
-        self._complex = tuple(
-            sum(
-                c * cmath.exp(2j * math.pi * (e % n) / n)
-                for e, c in m.items()
-            )
-            if m
-            else 0j
-            for m in self.maps
-        )
 
-    def value(self, g) -> complex:
-        return self._complex[self.table.class_of(g)]
+    def value(self, g) -> dict:
+        """The {exponent: coefficient} map of the value at g."""
+        return self.maps[self.table.class_of(g)]
 
-    def inner(self, other: "ClassFunction") -> complex:
+    def inner(self, other: "ClassFunction") -> int:
+        """The inner product, which must be an integer (as for characters)."""
         if other.table is not self.table:
             raise ConfigError("class functions live on different groups")
-        order = self.table.group.gl2_order
-        acc = 0j
-        for cls, v, w in zip(self.table.classes, self._complex, other._complex):
-            acc += cls.size * v * w.conjugate()
-        return acc / order
+        n = self.table.n_modulus
+        terms = {}
+        for cls, v, w in zip(self.table.classes, self.maps, other.maps):
+            for e, c in v.items():
+                for f, d in w.items():
+                    terms[(e - f) % n] = terms.get((e - f) % n, 0) + cls.size * c * d
+        return self.table.average(terms, self.table.group.gl2_order)
 
 
 def general_position_exponents(group: MatrixGroup):
@@ -223,34 +268,15 @@ def general_position_exponents(group: MatrixGroup):
     """
     q = group.q
     n = group.tower.order(2)
-    pairs = []
-    seen = set()
-    for k in range(1, n):
-        if (k * q - k) % n == 0 or k in seen:
-            continue
-        partner = (k * q) % n
-        seen.add(k)
-        seen.add(partner)
-        pairs.append((k, partner))
+    # Frobenius is an involution on exponents mod n, as q^2 = 1 mod n
+    pairs = tuple((k, k * q % n) for k in range(1, n) if k < k * q % n)
     if len(pairs) != (q * q - q) // 2:
         raise ConsistencyError(f"{len(pairs)} Frobenius pairs, not (q^2 - q) / 2")
-    return tuple(pairs)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # cuspidal characters
-
-
-@dataclass(frozen=True)
-class CuspidalCharacter:
-    group: MatrixGroup
-    exponent: int
-    partner: int
-    table: ConjugacyTable
-    chi: ClassFunction
-
-    def value(self, g) -> complex:
-        return self.chi.value(g)
 
 
 def _value_maps(table: ConjugacyTable, k: int):
@@ -258,34 +284,30 @@ def _value_maps(table: ConjugacyTable, k: int):
     q = table.group.q
     maps = []
     for cls in table.classes:
-        if cls.kind == "central":
+        if cls.kind in ("central", "unipotent"):
             e = (k * table._emb_log[cls.key[1]]) % n
-            maps.append({e: q - 1})
-        elif cls.kind == "unipotent":
-            e = (k * table._emb_log[cls.key[1]]) % n
-            maps.append({e: -1})
+            maps.append({e: q - 1 if cls.kind == "central" else -1})
         elif cls.kind == "split":
             maps.append({})
         else:
-            e = cls.key[1]
             m = {}
-            for ex in ((k * e) % n, (k * e * q) % n):
+            for ex in (k * cls.key[1] % n, k * cls.key[1] * q % n):
                 m[ex] = m.get(ex, 0) - 1
             maps.append(m)
     return maps
 
 
-def cuspidal_character(group: MatrixGroup, k: int) -> CuspidalCharacter:
+def cuspidal_character(group: MatrixGroup, k: int) -> ClassFunction:
     """The cuspidal character attached to a regular exponent, certified.
 
-    Certification: unit norm, degree q - 1, vanishing unipotent-averaged
-    sums sum_b chi(g u_b) at every group element, and exact agreement with
-    the Frobenius partner exponent.  The sum at g is the sum over the coset
-    g N, which depends only on the coset's type (`_coset_type_sums`), so
-    each type's sum is formed once from the (trace, det) table and GL2 is
-    never enumerated.  A failure names a representative g of the type,
-    where the literal sum over g u_b replays it.  A character failing any
-    check is not returned.
+    Certification, each sum tested exactly in Z[zeta_n]: norm 1, degree
+    q - 1, vanishing unipotent-averaged sums sum_b chi(g u_b) at every
+    group element, and equal values from the Frobenius partner exponent.
+    The sum at g is the sum over the coset g N, which depends only on the
+    coset's type (`_coset_type_sums`), so each type's sum is formed once
+    from the (trace, det) table and GL2 is never enumerated.  A failure
+    names a representative g of the type, where the literal sum over g u_b
+    replays it.  A character failing any check is not returned.
     """
     table = conjugacy_classes(group)
     q = group.q
@@ -297,29 +319,30 @@ def cuspidal_character(group: MatrixGroup, k: int) -> CuspidalCharacter:
             f"exponent {k} is fixed by Frobenius mod {n}; no cuspidal character"
         )
     chi = ClassFunction(table, _value_maps(table, k))
-    chi_partner = ClassFunction(table, _value_maps(table, partner))
-    if chi.maps != chi_partner.maps:
+    if tuple(_value_maps(table, partner)) != chi.maps:
         raise ConsistencyError(
             "character values depend on the exponent representative",
             detail=(k, partner),
         )
     norm = chi.inner(chi)
-    if abs(norm - 1) > TOL:
+    if norm != 1:
         raise ConsistencyError(f"character norm {norm} is not 1")
-    degree = chi.value(((1, 0), (0, 1)))
+    degree = table.average(chi.value(group.identity()), 1)
     if degree != q - 1:
         raise ConsistencyError(f"degree {degree} differs from q - 1 = {q - 1}")
-    for g, acc in _coset_type_sums(chi).items():
-        if abs(acc) > TOL:
+    for g, terms in _coset_type_sums(chi).items():
+        # terms that cancel outright (split and central types) need no reduction
+        reduced = table.reduce(terms) if any(terms.values()) else ()
+        if any(reduced):
             raise ConsistencyError(
-                f"unipotent-averaged sum {acc} does not vanish",
-                detail={"representative": g},
+                "unipotent-averaged sum does not vanish",
+                detail={"representative": g, "reduced_sum": reduced},
             )
-    return CuspidalCharacter(group, k, partner, table, chi)
+    return chi
 
 
 def _coset_type_sums(f: ClassFunction) -> dict:
-    """{representative g: the sum of f over the coset g N}, one per coset type.
+    """{representative g: the {e: c} terms of f summed over g N}, one per coset type.
 
     For g = [[a, c], [x, d]], g u_b = [[a, ab + c], [x, xb + d]].  If x != 0
     the trace runs over F_q once at the fixed det, and no element is
@@ -331,14 +354,25 @@ def _coset_type_sums(f: ClassFunction) -> dict:
     q = table.group.q
 
     def at(tr, det):
-        return f._complex[table.index[table._key_by_trace_det[tr, det]]]
+        return f.maps[table.index[table._key_by_trace_det[tr, det]]]
 
     sums = {}
     for det in range(1, q):
-        sums[((0, F.neg(det)), (1, 0))] = sum(at(tr, det) for tr in range(q))
+        sums[((0, F.neg(det)), (1, 0))] = _combine((1, at(tr, det)) for tr in range(q))
     for a in range(1, q):
-        central = f._complex[table.index[("central", a)]]
-        sums[((a, 0), (0, a))] = central + (q - 1) * at(F.add(a, a), F.mul(a, a))
+        central = f.maps[table.index[("central", a)]]
+        sums[((a, 0), (0, a))] = _combine(
+            ((1, central), (q - 1, at(F.add(a, a), F.mul(a, a))))
+        )
         for d in range(a + 1, q):
-            sums[((a, 0), (0, d))] = q * at(F.add(a, d), F.mul(a, d))
+            sums[((a, 0), (0, d))] = _combine(((q, at(F.add(a, d), F.mul(a, d))),))
     return sums
+
+
+def _combine(weighted) -> dict:
+    """The {e: c} terms of sum w * m over (weight w, value map m) pairs."""
+    acc = {}
+    for w, m in weighted:
+        for e, c in m.items():
+            acc[e] = acc.get(e, 0) + w * c
+    return acc

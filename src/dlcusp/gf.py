@@ -414,15 +414,6 @@ class FieldTower:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, level: int, coeffs) -> FieldElement:
-        self._lv(level)  # refuses a level outside the tower
-        cs = tuple(int(c) for c in coeffs)
-        if len(cs) != level:
-            raise ValueError(f"need {level} coefficients, got {len(cs)}")
-        if any(not 0 <= c < self.q for c in cs):
-            raise ValueError("coefficients must be reduced codes 0..q-1")
-        return FieldElement(self, level, cs)
-
     def zero(self, level: int = 1) -> FieldElement:
         return FieldElement(self, level, self._lv(level).zero)
 
@@ -433,18 +424,10 @@ class FieldTower:
         """The integer scalar n*1 at the given level."""
         return self.embed(self.base.embed_int(n), level)
 
-    def embed(self, x, level: int) -> FieldElement:
-        """The canonical embedding F_q -> F_{q^d}; x is a code or a level-1 element."""
-        if isinstance(x, FieldElement):
-            if x.tower is not self:
-                raise ValueError("element belongs to a different tower")
-            if x.level != 1:
-                raise ValueError("only base elements embed upward")
-            code = x.coeffs[0]
-        else:
-            code = int(x)
-            if not 0 <= code < self.q:
-                raise ValueError("base code out of range")
+    def embed(self, code: int, level: int) -> FieldElement:
+        """The canonical embedding F_q -> F_{q^d} of the base element with this code."""
+        if not 0 <= code < self.q:
+            raise ValueError("base code out of range")
         self._lv(level)  # refuses a level outside the tower
         return FieldElement(self, level, (code,) + (0,) * (level - 1))
 

@@ -9,12 +9,13 @@ refuses to return unequal sides silently.
 
 from __future__ import annotations
 
-import functools
-import operator
+import itertools
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
-from .dlchar import TOL, cuspidal_character
+from .dlchar import conjugacy_classes, cuspidal_character
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
 from .groups import (
     Involution,
@@ -40,7 +41,6 @@ __all__ = [
     "orbit_entries",
     "rhs_orbit_sum",
     "lhs_multiplicity",
-    "ProductCuspidal",
     "TheoremResult",
     "verify_theorem",
     "census_for",
@@ -196,39 +196,38 @@ def rhs_orbit_sum(entries, lam: TorusCharacterOnT):
 # the character side
 
 
-class ProductCuspidal:
-    """Outer product of certified cuspidal characters, one per GL2 factor."""
-
-    def __init__(self, group: MatrixGroup, factors):
-        self.group = group
-        self.factors = tuple(factors)
-        self.exponents = tuple(chi.exponent for chi in self.factors)
-
-    def value(self, g) -> complex:
-        values = [chi.value(m) for chi, m in zip(self.factors, self.group.split(g))]
-        return functools.reduce(operator.mul, values)
+def _product_value(values, n) -> Counter:
+    """The {e: c} map of the product of the {e: c} value maps, exponents mod n."""
+    acc = Counter()
+    for items in itertools.product(*(v.items() for v in values)):
+        acc[sum(e for e, _ in items) % n] += math.prod(c for _, c in items)
+    return acc
 
 
-def lhs_multiplicity(census: OrbitCensus, chi):
-    """Average of the class function chi over the census seed's G^theta.
+def lhs_multiplicity(census: OrbitCensus, chis) -> int:
+    """Average over the census seed's G^theta of the outer product of chis,
+    one class function per GL2 factor.
 
     Every member's G^theta is the seed's conjugated, so the average is the
-    same for every member of the class.  Returns it as a nonnegative
-    integer; it must be within TOL of one, with vanishing imaginary part.
+    same for every member of the class.  G^theta is counted by its tuples of
+    factor classes, and the sum over it is formed once, exactly in
+    Z[zeta_n]; it must be a nonnegative integer multiple of |G^theta|.
     """
+    group = census.seed.group
+    table = conjugacy_classes(group.factor)
+    if len(chis) != group.n_factors or any(chi.table is not table for chi in chis):
+        raise ConfigError("need one class function per factor, on the factor's table")
     _, fixed = census.seed_stabilizers
-    acc = 0j
-    for h in fixed:
-        acc += chi.value(h)
-    avg = acc / len(fixed)
-    if abs(avg.imag) > TOL:
-        raise ConsistencyError(f"multiplicity average {avg} is not real")
-    rounded = round(avg.real)
-    if abs(avg.real - rounded) > TOL:
-        raise ConsistencyError(f"multiplicity average {avg.real} is not integral")
-    if rounded < 0:
-        raise ConsistencyError(f"negative multiplicity {rounded}")
-    return rounded
+    counts = Counter(tuple(map(table.class_of, group.split(h))) for h in fixed)
+    terms = Counter()
+    for classes, count in counts.items():
+        values = [chi.maps[i] for chi, i in zip(chis, classes)]
+        for e, c in _product_value(values, table.n_modulus).items():
+            terms[e] += count * c
+    avg = table.average(terms, len(fixed))
+    if avg < 0:
+        raise ConsistencyError(f"negative multiplicity {avg}")
+    return avg
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,6 @@ def lhs_multiplicity(census: OrbitCensus, chi):
 
 @dataclass(frozen=True)
 class TheoremResult:
-    group_kind: str
     q: int
     seed: str
     exponents: tuple
@@ -265,12 +263,6 @@ def _lambda_on(torus: TorusEmbedding, exponents) -> TorusCharacterOnT:
     return torus.character(tuple(c for k in exponents for c in (k, 0)))
 
 
-def _chi_for(group: MatrixGroup, exponents) -> ProductCuspidal:
-    return ProductCuspidal(
-        group, (cuspidal_character(group.factor, k) for k in exponents)
-    )
-
-
 def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     """Check lhs == rhs for one involution class and one inducing character.
 
@@ -284,9 +276,9 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     lam = _lambda_on(torus, exponents)
     if not lam.is_general_position():
         raise ConfigError(f"exponents {exponents} are not in general position")
-    chi = _chi_for(group, exponents)
+    chis = tuple(cuspidal_character(group.factor, k) for k in exponents)
     census = census_for(group, torus, seed)
-    lhs = lhs_multiplicity(census, chi)
+    lhs = lhs_multiplicity(census, chis)
     entries = orbit_entries(census, torus)
     rhs, reports = rhs_orbit_sum(entries, lam)
 
@@ -314,7 +306,6 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
         )
 
     result = TheoremResult(
-        group.kind,
         group.q,
         seed,
         exponents,

@@ -293,7 +293,6 @@ def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
     (
         ("verify", "epsilon", "--group", "gl2", "--q", "4"),
         ("verify", "epsilon", "--group", "gl2", "--q", "3", "--involution", "bogus"),
-        ("verify", "epsilon", "--group", "gl2", "--q", "3", "--format", "csv"),
         ("verify", "theorem", "--group", "gl2", "--q", "3", "--exponent", "3"),
         ("verify", "theorem", "--group", "gl2", "--q", "3", "--exponent", "x"),
         ("verify", "theorem", "--q", "3"),
@@ -301,8 +300,6 @@ def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
         ("verify", "theorem", "--group", "gl2_x_gl2", "--q", "5", "--exponent", "3,19"),
         ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
         ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3", "--torus", "split"),
-        ("verify", "theorem", "--group", "gl2", "--q", "3", "--torus", "split"),
-        ("table", "--group", "gl2", "--q", "3", "--torus", "split"),
         ("verify", "sigma", "--twists", "-5"),
         ("verify", "sigma", "--data", "/nonexistent.json"),
     ),
@@ -312,6 +309,26 @@ def test_config_errors(capsys, argv):
     assert code == 2
     assert "configuration error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "epsilon", "--group", "gl2", "--q", "3", "--format", "csv"),
+        ("verify", "theorem", "--group", "gl2", "--q", "3", "--torus", "split"),
+        ("table", "--group", "gl2", "--q", "3", "--torus", "split"),
+        ("verify", "theorem", "--group", "gl2", "--q", "3", "--torus", "elliptic"),
+        ("verify", "sigma", "--format", "json"),
+        ("verify", "phi-theta", "--group", "gl2", "--q", "3", "--format", "json"),
+        ("verify", "centralizer-sigma", "--format", "json"),
+    ),
+)
+def test_flags_a_run_cannot_use_are_unknown(capsys, argv):
+    # theorem and table runs use the elliptic torus, and only they write csv
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("directory", (False, True))

@@ -1,7 +1,10 @@
 """Conjugacy tables and cuspidal characters of GL2, tested against the
-classical count (q^2 - 1 classes in four families) and hand-expanded value
-maps at q = 3."""
+classical count (q^2 - 1 classes in four families), hand-expanded value
+maps at q = 3, literal cyclotomic polynomials, and a complex view of the
+exact values that serves as an independent reference."""
 
+import cmath
+import math
 import random
 from collections import Counter
 
@@ -13,6 +16,7 @@ from dlcusp.dlchar import (
     ConjugacyTable,
     conjugacy_classes,
     cuspidal_character,
+    cyclotomic,
     general_position_exponents,
 )
 from dlcusp.errors import ConfigError, ConsistencyError
@@ -138,6 +142,90 @@ def test_general_position_pairs():
     assert len(general_position_exponents(MatrixGroup("gl2", 7))) == 21
 
 
+# -- exact sums in Z[zeta_n] ---------------------------------------------------
+
+
+def _complex(table, m):
+    """The complex value of an {exponent: coefficient} map: the reference view."""
+    n = table.n_modulus
+    return sum(c * cmath.exp(2j * math.pi * (e % n) / n) for e, c in m.items())
+
+
+def _sum(maps):
+    """The {exponent: coefficient} terms of a sum of value maps."""
+    acc = Counter()
+    for m in maps:
+        acc.update(m)
+    return acc
+
+
+# Phi_n for n = q^2 - 1, q = 3, 5, 7, 9, 11, 13, as {degree: coefficient}
+CYCLOTOMIC = {
+    8: {4: 1, 0: 1},
+    24: {8: 1, 4: -1, 0: 1},
+    48: {16: 1, 8: -1, 0: 1},
+    80: {32: 1, 24: -1, 16: 1, 8: -1, 0: 1},
+    120: {32: 1, 28: 1, 20: -1, 16: -1, 12: -1, 4: 1, 0: 1},
+    168: {48: 1, 44: 1, 36: -1, 32: -1, 24: 1, 16: -1, 12: -1, 4: 1, 0: 1},
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLOTOMIC))
+def test_cyclotomic_literal_coefficients(n):
+    phi = cyclotomic(n)
+    assert {d: c for d, c in enumerate(phi) if c} == CYCLOTOMIC[n]
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_the_table_reduces_modulo_its_cyclotomic_polynomial(q):
+    table = conjugacy_classes(MatrixGroup("gl2", q))
+    n = table.n_modulus
+    assert n == q * q - 1 and table.degree == max(CYCLOTOMIC[n])
+    # Phi_n(zeta) = 0, and zeta^n = 1
+    assert table.reduce(CYCLOTOMIC[n]) == (0,) * table.degree
+    assert table.reduce({n: 1}) == table.reduce({0: 1}) == (1,) + (0,) * (table.degree - 1)
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_a_lone_root_of_unity_is_not_an_integer(q):
+    table = conjugacy_classes(MatrixGroup("gl2", q))
+    n = table.n_modulus
+    assert table.average({n // 2: 3}, 1) == -3  # zeta^(n/2) = -1
+    for e in range(1, n):
+        if e != n // 2:
+            with pytest.raises(ConsistencyError) as err:
+                table.average({e: 1}, 1)
+            assert any(err.value.detail["reduced_sum"][1:])
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_a_sum_over_a_subgroup_of_prime_order_vanishes(q):
+    table = conjugacy_classes(MatrixGroup("gl2", q))
+    n = table.n_modulus
+    zero = (0,) * table.degree
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+    for p in primes:
+        for coset in range(n // p):
+            terms = {coset + k * (n // p): 1 for k in range(p)}
+            assert table.reduce(terms) == zero
+            # one term short of the subgroup, the sum is a unit, not 0
+            del terms[coset]
+            assert table.reduce(terms) != zero
+            assert abs(_complex(table, terms)) > 0.5
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_reduction_agrees_with_the_complex_view(q):
+    table = conjugacy_classes(MatrixGroup("gl2", q))
+    rng = random.Random(q)
+    zeta = cmath.exp(2j * math.pi / table.n_modulus)
+    for _ in range(50):
+        terms = {rng.randrange(3 * table.n_modulus): rng.randint(-5, 5) for _ in range(6)}
+        reduced = table.reduce(terms)
+        view = sum(c * zeta**j for j, c in enumerate(reduced))
+        assert abs(view - _complex(table, terms)) < 1e-9
+
+
 # -- cuspidal characters ------------------------------------------------------
 
 
@@ -151,9 +239,10 @@ def test_rejects_frobenius_fixed_exponent():
 def test_value_maps_q3_k1():
     g = MatrixGroup("gl2", 3)
     chi = cuspidal_character(g, 1)
-    assert chi.exponent == 1 and chi.partner == 3
+    # 3 = 1 * q mod 8 is the Frobenius partner, and names the same character
+    assert cuspidal_character(g, 3).maps == chi.maps
     table = chi.table
-    by_key = dict(zip((c.key for c in table.classes), chi.chi.maps))
+    by_key = dict(zip((c.key for c in table.classes), chi.maps))
     assert by_key[("central", 1)] == {0: 2}
     assert by_key[("central", 2)] == {4: 2}  # dlog(-1) = 4, degree 2
     assert by_key[("unipotent", 1)] == {0: -1}
@@ -167,28 +256,27 @@ def test_value_maps_q3_k1():
 def test_value_maps_q3_k2_merges_exponents():
     g = MatrixGroup("gl2", 3)
     chi = cuspidal_character(g, 2)
-    by_key = dict(zip((c.key for c in chi.table.classes), chi.chi.maps))
+    by_key = dict(zip((c.key for c in chi.table.classes), chi.maps))
     # 2*2 and 2*2*3 agree mod 8, so the two eigenvalue terms merge
     assert by_key[("elliptic", 2)] == {4: -2}
     assert by_key[("central", 2)] == {0: 2}
     rep = next(c.rep for c in chi.table.classes if c.key == ("elliptic", 2))
-    assert abs(chi.value(rep) - 2) < 1e-12
+    assert chi.table.average(chi.value(rep), 1) == 2
 
 
 def test_degree_and_central_values():
     for q, k in ((3, 1), (5, 7), (7, 2)):
         g = MatrixGroup("gl2", q)
         chi = cuspidal_character(g, k)
-        assert chi.value(g.identity()) == q - 1
+        table = chi.table
+        assert table.average(chi.value(g.identity()), 1) == q - 1
         n = g.tower.order(2)
         for z in range(1, q):
             expected = (k * g.tower.discrete_log(g.tower.embed(z, 2))) % n
             got = chi.value(g.scalar(z))
-            import cmath
-            import math
-
+            assert table.reduce(got) == table.reduce({expected: q - 1})
             ref = (q - 1) * cmath.exp(2j * math.pi * expected / n)
-            assert abs(got - ref) < 1e-9
+            assert abs(_complex(table, got) - ref) < 1e-9
 
 
 def test_split_classes_vanish():
@@ -196,14 +284,24 @@ def test_split_classes_vanish():
     chi = cuspidal_character(g, 3)
     for c in chi.table.classes:
         if c.kind == "split":
-            assert chi.value(c.rep) == 0
+            assert chi.value(c.rep) == {}
+            assert not any(chi.table.reduce(chi.value(c.rep)))
 
 
 def test_partner_exponent_same_character():
     g = MatrixGroup("gl2", 3)
-    assert cuspidal_character(g, 1).chi.maps == cuspidal_character(g, 3).chi.maps
+    assert cuspidal_character(g, 1).maps == cuspidal_character(g, 3).maps
     g5 = MatrixGroup("gl2", 5)
-    assert cuspidal_character(g5, 7).chi.maps == cuspidal_character(g5, 11).chi.maps
+    assert cuspidal_character(g5, 7).maps == cuspidal_character(g5, 11).maps
+
+
+def _complex_inner(a, b):
+    table = a.table
+    acc = sum(
+        c.size * _complex(table, v) * _complex(table, w).conjugate()
+        for c, v, w in zip(table.classes, a.maps, b.maps)
+    )
+    return acc / table.group.gl2_order
 
 
 def test_orthonormality_q3():
@@ -211,23 +309,26 @@ def test_orthonormality_q3():
     chis = [cuspidal_character(g, k) for k, _ in general_position_exponents(g)]
     for i, a in enumerate(chis):
         for j, b in enumerate(chis):
-            got = a.chi.inner(b.chi)
-            assert abs(got - (1 if i == j else 0)) < 1e-9
+            got = a.inner(b)
+            assert got == (1 if i == j else 0)
+            assert abs(_complex_inner(a, b) - got) < 1e-9
 
 
 def test_orthogonality_sample_q7():
     g = MatrixGroup("gl2", 7)
     a = cuspidal_character(g, 2)
     b = cuspidal_character(g, 5)
-    assert abs(a.chi.inner(b.chi)) < 1e-9
-    assert abs(a.chi.inner(a.chi) - 1) < 1e-9
+    assert a.inner(b) == 0
+    assert a.inner(a) == 1
+    assert abs(_complex_inner(a, b)) < 1e-9
+    assert abs(_complex_inner(a, a) - 1) < 1e-9
 
 
 def test_inner_requires_same_table():
     a = cuspidal_character(MatrixGroup("gl2", 3), 1)
     b = cuspidal_character(MatrixGroup("gl2", 3), 1)
     with pytest.raises(ConfigError):
-        a.chi.inner(b.chi)
+        a.inner(b)
 
 
 def test_class_function_validation():
@@ -241,7 +342,17 @@ def test_constant_function_inner():
     g = MatrixGroup("gl2", 3)
     table = conjugacy_classes(g)
     one = ClassFunction(table, [{0: 1} for _ in table.classes])
-    assert abs(one.inner(one) - 1) < 1e-12
+    assert one.inner(one) == 1
+
+
+def test_inner_refuses_a_non_integral_product():
+    # the indicator of the identity has inner product 1 / |G| with itself
+    table = conjugacy_classes(MatrixGroup("gl2", 3))
+    delta = ClassFunction(
+        table, [{0: 1} if c.key == ("central", 1) else {} for c in table.classes]
+    )
+    with pytest.raises(ConsistencyError, match="not an integer multiple of 48"):
+        delta.inner(delta)
 
 
 def test_unipotent_column_sums_vanish():
@@ -249,11 +360,9 @@ def test_unipotent_column_sums_vanish():
     g = MatrixGroup("gl2", 5)
     chi = cuspidal_character(g, 2)
     x = ((2, 1), (1, 1))
-    total = 0j
-    for b in range(5):
-        u = ((1, b), (0, 1))
-        total += chi.value(g.mul(x, u))
-    assert abs(total) < 1e-9
+    values = [chi.value(g.mul(x, ((1, b), (0, 1)))) for b in range(5)]
+    assert not any(chi.table.reduce(_sum(values)))
+    assert abs(sum(_complex(chi.table, v) for v in values)) < 1e-9
 
 
 # -- the cuspidal certificate, one sum per coset type ---------------------------
@@ -306,10 +415,10 @@ def test_coset_sums_are_the_per_element_sums(q):
         [{rng.randrange(table.n_modulus): rng.randint(-3, 3)} for _ in table.classes],
     )
     sums = dlchar._coset_type_sums(f)
-    assert any(abs(v) > 1e-6 for v in sums.values())
+    assert any(any(table.reduce(v)) for v in sums.values())
     for x in g.gl2_elements():
-        per_g = sum(f.value(g.mul(x, _u(b))) for b in range(q))
-        assert abs(per_g - sums[_coset_key(F, x)]) < 1e-9
+        per_g = _sum(f.value(g.mul(x, _u(b))) for b in range(q))
+        assert table.reduce(per_g) == table.reduce(sums[_coset_key(F, x)])
 
 
 def test_perturbed_character_fails_the_coset_check(monkeypatch):
@@ -329,8 +438,32 @@ def test_perturbed_character_fails_the_coset_check(monkeypatch):
         cuspidal_character(g, 2)
     rep = err.value.detail["representative"]
     # the failure replays from its representative alone
-    chi = ClassFunction(conjugacy_classes(g), perturbed(conjugacy_classes(g), 2))
-    assert abs(sum(chi.value(g.mul(rep, _u(b))) for b in range(5))) > 1
+    table = conjugacy_classes(g)
+    chi = ClassFunction(table, perturbed(table, 2))
+    values = [chi.value(g.mul(rep, _u(b))) for b in range(5)]
+    assert table.reduce(_sum(values)) == err.value.detail["reduced_sum"]
+    assert abs(sum(_complex(table, v) for v in values)) > 1
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_one_coefficient_off_fails_the_coset_check(delta, monkeypatch):
+    # every coset-type sum of a certified character vanishes exactly; moving
+    # one coefficient of one of them by +-1 must be caught at that sum
+    g = MatrixGroup("gl2", 5)
+    sums = dlchar._coset_type_sums
+    for rep in sums(cuspidal_character(g, 2)):
+
+        def off_by_one(f, rep=rep):
+            out = sums(f)
+            e = min(out[rep], default=0)
+            out[rep][e] = out[rep].get(e, 0) + delta
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(dlchar, "_coset_type_sums", off_by_one)
+            with pytest.raises(ConsistencyError, match="unipotent-averaged sum") as err:
+                cuspidal_character(g, 2)
+        assert err.value.detail["representative"] == rep
 
 
 @pytest.mark.parametrize("q", (5, 11))
@@ -344,4 +477,4 @@ def test_cuspidal_character_never_enumerates_gl2(q, monkeypatch):
 
     monkeypatch.setattr(MatrixGroup, "gl2_elements", refuse)
     chi = cuspidal_character(g, 2)
-    assert chi.value(((1, 0), (0, 1))) == q - 1
+    assert chi.table.average(chi.value(((1, 0), (0, 1))), 1) == q - 1

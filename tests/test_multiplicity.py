@@ -1,11 +1,20 @@
 """The multiplicity identity itself: epsilon characters, orbit sums, fixed
 subgroup averages, and the grid of verified cells at small q."""
 
+import cmath
+import math
+from collections import Counter
+
 import pytest
 
 from dlcusp import groups, multiplicity
-from dlcusp.dlchar import cuspidal_character
-from dlcusp.errors import ConfigError, MethodDisagreement, TheoremViolation
+from dlcusp.dlchar import ClassFunction, conjugacy_classes, cuspidal_character
+from dlcusp.errors import (
+    ConfigError,
+    ConsistencyError,
+    MethodDisagreement,
+    TheoremViolation,
+)
 from dlcusp.groups import (
     MatrixGroup,
     TorusEmbedding,
@@ -13,7 +22,6 @@ from dlcusp.groups import (
     named_involution,
 )
 from dlcusp.multiplicity import (
-    ProductCuspidal,
     census_for,
     character_matches_epsilon,
     epsilon_character,
@@ -145,20 +153,70 @@ def test_lhs_multiplicity_matches_direct_average():
     torus = elliptic_torus(group)
     census = census_for(group, torus, "transpose-inverse")
     chi = cuspidal_character(group, 2)
-    assert lhs_multiplicity(census, chi) == 1
-    assert lhs_multiplicity(census, cuspidal_character(group, 1)) == 0
+    assert lhs_multiplicity(census, (chi,)) == 1
+    assert lhs_multiplicity(census, (cuspidal_character(group, 1),)) == 0
+
+
+def _complex(table, m):
+    """The complex value of an {exponent: coefficient} map: the reference view."""
+    n = table.n_modulus
+    return sum(c * cmath.exp(2j * math.pi * e / n) for e, c in m.items())
 
 
 def test_product_cuspidal_values():
-    view = MatrixGroup("gl2", 3)
+    group = MatrixGroup("gl2_x_gl2", 3)
+    view = group.factor
+    table = conjugacy_classes(view)
+    n = table.n_modulus
     a = cuspidal_character(view, 1)
     b = cuspidal_character(view, 2)
-    chi = ProductCuspidal(MatrixGroup("gl2_x_gl2", 3), (a, b))
-    assert chi.exponents == (1, 2)
     g = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
-    assert chi.value(g) == a.value(g[0]) * b.value(g[1])
+    product = multiplicity._product_value((a.value(g[0]), b.value(g[1])), n)
+    expected = _complex(table, a.value(g[0])) * _complex(table, b.value(g[1]))
+    assert abs(_complex(table, product) - expected) < 1e-9
     # a gl2 cell is the one-factor case
-    assert ProductCuspidal(view, (b,)).value(g[1]) == b.value(g[1])
+    assert multiplicity._product_value((b.value(g[1]),), n) == b.value(g[1])
+    # the product group's lhs averages the outer product of (a, b) over G^theta
+    census = census_for(group, elliptic_torus(group), "swap")
+    fixed = census.seed_stabilizers[1]
+    average = sum(
+        _complex(table, a.value(h[0])) * _complex(table, b.value(h[1])) for h in fixed
+    ) / len(fixed)
+    lhs = lhs_multiplicity(census, (a, b))
+    assert abs(average - lhs) < 1e-9
+    with pytest.raises(ConfigError):
+        lhs_multiplicity(census, (a,))
+
+
+def _constant(table, m):
+    return ClassFunction(table, [m for _ in table.classes])
+
+
+def test_lhs_refuses_a_non_integral_average():
+    group = MatrixGroup("gl2", 3)
+    table = conjugacy_classes(group)
+    census = census_for(group, elliptic_torus(group), "diag")
+    fixed = census.seed_stabilizers[1]
+    # the constant zeta sums to |G^theta| zeta, which is not an integer
+    with pytest.raises(ConsistencyError, match="not an integer multiple") as err:
+        lhs_multiplicity(census, (_constant(table, {1: 1}),))
+    assert err.value.detail == {
+        "reduced_sum": table.reduce({1: len(fixed)}),
+        "count": len(fixed),
+    }
+    # the indicator of the identity sums to 1, not a multiple of |G^theta|
+    delta = ClassFunction(
+        table, [{0: 1} if c.key == ("central", 1) else {} for c in table.classes]
+    )
+    with pytest.raises(ConsistencyError) as err:
+        lhs_multiplicity(census, (delta,))
+    # the reduced sum replays the failure: it is the literal sum over G^theta
+    literal = Counter()
+    for h in fixed:
+        literal.update(delta.value(h))
+    assert err.value.detail["reduced_sum"] == table.reduce(literal) == table.reduce({0: 1})
+    with pytest.raises(ConsistencyError, match="negative multiplicity"):
+        lhs_multiplicity(census, (_constant(table, {0: -1}),))
 
 
 # -- the theorem --------------------------------------------------------------
@@ -284,12 +342,9 @@ def test_violation_carries_result():
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
 
-    class One:
-        def value(self, g):
-            return 1.0
-
+    one = _constant(conjugacy_classes(group), {0: 1})
     lam = torus.character((1, 0))
-    lhs = lhs_multiplicity(census, One())
+    lhs = lhs_multiplicity(census, (one,))
     rhs, _ = rhs_orbit_sum(orbit_entries(census, torus), lam)
     assert lhs == 1 and rhs == 0
     assert issubclass(TheoremViolation, Exception)

@@ -1,38 +1,56 @@
-"""Source hygiene: every function and class in the package is used by it."""
+"""Source hygiene: every function and class in the package is used by it,
+and the package computes without floating-point character values."""
 
 import ast
+import io
 import pathlib
-import re
+import tokenize
 
 import dlcusp
 
 PACKAGE = pathlib.Path(dlcusp.__file__).parent
 
 
-def test_every_definition_is_referenced_in_the_package():
-    # a name counts as referenced when a line of src/dlcusp/ other than its
-    # own definition line and its __all__ entry mentions it as a word
-    lines = []  # (path, line number, text)
-    defined = []  # (name, path, line number)
-    skip = set()
+def _tokens():
+    """(path, token) for every token of src/dlcusp/."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        text = path.read_text()
-        lines += [(path, i, line) for i, line in enumerate(text.splitlines(), 1)]
-        for node in ast.walk(ast.parse(text)):
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            yield path, tok
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # a name counts as referenced when it is an identifier token of
+    # src/dlcusp/ other than the one that defines it; strings (so __all__
+    # entries and docstrings) and comments do not count
+    defined = []  # (name, path, line number)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((node.name, path, node.lineno))
-                skip.add((path, node.lineno))
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                skip.update((path, i) for i in range(node.lineno, node.end_lineno + 1))
     mentioned = set()
-    for path, i, line in lines:
-        if (path, i) not in skip:
-            mentioned.update(re.findall(r"\w+", line))
+    previous = None
+    for _, tok in _tokens():
+        if tok.type == tokenize.NAME and previous not in ("def", "class"):
+            mentioned.add(tok.string)
+        previous = tok.string
     unused = [
         f"{path.name}:{lineno} {name}"
         for name, path, lineno in defined
         if name not in mentioned and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_no_floating_point_character_values():
+    # character sums are exact in Z[zeta_n]: no complex type, no cmath, no
+    # imaginary literal and no float literal with a negative exponent
+    found = []
+    for path, tok in _tokens():
+        text = tok.string
+        if (
+            (tok.type == tokenize.NAME and text in ("cmath", "complex"))
+            or (tok.type == tokenize.NUMBER and text[-1] in "jJ")
+            or (tok.type == tokenize.NUMBER and "e-" in text.lower())
+        ):
+            found.append(f"{path.name}:{tok.start[0]} {text}")
+    assert found == []
