@@ -261,7 +261,7 @@ def _stable_orbit_cells(config: RunConfig, certify) -> int:
 
 
 def _epsilon_fields(theta, torus) -> dict:
-    eps = epsilon_character(theta, torus)
+    eps = epsilon_character(theta, torus, theta.torus_side(torus)[1])
     return {"domain_size": len(eps.domain), "signs": sorted(set(eps.signs.values()))}
 
 
@@ -367,14 +367,16 @@ def cmd_verify_theorem(config: RunConfig) -> int:
     failures = []
     results = []
     for cell in cells:
-        ok, payload = _theorem_cell_safe(cell)
+        ok, payload = _theorem_cell_safe(cell, config.command)
         (results if ok else failures).append(payload)
     results.sort(key=_row_key)
     _emit(config, results, failures)
     return _fail_exit(config, failures) if failures else 0
 
 
-def _theorem_cell_safe(cell):
+def _theorem_cell_safe(cell, command: str):
+    """(True, row) of a cell, or (False, failure entry); a failure entry's
+    replay is the argv that reruns that cell alone."""
     try:
         return True, _run_theorem_cell(cell)
     except (ConsistencyError,) as e:
@@ -386,6 +388,13 @@ def _theorem_cell_safe(cell):
             "lambda_exponent": "|".join(str(k) for k in exps),
             "message": str(e),
             "detail": _jsonable(getattr(e, "detail", None)),
+            "replay": [
+                *command.split(),
+                "--group", group.kind,
+                "--q", str(q),
+                "--exponent", ",".join(map(str, exps)),
+                "--involution", seed,
+            ],
         }
 
 

@@ -29,18 +29,21 @@ __all__ = [
 
 def cyclotomic(n: int) -> list:
     """The coefficients of Phi_n, lowest degree first: Phi_d for each divisor
-    d of n in turn is x^d - 1 divided exactly by the earlier Phi_e, e | d."""
+    d of n in turn is x^d - 1 divided exactly by the earlier Phi_e, e | d.
+    The division steps skip the zero coefficients of Phi_e."""
     phis = {}
     for d in (d for d in range(1, n + 1) if n % d == 0):
         p = [-1] + [0] * (d - 1) + [1]
         for e in [e for e in phis if d % e == 0]:
             b, quotient = phis[e], []
+            terms = [(j, bj) for j, bj in enumerate(b[:-1]) if bj]
             while len(p) >= len(b):  # long division by the monic b, top down
                 c = p.pop()
                 quotient.append(c)
                 if c:
-                    for j, bj in enumerate(b[:-1], len(p) + 1 - len(b)):
-                        p[j] -= c * bj
+                    low = len(p) + 1 - len(b)
+                    for j, bj in terms:
+                        p[low + j] -= c * bj
             if any(p):
                 raise ConsistencyError(f"Phi_{e} does not divide x^{d} - 1")
             p = quotient[::-1]

@@ -338,8 +338,8 @@ class TorusEmbedding:
     ``points`` is one factor's torus, ``canonical`` maps each point to its
     canonical form modulo central scaling, and ``generators`` generate the
     whole torus: one factor generator at a time in one factor, the identity
-    in the others.  Their closure is certified to be the torus at
-    construction.
+    in the others.  The closure of the factor generators is certified to be
+    ``points`` at construction.
     """
 
     def __init__(self, group: MatrixGroup, kind: str):
@@ -376,19 +376,23 @@ class TorusEmbedding:
         self._set = frozenset(self.elements)
         self._log_cache = {}
         self._constants = {}
+        # the torus is the direct product of the factor tori, so the
+        # generators reach it exactly when the factor generators reach one
+        # factor's points: n N products in place of N^n |generators|
         one = _m_identity()
+        factor_generators = self._factor_generators()
+        reached = _closure(one, factor_generators, group.factor.mul)
+        if reached != set(points):
+            raise ConsistencyError(
+                f"the {kind} torus generators reach {len(reached)} points, "
+                f"not the {len(points)} of one factor's torus"
+            )
         n = group.n_factors
         self.generators = tuple(
             group.join(tuple(s if j == k else one for j in range(n)))
             for k in range(n)
-            for s in self._factor_generators()
+            for s in factor_generators
         )
-        reached = _closure(group.identity(), self.generators, group.mul)
-        if reached != self._set:
-            raise ConsistencyError(
-                f"the {kind} torus generators reach {len(reached)} points, "
-                f"not the {len(self.elements)} of the torus"
-            )
 
     def _factor_generators(self):
         """Generators of one factor's torus: diag(gamma, 1) and diag(1, gamma) for

@@ -62,18 +62,80 @@ class EpsilonCharacter:
         return self.signs[t]
 
 
-def epsilon_character(theta: Involution, torus: TorusEmbedding) -> EpsilonCharacter:
+def _domain_generators(group: MatrixGroup, domain) -> list:
+    """Generators of the abelian group domain, picked in domain order: a point
+    outside the span so far joins, and the span grows by its cosets x^k S.
+
+    Nothing rests on the pick; _check_multiplicative certifies the closure.
+    """
+    span, gens = {group.identity()}, []
+    for x in domain:
+        if x in span:
+            continue
+        gens.append(x)
+        power, coset, grown = x, span, set(span)
+        while power not in span:
+            coset = [group.mul(x, s) for s in coset]
+            grown.update(coset)
+            power = group.mul(x, power)
+        span = grown
+    return gens
+
+
+def _check_multiplicative(group: MatrixGroup, signs: dict, gens) -> None:
+    """Certify that signs, a sign on each domain point, is a character.
+
+    The Cayley graph of gens is walked from the identity: every edge
+    x -> g x must stay in the domain and satisfy signs[g x] = signs[g]
+    signs[x], and the walk must reach every domain point.  The gens then
+    generate the domain, and by induction on word length
+    signs[y x] = signs[y] signs[x] for all y and x: |D| |gens| products in
+    place of |D|^2.
+    """
+    one = group.identity()
+    if one not in signs:
+        raise ConsistencyError("the identity is not in the epsilon domain")
+    reached, frontier = {one}, [one]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(g, x)
+                if y not in signs:
+                    raise ConsistencyError(
+                        "the epsilon generators leave the domain", detail=(g, x)
+                    )
+                if signs[y] != signs[g] * signs[x]:
+                    raise ConsistencyError("epsilon is not multiplicative", detail=(g, x))
+                if y not in reached:
+                    reached.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    if len(reached) != len(signs):
+        raise ConsistencyError(
+            f"the epsilon generators reach {len(reached)} points, "
+            f"not the {len(signs)} of the domain"
+        )
+
+
+def epsilon_character(
+    theta: Involution, torus: TorusEmbedding, domain=None
+) -> EpsilonCharacter:
     """The sign character on the theta-fixed torus points, computed twice.
 
-    Route one takes det(Ad(t)) on the theta-fixed Lie subalgebra; route two
-    takes the product of one root per +-pair of the roots negated by the
-    lattice shadow of theta.  The two must agree at every fixed point, and
-    the result must be multiplicative; disagreement raises with the
-    witnessing torus point attached.
+    domain: theta's fixed torus points (the second set of
+    theta.torus_side(torus), which a pick's StabilizerData holds), formed
+    here when omitted.  Route one takes det(Ad(t)) on the theta-fixed Lie
+    subalgebra; route two takes the product of one root per +-pair of the
+    roots negated by the lattice shadow of theta.  The two must agree at
+    every fixed point, and the result must be multiplicative, which is
+    checked on the Cayley edges of a certified generating set; disagreement
+    raises with the witnessing torus point attached.
     """
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize this torus")
-    domain = theta.torus_side(torus)[1]
+    if domain is None:
+        domain = theta.torus_side(torus)[1]
     space = LieFixedSpace(theta)
     shadow = derived_theta_star(theta, torus)
     datum = torus.datum
@@ -94,12 +156,8 @@ def epsilon_character(theta: Involution, torus: TorusEmbedding) -> EpsilonCharac
                 },
             )
         signs[t] = det_sign
-    for a in domain:
-        for b in domain:
-            if signs[torus.group.mul(a, b)] != signs[a] * signs[b]:
-                raise ConsistencyError(
-                    "epsilon is not multiplicative", detail=(a, b)
-                )
+    group = torus.group
+    _check_multiplicative(group, signs, _domain_generators(group, domain))
     return EpsilonCharacter(theta, torus, domain, signs)
 
 
@@ -147,9 +205,15 @@ class _OrbitEntry:
             for i in (1, len(members) // 2, len(members) - 1):
                 if members[i] not in picks:
                     picks.append(members[i])
-        self.m = orbit_stabilizer_data(picks, torus, census)[0].m
+        data = orbit_stabilizer_data(picks, torus, census)
+        self.m = data[0].m
         self.eps = (
-            [epsilon_character(th, torus) for th in picks] if orbit.stable else None
+            [
+                epsilon_character(th, torus, d.fixed_in_t_theta)
+                for th, d in zip(picks, data)
+            ]
+            if orbit.stable
+            else None
         )
 
 

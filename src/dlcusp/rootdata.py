@@ -28,6 +28,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from importlib import resources
 
 from .errors import ConfigError, ConsistencyError
@@ -354,13 +355,21 @@ class InvolutionOnDatum:
     def apply(self, v: Vec) -> Vec:
         return tuple(int_mat_vec([list(r) for r in self.matrix], v))
 
+    @cached_property
+    def phi_theta(self) -> tuple[Vec, ...]:
+        """The roots negated by the involution, sorted; checked closed under -1."""
+        out = tuple(sorted(a for a in self.datum.roots if self.apply(a) == _vneg(a)))
+        if any(_vneg(a) not in out for a in out):
+            raise ConsistencyError("negated roots are not closed under -1", detail=out)
+        return out
+
 
 def phi_theta(datum: TwistedRootDatum, theta: InvolutionOnDatum) -> tuple[Vec, ...]:
-    """The roots negated by the involution, sorted; always closed under -1."""
-    out = tuple(sorted(a for a in datum.roots if theta.apply(a) == _vneg(a)))
-    if any(_vneg(a) not in out for a in out):
-        raise ConsistencyError("negated roots are not closed under -1", detail=out)
-    return out
+    """The roots negated by the involution, sorted and checked closed under
+    -1, once per involution object (InvolutionOnDatum.phi_theta)."""
+    if theta.datum != datum:
+        raise ConfigError(f"involution {theta.name} is not on the datum {datum.name}")
+    return theta.phi_theta
 
 
 def _orbits_within(datum: TwistedRootDatum, subset) -> list[GaloisOrbit]:
@@ -378,6 +387,19 @@ def _orbits_within(datum: TwistedRootDatum, subset) -> list[GaloisOrbit]:
     return picked
 
 
+@cache
+def _pair_roots(datum: TwistedRootDatum, subset: tuple) -> tuple[Vec, ...]:
+    """One root per +-pair {a, -a} of a twist-stable subset closed under -1:
+    its positive roots, sorted.  Both conditions are checked, once per
+    (datum, subset) in a process, so the torus points of one phi_theta do
+    not rebuild the Galois orbits."""
+    _orbits_within(datum, subset)  # twist stability
+    subset = set(subset)
+    if any(_vneg(a) not in subset for a in subset):
+        raise ConsistencyError("root subset is not closed under negation")
+    return tuple(sorted(subset & set(datum.positive_roots())))
+
+
 def orbit_product(datum: TwistedRootDatum, subset, evaluate) -> int:
     """Product of a(t) over one root per +-pair {a, -a} inside ``subset``.
 
@@ -389,15 +411,11 @@ def orbit_product(datum: TwistedRootDatum, subset, evaluate) -> int:
     ``evaluate`` maps a root vector to a field element; a(t) and (-a)(t) must
     be equal, hence their own inverse (they are, whenever the subset is a
     phi_theta of a fixed point), which makes the product a sign and makes
-    the choice between a and -a irrelevant.  Both facts are asserted, not
+    the choice between a and -a irrelevant.  Both facts are checked, not
     trusted.
     """
-    _orbits_within(datum, subset)  # twist stability
-    subset = set(subset)
-    if any(_vneg(a) not in subset for a in subset):
-        raise ConsistencyError("root subset is not closed under negation")
     acc = None
-    for a in sorted(subset & set(datum.positive_roots())):
+    for a in _pair_roots(datum, tuple(subset)):
         v = evaluate(a)
         if v != evaluate(_vneg(a)):
             raise ConsistencyError(
@@ -527,23 +545,26 @@ def datum_involutions(datum: TwistedRootDatum) -> dict[str, InvolutionOnDatum]:
     return out
 
 
+@cache
+def _pool_product(a, b) -> tuple[Vec, ...]:
+    """The product of two pool matrices, kept for the process: the data of
+    one rank share a pool, so a pair drawn for one is not multiplied again
+    for another."""
+    return tuple(map(tuple, int_mat_mul([list(r) for r in a], [list(r) for r in b])))
+
+
 def random_twists(datum: TwistedRootDatum, count: int, seed: int = 0):
     """Randomized valid retwists of a shipped datum (products of pool matrices).
 
     Each of the ``count`` draws is the product of two seeded pool choices.
-    Each pair is multiplied once, and draws with the same product share one
-    datum, validated once."""
+    Draws with the same product share one datum, validated once."""
     pool = list(_matrix_pool(datum.rank).values())
     rng = random.Random(seed)
-    by_pair, by_product = {}, {}
+    by_product = {}
     out = []
     for _ in range(count):
-        pair = (rng.choice(pool), rng.choice(pool))
-        if pair not in by_pair:
-            a, b = ([list(r) for r in m] for m in pair)
-            m = tuple(map(tuple, int_mat_mul(a, b)))
-            if m not in by_product:
-                by_product[m] = with_twist(datum, m)
-            by_pair[pair] = by_product[m]
-        out.append(by_pair[pair])
+        m = _pool_product(rng.choice(pool), rng.choice(pool))
+        if m not in by_product:
+            by_product[m] = with_twist(datum, m)
+        out.append(by_product[m])
     return out

@@ -285,6 +285,41 @@ def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
     ] == [("gl2", 3, "diag", "2", "forced failure")]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", "theorem", "--group", "gl2", "--q", "3", "5"),
+        ("table", "--group", "gl2_x_gl2", "--q", "3"),
+    ),
+)
+def test_theorem_failures_replay(capsys, monkeypatch, argv):
+    # with lhs forced to 0, every cell with a nonzero orbit sum raises a
+    # TheoremViolation, and its replay argv reruns that cell alone
+    monkeypatch.setattr("dlcusp.multiplicity.lhs_multiplicity", lambda census, chis: 0)
+
+    def failures_of(run):
+        code, out, err = run_cli(capsys, *run)
+        assert code == 1
+        doc = json.loads(err if run[0] == "table" else out)  # csv: on stderr
+        text = re.sub(r"wall_ms=[0-9.]+", "wall_ms=0", json.dumps(doc["failures"]))
+        return json.loads(text)
+
+    failures = failures_of(argv)
+    assert failures
+    command = list(argv[: argv.index("--group")])
+    for failure in failures:
+        assert failure["message"].startswith("multiplicity 0 differs from orbit sum")
+        replay = failure["replay"]
+        assert replay == [
+            *command,
+            "--group", failure["group"],
+            "--q", str(failure["q"]),
+            "--exponent", failure["lambda_exponent"].replace("|", ","),
+            "--involution", failure["involution_seed"],
+        ]
+        assert failures_of(replay) == [failure]
+
+
 # -- exit 2: configuration errors --------------------------------------------
 
 

@@ -176,6 +176,25 @@ def test_cyclotomic_literal_coefficients(n):
     assert {d: c for d, c in enumerate(phi) if c} == CYCLOTOMIC[n]
 
 
+@pytest.mark.parametrize("q", range(3, 32, 2))
+def test_cyclotomic_degree_and_product(q):
+    # deg Phi_n = phi(n), and the Phi_d over the divisors d of n multiply to
+    # x^n - 1, for every n = q^2 - 1 with odd q <= 31
+    n = q * q - 1
+    assert len(cyclotomic(n)) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    product = [1]
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        phi = cyclotomic(d)
+        terms = [(j, c) for j, c in enumerate(phi) if c]
+        out = [0] * (len(product) + len(phi) - 1)
+        for i, a in enumerate(product):
+            if a:
+                for j, c in terms:
+                    out[i + j] += a * c
+        product = out
+    assert product == [-1] + [0] * (n - 1) + [1]
+
+
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
 def test_the_table_reduces_modulo_its_cyclotomic_polynomial(q):
     table = conjugacy_classes(MatrixGroup("gl2", q))

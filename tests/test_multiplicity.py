@@ -97,6 +97,71 @@ def test_epsilon_split_diag_is_fine():
     assert len(eps.domain) == 4  # the whole diagonal torus is fixed
 
 
+def _split_diag(q):
+    group = MatrixGroup("gl2", q)
+    torus = TorusEmbedding(group, "split")
+    theta = named_involution(group, "diag")
+    domain = theta.torus_side(torus)[1]
+    return group, torus, theta, domain
+
+
+def test_epsilon_sign_table_that_is_not_a_character_raises(monkeypatch):
+    # both routes flipped together at one point that is neither the
+    # identity nor a generator: they agree pointwise, and only the
+    # multiplicativity certificate can catch it
+    group, torus, theta, domain = _split_diag(5)
+    gens = multiplicity._domain_generators(group, domain)
+    victim = next(t for t in domain if t not in gens and t != group.identity())
+    current = []
+    lie_fixed_det = multiplicity.lie_fixed_det
+    epsilon_product = multiplicity.epsilon_product
+
+    def det_route(theta, t, space):
+        current[:] = [t]
+        sign = lie_fixed_det(theta, t, space)
+        return -sign if t == victim else sign
+
+    def product_route(datum, shadow, evaluate):
+        sign = epsilon_product(datum, shadow, evaluate)
+        return -sign if current == [victim] else sign
+
+    monkeypatch.setattr("dlcusp.multiplicity.lie_fixed_det", det_route)
+    monkeypatch.setattr("dlcusp.multiplicity.epsilon_product", product_route)
+    with pytest.raises(ConsistencyError, match="epsilon is not multiplicative") as err:
+        epsilon_character(theta, torus)
+    g, x = err.value.detail
+    assert g in gens and victim in (x, group.mul(g, x))
+
+
+@pytest.mark.parametrize("q", (3, 5, 7))
+def test_epsilon_generators_that_miss_points_raise(monkeypatch, q):
+    group, torus, theta, domain = _split_diag(q)
+    gens = multiplicity._domain_generators(group, domain)
+    # each generator lies outside the span of the earlier ones, so the
+    # span without the last misses it
+    assert len(gens) >= 2
+    monkeypatch.setattr(
+        multiplicity, "_domain_generators", lambda group, domain: gens[:-1]
+    )
+    with pytest.raises(ConsistencyError, match="generators reach"):
+        epsilon_character(theta, torus)
+
+
+def test_epsilon_generators_that_leave_the_domain_raise(monkeypatch):
+    # the transpose-inverse fixes a proper subgroup of the elliptic torus at
+    # q = 3, which a generator of the whole torus leaves
+    group = MatrixGroup("gl2", 3)
+    torus = elliptic_torus(group)
+    theta = named_involution(group, "transpose-inverse")
+    domain = theta.torus_side(torus)[1]
+    assert len(domain) < len(torus.elements)
+    monkeypatch.setattr(
+        multiplicity, "_domain_generators", lambda group, domain: list(torus.generators)
+    )
+    with pytest.raises(ConsistencyError, match="leave the domain"):
+        epsilon_character(theta, torus)
+
+
 def test_epsilon_requires_stable_torus():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)

@@ -37,6 +37,8 @@ REPORTS = {
     "epsilon_gl2_q3.json": ("verify", "epsilon", "--group", "gl2", "--q", "3", "--torus", "both"),
     "epsilon_gl2_q9.json": ("verify", "epsilon", "--group", "gl2", "--q", "9", "--torus", "both"),
     "epsilon_gl2_x_gl2_q3.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "3"),
+    "epsilon_gl2_x_gl2_q5.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "5"),
+    "epsilon_gl2_x_gl2_q7.json": ("verify", "epsilon", "--group", "gl2_x_gl2", "--q", "7"),
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
     ),

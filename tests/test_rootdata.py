@@ -264,6 +264,16 @@ def test_phi_theta_values():
     assert phi_theta(split, invs["minus_swap"]) == ()
 
 
+def test_phi_theta_refuses_an_involution_on_another_datum():
+    # the set is kept on the involution, which must act on the datum given
+    invs = datum_involutions(load_datum("gl2_split"))
+    ell = load_datum("gl2_elliptic")
+    with pytest.raises(ConfigError, match="not on the datum"):
+        phi_theta(ell, invs["minus_id"])
+    with pytest.raises(ConfigError, match="not on the datum"):
+        epsilon_product(ell, invs["minus_id"], lambda a: None)
+
+
 def test_phi_theta_closed_under_negation():
     for name in ALL_NAMES:
         datum = load_datum(name)

@@ -1,5 +1,6 @@
 """Source hygiene: every function and class in the package is used by it,
-and the package computes without floating-point character values."""
+the package computes without floating-point character values, and it holds
+no assert statement."""
 
 import ast
 import io
@@ -53,4 +54,14 @@ def test_no_floating_point_character_values():
             or (tok.type == tokenize.NUMBER and "e-" in text.lower())
         ):
             found.append(f"{path.name}:{tok.start[0]} {text}")
+    assert found == []
+
+
+def test_no_assert_statements():
+    # internal checks raise typed errors, which python -O does not strip
+    found = [
+        f"{path.name}:{tok.start[0]}"
+        for path, tok in _tokens()
+        if tok.type == tokenize.NAME and tok.string == "assert"
+    ]
     assert found == []
