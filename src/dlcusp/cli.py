@@ -22,11 +22,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .dlchar import general_position_exponents
-from .errors import ConfigError, ConsistencyError, ResourceBoundError
+from .errors import ConfigError, ConsistencyError, ResourceBoundError, TheoremViolation
 from .groups import TORUS_DATA, MatrixGroup, TorusEmbedding, phi_theta_certified
 from .multiplicity import census_for, epsilon_character, verify_theorem
 from .rootdata import (
@@ -58,8 +58,7 @@ NAMED_SEEDS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     group: str | None = None
     qs: tuple = ()
@@ -346,20 +345,24 @@ def _run_theorem_cell(cell):
         "n_matching_orbits": res.n_matching_orbits,
         "m_values": "|".join(str(m) for m in res.m_values),
         "wall_ms": round(res.wall_ms, 3),
-        "orbits": [
-            {
-                "witness": _jsonable(r.representative.witness),
-                "kind": r.representative.kind,
-                "n_members": r.n_members,
-                "stable": r.stable,
-                "matching": r.matching,
-                "m": r.m,
-                "contribution": r.contribution,
-            }
-            for r in res.reports
-        ],
+        "orbits": _orbit_rows(res.reports),
     }
     return row
+
+
+def _orbit_rows(reports) -> list:
+    return [
+        {
+            "witness": _jsonable(r.representative.witness),
+            "kind": r.representative.kind,
+            "n_members": r.n_members,
+            "stable": r.stable,
+            "matching": r.matching,
+            "m": r.m,
+            "contribution": r.contribution,
+        }
+        for r in reports
+    ]
 
 
 def cmd_verify_theorem(config: RunConfig) -> int:
@@ -376,18 +379,24 @@ def cmd_verify_theorem(config: RunConfig) -> int:
 
 def _theorem_cell_safe(cell, command: str):
     """(True, row) of a cell, or (False, failure entry); a failure entry's
-    replay is the argv that reruns that cell alone."""
+    replay is the argv that reruns that cell alone.  A TheoremViolation's
+    detail is its two sides and the row's orbits, without the timing, so
+    the entry is byte-stable like a report."""
     try:
         return True, _run_theorem_cell(cell)
-    except (ConsistencyError,) as e:
+    except ConsistencyError as e:
         group, q, seed, exps = cell
+        detail = e.detail
+        if isinstance(e, TheoremViolation):
+            orbits = _orbit_rows(detail.reports)
+            detail = {"lhs": detail.lhs, "rhs": detail.rhs, "orbits": orbits}
         return False, {
             "group": group.kind,
             "q": q,
             "involution_seed": seed,
             "lambda_exponent": "|".join(str(k) for k in exps),
             "message": str(e),
-            "detail": _jsonable(getattr(e, "detail", None)),
+            "detail": _jsonable(detail),
             "replay": [
                 *command.split(),
                 "--group", group.kind,

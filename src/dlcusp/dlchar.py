@@ -11,7 +11,7 @@ under the Frobenius partner exponent), so downstream consumers can treat
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError
 from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
@@ -51,8 +51,7 @@ def cyclotomic(n: int) -> list:
     return phis[n]
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     kind: str  # central | unipotent | split | elliptic
     key: tuple
     rep: tuple

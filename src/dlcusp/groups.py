@@ -19,9 +19,9 @@ import itertools
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add
+from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
 from .gf import FieldElement, build_field
@@ -649,14 +649,12 @@ def named_involution(group: MatrixGroup, name: str) -> Involution:
 # orbits and stabilizers
 
 
-@dataclass(frozen=True)
-class TOrbit:
+class TOrbit(NamedTuple):
     members: tuple
     representative: "Involution"
     stable: bool
 
 
-@dataclass(frozen=True)
 class OrbitCensus:
     """The conjugation orbit of a seed, its torus orbits, and for each member
     th a transporter x with seed.conjugated(x) == th.
@@ -666,10 +664,11 @@ class OrbitCensus:
     seed's stabilizers are built and no member's are.
     """
 
-    seed: "Involution"
-    all_members: tuple
-    t_orbits: tuple
-    transporters: dict = field(repr=False, compare=False)
+    def __init__(self, seed: "Involution", all_members, t_orbits, transporters: dict):
+        self.seed = seed
+        self.all_members = all_members
+        self.t_orbits = t_orbits
+        self.transporters = transporters
 
     @cached_property
     def seed_stabilizers(self):
@@ -804,8 +803,7 @@ def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     return OrbitCensus(theta0, tuple(members), tuple(t_orbits), transporters)
 
 
-@dataclass(frozen=True)
-class StabilizerData:
+class StabilizerData(NamedTuple):
     g_theta_order: int
     g_fixed_order: int
     t_theta: tuple

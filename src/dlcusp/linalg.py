@@ -3,20 +3,15 @@ a finite field.
 
 Matrices are lists (or tuples) of rows.  Everything is Gaussian elimination
 at sizes where nothing else is worth writing; there is deliberately no
-floating point anywhere in this module.
+floating point anywhere in this module.  Over Q the elimination never
+divides (rational_rank scales rows by the pivot instead), so integer input
+stays integer and no rational type is needed.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-from types import SimpleNamespace
-
 # ---------------------------------------------------------------------------
 # integer / rational matrices
-
-# the field operations fq_rref needs, over Q
-_RATIONALS = SimpleNamespace(sub=operator.sub, mul=operator.mul, inv=lambda x: 1 / Fraction(x))
 
 
 def int_identity(n: int) -> list[list[int]]:
@@ -75,8 +70,27 @@ def int_mat_inverse(a):
 
 
 def rational_rank(rows) -> int:
-    """Rank over Q of an integer (or Fraction) matrix."""
-    return len(fq_rref(rows, _RATIONALS)[1])
+    """Rank over Q of an integer (or Fraction) matrix, by elimination
+    without division.
+
+    With pivot p in column c, every later row r becomes p*r - r[c]*(pivot
+    row): column c is cleared, and since p != 0 the row space is kept.
+    Entries stay in the ring of the input, so integers stay integers.
+    """
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p, top = m[rank][col], m[rank]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col]
+            if c:
+                m[r] = [p * x - c * y for x, y in zip(m[r], top)]
+        rank += 1
+    return rank
 
 
 def int_matrix_order(a, cap: int = 64) -> int:

@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dlchar import conjugacy_classes, cuspidal_character
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
@@ -51,8 +51,7 @@ __all__ = [
 # the epsilon character of an involution on a stable torus
 
 
-@dataclass(frozen=True, eq=False)
-class EpsilonCharacter:
+class EpsilonCharacter(NamedTuple):
     theta: Involution
     torus: TorusEmbedding
     domain: tuple
@@ -175,8 +174,7 @@ def character_matches_epsilon(lam: TorusCharacterOnT, eps: EpsilonCharacter) -> 
 # the orbit side
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     representative: Involution
     n_members: int
     stable: bool
@@ -298,8 +296,7 @@ def lhs_multiplicity(census: OrbitCensus, chis) -> int:
 # the theorem
 
 
-@dataclass(frozen=True)
-class TheoremResult:
+class TheoremResult(NamedTuple):
     q: int
     seed: str
     exponents: tuple

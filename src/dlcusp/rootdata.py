@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
-from dataclasses import dataclass, field
 from functools import cache, cached_property
-from importlib import resources
+from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError
 from .linalg import (
@@ -65,6 +65,10 @@ __all__ = [
 
 Vec = tuple[int, ...]
 
+# the shipped library; a plain path, since importlib.resources loads inspect
+# on Python 3.12 and later
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
 
 def _vneg(v: Vec) -> Vec:
     return tuple(-x for x in v)
@@ -74,19 +78,30 @@ def _dot(a: Vec, b: Vec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
 class TwistedRootDatum:
-    """Validated twisted root datum; construction checks every invariant."""
+    """Validated twisted root datum; construction checks every invariant.
 
-    rank: int
-    roots: tuple[Vec, ...]
-    coroots: tuple[Vec, ...]
-    positive: tuple[int, ...]
-    tau: tuple[Vec, ...]
-    order: int
-    name: str = "anonymous"
+    Data compare, hash and print by value: by all seven fields, name too.
+    """
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rank: int,
+        roots: tuple[Vec, ...],
+        coroots: tuple[Vec, ...],
+        positive: tuple[int, ...],
+        tau: tuple[Vec, ...],
+        order: int,
+        name: str = "anonymous",
+    ):
+        self.rank = rank
+        self.roots = roots
+        self.coroots = coroots
+        self.positive = positive
+        self.tau = tau
+        self.order = order
+        self.name = name
+        self._key = (rank, roots, coroots, positive, tau, order, name)
         n = self.rank
         if n < 1:
             raise ConfigError("rank must be positive")
@@ -146,6 +161,19 @@ class TwistedRootDatum:
             if self.coroots[self.roots.index(image)] != image_co:
                 raise ConfigError("tau and its dual disagree on the coroot pairing")
 
+    def __eq__(self, other):
+        return isinstance(other, TwistedRootDatum) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return (
+            f"TwistedRootDatum(rank={self.rank!r}, roots={self.roots!r}, "
+            f"coroots={self.coroots!r}, positive={self.positive!r}, tau={self.tau!r}, "
+            f"order={self.order!r}, name={self.name!r})"
+        )
+
     # -- basic geometry ------------------------------------------------------
 
     def tau_apply(self, v: Vec) -> Vec:
@@ -162,8 +190,7 @@ class TwistedRootDatum:
         return self.coroots[self.roots.index(a)]
 
 
-@dataclass(frozen=True)
-class GaloisOrbit:
+class GaloisOrbit(NamedTuple):
     """One twist orbit, listed cyclically from its lex-smallest root."""
 
     elements: tuple[Vec, ...]
@@ -203,11 +230,7 @@ def _datum_from_dict(obj, name: str) -> TwistedRootDatum:
 
 
 def datum_names() -> list[str]:
-    out = []
-    for entry in resources.files("dlcusp.data").iterdir():
-        if entry.name.endswith(".json"):
-            out.append(entry.name[: -len(".json")])
-    return sorted(out)
+    return sorted(f[: -len(".json")] for f in os.listdir(_DATA_DIR) if f.endswith(".json"))
 
 
 def load_datum(name: str) -> TwistedRootDatum:
@@ -221,10 +244,11 @@ def load_datum(name: str) -> TwistedRootDatum:
         except ValueError as e:  # malformed JSON or text that is not UTF-8
             raise ConfigError(f"datum file {name!r} is not valid JSON: {e}") from None
         return _datum_from_dict(obj, name)
-    ref = resources.files("dlcusp.data") / f"{name}.json"
-    if not ref.is_file():
+    path = os.path.join(_DATA_DIR, f"{name}.json")
+    if not os.path.isfile(path):
         raise ConfigError(f"unknown datum {name!r}; shipped: {', '.join(datum_names())}")
-    return _datum_from_dict(json.loads(ref.read_text()), name)
+    with open(path) as f:
+        return _datum_from_dict(json.load(f), name)
 
 
 def with_twist(datum: TwistedRootDatum, tau) -> TwistedRootDatum:
@@ -328,15 +352,19 @@ def sigma_product(datum: TwistedRootDatum) -> int:
 # involutions on a datum
 
 
-@dataclass(frozen=True)
 class InvolutionOnDatum:
-    """An integral lattice involution permuting roots, commuting with the twist."""
+    """An integral lattice involution permuting roots, commuting with the twist.
 
-    datum: TwistedRootDatum
-    matrix: tuple[Vec, ...]
-    name: str = "anonymous"
+    Involutions compare, hash and print by value: datum, matrix and name.
+    """
 
-    def __post_init__(self):
+    def __init__(
+        self, datum: TwistedRootDatum, matrix: tuple[Vec, ...], name: str = "anonymous"
+    ):
+        self.datum = datum
+        self.matrix = matrix
+        self.name = name
+        self._key = (datum, matrix, name)
         n = self.datum.rank
         m = [list(r) for r in self.matrix]
         if len(m) != n or any(len(r) != n for r in m):
@@ -351,6 +379,18 @@ class InvolutionOnDatum:
         tau = [list(r) for r in self.datum.tau]
         if int_mat_mul(m, tau) != int_mat_mul(tau, m):
             raise ConfigError("involution does not commute with the twist")
+
+    def __eq__(self, other):
+        return isinstance(other, InvolutionOnDatum) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return (
+            f"InvolutionOnDatum(datum={self.datum!r}, matrix={self.matrix!r}, "
+            f"name={self.name!r})"
+        )
 
     def apply(self, v: Vec) -> Vec:
         return tuple(int_mat_vec([list(r) for r in self.matrix], v))

@@ -285,6 +285,25 @@ def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
     ] == [("gl2", 3, "diag", "2", "forced failure")]
 
 
+def test_theorem_violation_detail_is_the_row_sides_and_orbits(capsys, monkeypatch):
+    # the detail of a violation holds the same orbits as the passing row,
+    # and nothing timed
+    argv = ("verify", "theorem", "--group", "gl2", "--q", "5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cell = lambda r: (r["involution_seed"], r["lambda_exponent"])
+    rows = {cell(r): r for r in json.loads(out)["results"] if r["rhs"]}
+    assert rows
+    monkeypatch.setattr("dlcusp.multiplicity.lhs_multiplicity", lambda census, chis: 0)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert len(failures) == len(rows)
+    for failure in failures:
+        row = rows[cell(failure)]
+        assert failure["detail"] == {"lhs": 0, "rhs": row["rhs"], "orbits": row["orbits"]}
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -301,8 +320,7 @@ def test_theorem_failures_replay(capsys, monkeypatch, argv):
         code, out, err = run_cli(capsys, *run)
         assert code == 1
         doc = json.loads(err if run[0] == "table" else out)  # csv: on stderr
-        text = re.sub(r"wall_ms=[0-9.]+", "wall_ms=0", json.dumps(doc["failures"]))
-        return json.loads(text)
+        return doc["failures"]
 
     failures = failures_of(argv)
     assert failures

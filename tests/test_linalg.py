@@ -1,7 +1,9 @@
 """Exact linear algebra tests: integer matrices and base-field code matrices."""
 
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,6 +76,26 @@ def test_rational_rank_integer_and_fraction_matrices():
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert rational_rank([[half, third], [3 * half, 1]]) == 1
     assert rational_rank([[half, third], [third, half]]) == 2
+
+
+def test_rational_rank_agrees_with_division_over_fractions():
+    # the division-free elimination against fq_rref with exact division in Q,
+    # on integer matrices built with a known rank bound
+    rationals = SimpleNamespace(
+        sub=operator.sub, mul=operator.mul, inv=lambda x: 1 / Fraction(x)
+    )
+    rng = random.Random(19)
+    for _ in range(200):
+        n, m, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
+        base = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+        rows = []
+        for _ in range(n):
+            coeffs = [rng.randint(-3, 3) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(m)])
+        rank = rational_rank(rows)
+        assert rank == len(fq_rref(rows, rationals)[1]) <= min(n, m, r)
+        scaled = [[Fraction(x, 6) for x in row] for row in rows]
+        assert rational_rank(scaled) == rank
 
 
 def test_int_matrix_order():

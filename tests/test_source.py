@@ -1,10 +1,13 @@
 """Source hygiene: every function and class in the package is used by it,
-the package computes without floating-point character values, and it holds
-no assert statement."""
+the package computes without floating-point character values, it holds
+no assert statement, and importing its CLI stays cheap."""
 
 import ast
 import io
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import dlcusp
@@ -65,3 +68,15 @@ def test_no_assert_statements():
         if tok.type == tokenize.NAME and tok.string == "assert"
     ]
     assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # every invocation pays for these imports (dataclasses pulls in inspect,
+    # fractions pulls in decimal); a fresh interpreter shows what is loaded
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, dlcusp.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "dlcusp.cli" in out
+    assert [m for m in ("dataclasses", "inspect", "fractions") if m in out] == []
