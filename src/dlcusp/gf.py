@@ -36,6 +36,7 @@ __all__ = [
     "FieldTower",
     "FieldElement",
     "build_field",
+    "odd_prime_power",
 ]
 
 
@@ -53,20 +54,23 @@ def _distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
-def _prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, f) with q = p**f, or None if q is not a prime power."""
-    if q < 2:
-        return None
+def odd_prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p**f for an odd prime p; ValueError for any other q.
+
+    Trial division up to sqrt(q) only, so a large q is judged before any
+    table is built.
+    """
     facs = _distinct_prime_factors(q)
     if len(facs) != 1:
-        return None
+        raise ValueError(f"q = {q} is not a prime power")
     p = facs[0]
-    f = 0
-    m = q
+    if p == 2:
+        raise ValueError(f"q = {q} is even; only odd fields are supported")
+    f, m = 0, q
     while m > 1:
         m //= p
         f += 1
-    return (p, f) if p**f == q else None
+    return p, f
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,11 @@ class _Level:
 
 
 class FieldElement:
-    """An element of one level of a tower; immutable and hashable."""
+    """An element of one level of a tower; immutable and hashable.
+
+    It combines and compares only with elements of its own tower and level;
+    a base code enters through ``FieldTower.embed``, never as a bare int.
+    """
 
     __slots__ = ("tower", "level", "coeffs")
 
@@ -294,8 +302,6 @@ class FieldElement:
         self.coeffs = coeffs
 
     def _peer(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return self.tower.scalar(self.level, other)
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine a field element with {type(other).__name__}")
         if other.tower is not self.tower:
@@ -311,14 +317,9 @@ class FieldElement:
         other = self._peer(other)
         return FieldElement(self.tower, self.level, self.tower._lv(self.level).add(self.coeffs, other.coeffs))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._peer(other)
         return FieldElement(self.tower, self.level, self.tower._lv(self.level).sub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return self._peer(other).__sub__(self)
 
     def __neg__(self):
         return FieldElement(self.tower, self.level, self.tower._lv(self.level).neg(self.coeffs))
@@ -327,14 +328,9 @@ class FieldElement:
         other = self._peer(other)
         return FieldElement(self.tower, self.level, self.tower._lv(self.level).mul(self.coeffs, other.coeffs))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._peer(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._peer(other).__truediv__(self)
 
     def __pow__(self, n: int):
         return FieldElement(self.tower, self.level, self.tower._lv(self.level).pow(self.coeffs, n))
@@ -349,8 +345,6 @@ class FieldElement:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.tower.scalar(self.level, other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return (
@@ -389,14 +383,7 @@ class FieldTower:
     """F_q together with one extension F_{q^d} per requested degree."""
 
     def __init__(self, q: int, degrees):
-        pp = _prime_power(q)
-        if pp is None:
-            raise ValueError(f"q = {q} is not a prime power")
-        if q % 2 == 0:
-            raise ValueError(f"q = {q} is even; only odd fields are supported")
-        if q < 3:
-            raise ValueError(f"q = {q} is too small")
-        self.p, self.f = pp
+        self.p, self.f = odd_prime_power(q)
         self.q = q
         degs = sorted(set(int(d) for d in degrees) | {1})
         if any(d < 1 for d in degs):
@@ -442,21 +429,6 @@ class FieldTower:
     def order(self, level: int) -> int:
         """Size of the multiplicative group at this level."""
         return self._lv(level).order
-
-    def modulus(self, level: int) -> tuple[int, ...]:
-        return self._lv(level).modulus
-
-    # -- iteration -----------------------------------------------------------
-
-    def elements(self, level: int = 1):
-        """All elements in lexicographic coefficient order."""
-        for tail in itertools.product(range(self.q), repeat=level):
-            yield FieldElement(self, level, tail)
-
-    def units(self, level: int = 1):
-        for x in self.elements(level):
-            if x:
-                yield x
 
     # -- arithmetic helpers ----------------------------------------------------
 

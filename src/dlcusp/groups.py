@@ -24,14 +24,13 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
-from .gf import FieldElement, build_field
+from .gf import FieldElement, build_field, odd_prime_power
 from .linalg import fq_det, fq_kernel, fq_nullspace
 from .rootdata import InvolutionOnDatum, TwistedRootDatum, load_datum
 
 __all__ = [
     "MatrixGroup",
     "TorusEmbedding",
-    "TorusCharacterOnT",
     "Involution",
     "OrbitCensus",
     "TOrbit",
@@ -75,7 +74,7 @@ def _closure(start, gens, step) -> set:
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices over a field F given by its operations: tower.base for base
-# codes, tower.element_ops(level) for FieldElement entries
+# codes, tower.element_ops(2) for FieldElement entries of F_{q^2}
 
 
 def _m_mul(F, x, y):
@@ -149,19 +148,21 @@ class MatrixGroup:
     its gl2 factor group on the same field tower (the group itself for gl2).
     """
 
-    def __init__(self, kind: str, q: int, degrees=(1, 2)):
+    def __init__(self, kind: str, q: int):
         if kind not in KINDS:
             raise ConfigError(f"unknown group kind {kind!r}; known: {', '.join(KINDS)}")
         try:
-            tower = build_field(q, degrees)
+            odd_prime_power(q)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        self._setup(tower, KINDS.index(kind) + 1)
+        n_factors = KINDS.index(kind) + 1
+        # refused before any table is built: the tables grow as q^2
         if q > Q_BOUND[kind]:
             raise ResourceBoundError(
                 f"{kind} with q = {q} exceeds the desk-scale bound {Q_BOUND[kind]}",
-                required=self.order,
+                required=((q * q - 1) * (q * q - q)) ** n_factors,
             )
+        self._setup(build_field(q, (1, 2)), n_factors)
 
     def _setup(self, tower, n_factors: int) -> None:
         q = tower.q
@@ -275,48 +276,6 @@ class MatrixGroup:
 # tori
 
 
-class TorusCharacterOnT:
-    """A character of T(F_q) given by integer exponents against the exact
-    discrete-log coordinates of the torus; all comparisons are integers.
-
-    On an elliptic torus the two coordinates of one factor are the eigenvalue
-    and its Frobenius image, so the character with exponents (k1, k2) on one
-    factor collapses to the single exponent k1 + q*k2 against the eigenvalue.
-    """
-
-    def __init__(self, torus: "TorusEmbedding", exponents):
-        self.torus = torus
-        n = torus.group.tower.order(2)
-        self.modulus = n
-        self.exponents = tuple(int(k) % n for k in exponents)
-        if len(self.exponents) != torus.coord_count:
-            raise ConfigError(
-                f"need {torus.coord_count} exponents for this torus, got {len(self.exponents)}"
-            )
-
-    def log_value(self, t) -> int:
-        logs = self.torus.log_coords(t)
-        return sum(k * c for k, c in zip(self.exponents, logs)) % self.modulus
-
-    def factor_exponents(self):
-        """One collapsed exponent per elliptic factor."""
-        if self.torus.kind != "elliptic":
-            raise ConfigError("factor exponents are an elliptic-torus notion")
-        q, n = self.torus.group.q, self.modulus
-        ks = self.exponents
-        return tuple(
-            (ks[2 * j] + q * ks[2 * j + 1]) % n for j in range(len(ks) // 2)
-        )
-
-    def is_general_position(self) -> bool:
-        q, n = self.torus.group.q, self.modulus
-        return all((k * q - k) % n != 0 for k in self.factor_exponents())
-
-    def frobenius_partner(self) -> "TorusCharacterOnT":
-        q = self.torus.group.q
-        return TorusCharacterOnT(self.torus, tuple(k * q for k in self.exponents))
-
-
 # the aligned root datum of each (group kind, torus kind) that is wired
 TORUS_DATA = {
     ("gl2", "split"): "gl2_split",
@@ -357,12 +316,16 @@ class TorusEmbedding:
             points = tuple(((a, 0), (0, b)) for a in range(1, q) for b in range(1, q))
             expected = (q - 1) ** 2
         else:
-            self.epsilon = t.smallest_nonsquare()
-            self.delta = t.sqrt(t.embed(self.epsilon, 2))
+            eps = t.smallest_nonsquare()
             pairs = ((a, b) for a in range(q) for b in range(q))
-            candidates = (((a, t.base.mul(b, self.epsilon)), (b, a)) for a, b in pairs)
+            candidates = (((a, t.base.mul(b, eps)), (b, a)) for a, b in pairs)
             points = tuple(sorted(m for m in candidates if _m_det(t.base, m) != 0))
             expected = q * q - 1
+            # the F_{q^2} constants of u = a + b delta, delta^2 = eps
+            self.eps = t.embed(eps, 2)
+            self.delta = t.sqrt(self.eps)
+            self.delta_inv = self.delta.inverse()
+            self.half = t.scalar(2, 2).inverse()
         if len(points) != expected:
             raise ConsistencyError(
                 f"{kind} torus of GL2 has {len(points)} points, not {expected}"
@@ -374,8 +337,6 @@ class TorusEmbedding:
         )
         self.datum: TwistedRootDatum = load_datum(self.datum_name)
         self._set = frozenset(self.elements)
-        self._log_cache = {}
-        self._constants = {}
         # the torus is the direct product of the factor tori, so the
         # generators reach it exactly when the factor generators reach one
         # factor's points: n N products in place of N^n |generators|
@@ -417,49 +378,30 @@ class TorusEmbedding:
         return (u, u**self.group.q)
 
     def eigen_coords(self, x):
-        """Exact coordinate tuple of a torus point (level-2 field elements)."""
+        """Exact coordinate tuple of a torus point (elements of F_{q^2})."""
         return tuple(c for m in self.group.split(x) for c in self._factor_coords(m))
 
-    def log_coords(self, x):
-        got = self._log_cache.get(x)
-        if got is None:
-            t = self.group.tower
-            got = tuple(t.discrete_log(c) for c in self.eigen_coords(x))
-            self._log_cache[x] = got
-        return got
+    def eigenvalue_logs(self, x):
+        """The discrete log of each factor's first eigenvalue coordinate."""
+        return tuple(map(self.group.tower.discrete_log, self.eigen_coords(x)[::2]))
 
     def root_value(self, root, coords) -> FieldElement:
-        acc = self.group.tower.one(coords[0].level)
+        acc = self.group.tower.one(2)
         for e, c in zip(root, coords):
             if e:
                 acc = acc * c**e
         return acc
 
-    def character(self, exponents) -> TorusCharacterOnT:
-        return TorusCharacterOnT(self, exponents)
-
     # -- extension points ---------------------------------------------------
 
-    def _ext_constants(self, level: int):
-        """(epsilon, 1/2, delta, 1/delta) of the elliptic torus at a level."""
-        got = self._constants.get(level)
-        if got is None:
-            t = self.group.tower
-            eps = t.embed(self.epsilon, level)
-            delta = self.delta if level == 2 else t.sqrt(eps)
-            got = (eps, t.scalar(level, 2).inverse(), delta, delta.inverse())
-            self._constants[level] = got
-        return got
-
-    def _factor_point(self, u, v, level: int):
-        """The factor matrix over F_{q^level} with eigenvalue coordinates (u, v)."""
+    def _factor_point(self, u, v):
+        """The factor matrix over F_{q^2} with eigenvalue coordinates (u, v)."""
         if self.kind == "split":
-            zero = self.group.tower.zero(level)
+            zero = self.group.tower.zero(2)
             return ((u, zero), (zero, v))
-        eps, half, _, delta_inv = self._ext_constants(level)
-        a = (u + v) * half
-        b = (u - v) * half * delta_inv
-        return ((a, b * eps), (b, a))
+        a = (u + v) * self.half
+        b = (u - v) * self.half * self.delta_inv
+        return ((a, b * self.eps), (b, a))
 
 
 def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
@@ -546,12 +488,12 @@ class Involution:
         act = partial(_act, self.group.tower.base, self._outer)
         return self._on_factors(act, g, *self._factor_witnesses)
 
-    def apply_ext(self, g, level: int = 2):
-        """The same map on matrices with FieldElement entries."""
+    def apply_ext(self, g):
+        """The same map on matrices with FieldElement entries of F_{q^2}."""
         t = self.group.tower
-        emb = lambda m: tuple(tuple(t.embed(v, level) for v in row) for row in m)
+        emb = lambda m: tuple(tuple(t.embed(v, 2) for v in row) for row in m)
         ws, wis = self._factor_witnesses
-        act = partial(_act, t.element_ops(level), self._outer)
+        act = partial(_act, t.element_ops(2), self._outer)
         return self._on_factors(act, g, tuple(map(emb, ws)), tuple(map(emb, wis)))
 
     def _d_apply(self, x):
@@ -1072,7 +1014,7 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
     N = t.order(2)
     rows = [[0] * n for _ in range(n)]
     for k in range(n):
-        coords = _coords_of_ext(torus, theta.apply_ext(_generator_point(torus, k, 2)), 2)
+        coords = _coords_of_ext(torus, theta.apply_ext(_generator_point(torus, k)))
         for j in range(n):
             e = t.discrete_log(coords[j]) % N
             if e > N // 2:
@@ -1087,31 +1029,30 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
     return InvolutionOnDatum(torus.datum, shadow, name="derived")
 
 
-def _generator_point(torus: TorusEmbedding, k: int, level: int):
-    """The point over F_{q^level} with the level's generator in coordinate k, 1 elsewhere.
+def _generator_point(torus: TorusEmbedding, k: int):
+    """The point over F_{q^2} with the generator of F_{q^2} in coordinate k, 1 elsewhere.
 
-    These coord_count points generate the torus over F_{q^level}.
+    These coord_count points generate the torus over F_{q^2}.
     """
     t = torus.group.tower
-    g, one = t.generator(level), t.one(level)
+    g, one = t.generator(2), t.one(2)
     return _point_from_coords(
         torus, tuple(g if i == k else one for i in range(torus.coord_count))
     )
 
 
 def _point_from_coords(torus: TorusEmbedding, coords):
-    """The point over the extension with these eigenvalue coordinates."""
-    level = coords[0].level
+    """The point over F_{q^2} with these eigenvalue coordinates."""
     return torus.group.join(
         tuple(
-            torus._factor_point(coords[i], coords[i + 1], level)
+            torus._factor_point(coords[i], coords[i + 1])
             for i in range(0, len(coords), 2)
         )
     )
 
 
-def _coords_of_ext(torus: TorusEmbedding, m, level: int):
-    """Eigenvalue coordinates of a torus point over F_{q^level}, checked."""
+def _coords_of_ext(torus: TorusEmbedding, m):
+    """Eigenvalue coordinates of a torus point over F_{q^2}, checked."""
     coords = ()
     for f in torus.group.split(m):
         if torus.kind == "split":
@@ -1119,20 +1060,19 @@ def _coords_of_ext(torus: TorusEmbedding, m, level: int):
                 raise ConsistencyError("extension image is not in the split torus")
             coords += (f[0][0], f[1][1])
             continue
-        eps, _, delta, _ = torus._ext_constants(level)
         a, b = f[0][0], f[1][0]
-        if f[0][1] != b * eps or f[1][1] != a:
+        if f[0][1] != b * torus.eps or f[1][1] != a:
             raise ConsistencyError("extension image is not in the elliptic torus")
-        coords += (a + b * delta, a - b * delta)
+        coords += (a + b * torus.delta, a - b * torus.delta)
     return coords
 
 
-def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2):
+def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     """Roots killed by the torus part of theta, certified three ways.
 
     t -> t theta(t) is a homomorphism of the abelian torus, so the images
     s_k of the generator points generate T+ = {t theta(t)} over
-    F_{q^level}.  The set of roots equal to 1 at every s_k (those vanishing
+    F_{q^2}.  The set of roots equal to 1 at every s_k (those vanishing
     on T+) must equal the set of roots negated by the lattice shadow, whose
     exponents must be unimodular, and the common centralizer of the s_k in
     the Lie algebra must have dimension rank + |the set|.  Returns the
@@ -1140,21 +1080,19 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding, level: int = 2
     """
     group = torus.group
     t = group.tower
-    if level not in t.degrees:
-        raise ConfigError(f"tower has no level {level}")
     datum = torus.datum
     shadow = derived_theta_star(theta, torus)
     negated = set(
         a for a in datum.roots if shadow.apply(a) == tuple(-x for x in a)
     )
-    E = t.element_ops(level)
+    E = t.element_ops(2)
     plus = []
     for k in range(torus.coord_count):
-        e = _generator_point(torus, k, level)
-        image = theta.apply_ext(e, level)
+        e = _generator_point(torus, k)
+        image = theta.apply_ext(e)
         s = group.join(tuple(map(partial(_m_mul, E), group.split(e), group.split(image))))
-        plus.append((s, _coords_of_ext(torus, s, level)))
-    one = t.one(level)
+        plus.append((s, _coords_of_ext(torus, s)))
+    one = t.one(2)
     vanishing = set(
         a for a in datum.roots if all(torus.root_value(a, c) == one for _, c in plus)
     )

@@ -22,7 +22,6 @@ from .groups import (
     LieFixedSpace,
     MatrixGroup,
     OrbitCensus,
-    TorusCharacterOnT,
     TorusEmbedding,
     derived_theta_star,
     elliptic_torus,
@@ -160,14 +159,22 @@ def epsilon_character(
     return EpsilonCharacter(theta, torus, domain, signs)
 
 
-def character_matches_epsilon(lam: TorusCharacterOnT, eps: EpsilonCharacter) -> bool:
-    """Exact test of lambda restricted to the fixed points against epsilon."""
-    half = lam.modulus // 2
-    for t in eps.domain:
-        target = 0 if eps.sign(t) == 1 else half
-        if lam.log_value(t) != target:
-            return False
-    return True
+def _log_lambda(torus: TorusEmbedding, exponents, t) -> int:
+    """log lambda(t) = sum of k_i log u_i(t) mod q^2 - 1, for lambda with
+    exponent k_i against the eigenvalue u_i of factor i."""
+    logs = torus.eigenvalue_logs(t)
+    return sum(k * e for k, e in zip(exponents, logs)) % torus.group.tower.order(2)
+
+
+def character_matches_epsilon(exponents, eps: EpsilonCharacter) -> bool:
+    """Exact test of lambda (one exponent per factor) restricted to the fixed
+    points against epsilon: log lambda is 0 where epsilon is 1 and half the
+    order of F_{q^2}^x where it is -1."""
+    half = eps.torus.group.tower.order(2) // 2
+    return all(
+        _log_lambda(eps.torus, exponents, t) == (0 if eps.sign(t) == 1 else half)
+        for t in eps.domain
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +227,18 @@ def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
     return [_OrbitEntry(o, census, torus) for o in census.t_orbits]
 
 
-def rhs_orbit_sum(entries, lam: TorusCharacterOnT):
+def rhs_orbit_sum(entries, exponents):
     """Sum of orbit indices over matching stable orbits, with full reports.
 
-    entries: orbit_entries of the census, shared by every lambda of a cell.
+    entries: orbit_entries of the census, shared by every lambda of a cell;
+    exponents: lambda, one exponent per factor.
     """
     total = 0
     reports = []
     for entry in entries:
         orbit = entry.orbit
         if orbit.stable:
-            flags = {character_matches_epsilon(lam, e) for e in entry.eps}
+            flags = {character_matches_epsilon(exponents, e) for e in entry.eps}
             if len(flags) != 1:
                 raise ConsistencyError(
                     "matching flag is not constant on a torus orbit",
@@ -319,32 +327,29 @@ def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCen
     return involution_orbit(named_involution(group, seed), torus)
 
 
-def _lambda_on(torus: TorusEmbedding, exponents) -> TorusCharacterOnT:
-    """The character with exponent k against each factor's eigenvalue."""
-    return torus.character(tuple(c for k in exponents for c in (k, 0)))
-
-
 def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     """Check lhs == rhs for one involution class and one inducing character.
 
-    exponents: (k,) for gl2, (k1, k2) for the product group; each component
-    must be in general position.  Raises TheoremViolation with the full
-    orbit reports attached when the two sides differ.
+    exponents: lambda, exponent k_i against the eigenvalue of factor i: (k,)
+    for gl2, (k1, k2) for the product group; each k_i must be in general
+    position, which cuspidal_character certifies.  Raises TheoremViolation
+    with the full orbit reports attached when the two sides differ.
     """
     t0 = time.perf_counter()
     exponents = tuple(exponents)
-    torus = elliptic_torus(group)
-    lam = _lambda_on(torus, exponents)
-    if not lam.is_general_position():
-        raise ConfigError(f"exponents {exponents} are not in general position")
+    if len(exponents) != group.n_factors:
+        raise ConfigError(
+            f"{group.kind} needs {group.n_factors} exponents, got {len(exponents)}"
+        )
     chis = tuple(cuspidal_character(group.factor, k) for k in exponents)
+    torus = elliptic_torus(group)
     census = census_for(group, torus, seed)
     lhs = lhs_multiplicity(census, chis)
     entries = orbit_entries(census, torus)
-    rhs, reports = rhs_orbit_sum(entries, lam)
+    rhs, reports = rhs_orbit_sum(entries, exponents)
 
     # the right side may not depend on the Frobenius representative
-    partner = lam.frobenius_partner()
+    partner = tuple(k * group.q for k in exponents)
     rhs_partner, reports_partner = rhs_orbit_sum(entries, partner)
     if rhs_partner != rhs or [r.matching for r in reports_partner] != [
         r.matching for r in reports
@@ -360,7 +365,7 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     fixed_center = [
         z for z in group.center() if seed_theta.apply(z) == z
     ]
-    if any(lam.log_value(z) != 0 for z in fixed_center) and lhs != 0:
+    if any(_log_lambda(torus, exponents, z) != 0 for z in fixed_center) and lhs != 0:
         raise ConsistencyError(
             "nonzero multiplicity with a nontrivial fixed central character",
             detail=exponents,

@@ -26,7 +26,9 @@ from dlcusp.groups import (
     phi_theta_certified,
     stabilizer_data,
 )
+from dlcusp.gf import FieldElement
 from dlcusp.linalg import fq_rref
+from dlcusp.multiplicity import _log_lambda, verify_theorem
 
 # ---------------------------------------------------------------------------
 # groups
@@ -65,6 +67,21 @@ def test_group_validation():
     assert e.value.required == (17**2 - 1) * (17**2 - 17)
     with pytest.raises(ResourceBoundError):
         MatrixGroup("gl2_x_gl2", 11)
+
+
+def test_oversized_q_refused_before_the_field_tower(monkeypatch):
+    # the tables grow as q^2, so the bound is checked before any is built;
+    # q that is no odd prime power is still a configuration error
+    def refuse(*args):
+        raise AssertionError("the field tower was built")
+
+    monkeypatch.setattr(groups, "build_field", refuse)
+    with pytest.raises(ResourceBoundError) as e:
+        MatrixGroup("gl2", 17)
+    assert e.value.required == 78336
+    for q in (4, 15, 16):
+        with pytest.raises(ConfigError):
+            MatrixGroup("gl2", q)
 
 
 def test_enumeration_is_lex_and_complete():
@@ -154,8 +171,9 @@ def test_elliptic_coords_are_eigenvalues():
     for x in t.elements:
         u, v = t.eigen_coords(x)
         assert v == u**5  # coordinate pair is (eigenvalue, Frobenius image)
-        k1, k2 = t.log_coords(x)
-        assert k2 == (5 * k1) % n
+        (k1,) = t.eigenvalue_logs(x)
+        assert k1 == tw.discrete_log(u)
+        assert tw.discrete_log(v) == (5 * k1) % n
         # the characteristic polynomial of x vanishes at u
         tr = tw.embed(tw.base.add(x[0][0], x[1][1]), 2)
         det = tw.embed(_det(g, x), 2)
@@ -187,26 +205,31 @@ def test_root_value_against_log_coords():
     for x in t.elements:
         coords = t.eigen_coords(x)
         v = t.root_value(root, coords)
-        k1, k2 = t.log_coords(x)
+        k1, k2 = map(tw.discrete_log, coords)
         expected = (root[0] * k1 + root[1] * k2) % tw.order(2)
         assert tw.discrete_log(v) == expected if not v == tw.one(2) else True
 
 
 def test_extension_points_restrict_to_rational_points():
-    g = MatrixGroup("gl2", 3)
-    t = elliptic_torus(g)
-    tw = g.tower
-    rational = {
-        tuple(tuple(tw.embed(v, 2) for v in row) for row in m) for m in t.elements
-    }
-    point = groups._point_from_coords
-    # the Frobenius-linked coordinate pairs (u, u^3) give the F_3 points, and
-    # no other pair does
-    frob_linked = {point(t, (u, u**3)) for u in tw.units(2)}
-    assert len(frob_linked) == 8
-    assert frob_linked == rational
-    units = list(tw.units(2))
-    assert not any(point(t, (u, v)) in rational for u in units for v in units if v != u**3)
+    # at q = 9 the nonsquare has code 4 >= p, so a point built by scaling
+    # with the bare code (the integer 4 * 1 = 1) would leave the torus
+    for q in (3, 5, 9):
+        g = MatrixGroup("gl2", q)
+        t = elliptic_torus(g)
+        tw = g.tower
+        rational = {
+            tuple(tuple(tw.embed(v, 2) for v in row) for row in m) for m in t.elements
+        }
+        point = groups._point_from_coords
+        # the Frobenius-linked coordinate pairs (u, u^q) give the F_q points,
+        # and no other pair does
+        units = [FieldElement(tw, 2, c) for c in tw._lv(2).powers]
+        frob_linked = {point(t, (u, u**q)) for u in units}
+        assert len(frob_linked) == q * q - 1
+        assert frob_linked == rational
+        assert not any(
+            point(t, (u, v)) in rational for u in units for v in units if v != u**q
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -214,52 +237,36 @@ def test_extension_points_restrict_to_rational_points():
 
 
 def test_torus_character_hom_exhaustive():
-    g = MatrixGroup("gl2", 3)
+    g = MatrixGroup("gl2_x_gl2", 3)
     t = elliptic_torus(g)
-    chi = t.character((3, 1))
     n = g.tower.order(2)
+    log = lambda x: _log_lambda(t, (3, 5), x)
     for x in t.elements:
         for y in t.elements:
-            assert chi.log_value(g.mul(x, y)) == (
-                chi.log_value(x) + chi.log_value(y)
-            ) % n
-
-
-def test_factor_exponents_collapse():
-    g = MatrixGroup("gl2", 3)
-    t = elliptic_torus(g)
-    assert t.character((2, 0)).factor_exponents() == (2,)
-    assert t.character((0, 2)).factor_exponents() == (6,)
-    assert t.character((1, 1)).factor_exponents() == (4,)
-    with pytest.raises(ConfigError):
-        TorusEmbedding(g, "split").character((1, 0)).factor_exponents()
+            assert log(g.mul(x, y)) == (log(x) + log(y)) % n
 
 
 def test_general_position_on_torus_characters():
-    g = MatrixGroup("gl2", 3)
-    t = elliptic_torus(g)
-    assert t.character((2, 0)).is_general_position()
-    assert not t.character((4, 0)).is_general_position()
+    # each factor's exponent must be in general position; 0 and 4 are
+    # Frobenius-fixed mod 8
     prod = MatrixGroup("gl2_x_gl2", 3)
-    tp = elliptic_torus(prod)
-    assert tp.character((1, 0, 2, 0)).is_general_position()
-    assert not tp.character((1, 0, 4, 0)).is_general_position()
+    for exponents in ((1, 4), (4, 1), (0, 2)):
+        with pytest.raises(ConfigError):
+            verify_theorem(prod, "swap", exponents)
 
 
 def test_character_exponent_count_checked():
     g = MatrixGroup("gl2", 3)
     with pytest.raises(ConfigError):
-        elliptic_torus(g).character((1, 2, 3))
+        verify_theorem(g, "diag", (1, 2, 3))
 
 
 def test_frobenius_partner_same_values_on_rational_points():
     g = MatrixGroup("gl2", 5)
     t = elliptic_torus(g)
-    chi = t.character((7, 0))
-    partner = chi.frobenius_partner()
-    # the partner is the composite with Frobenius, a relabeling of T(F_q)
-    values = sorted(chi.log_value(x) for x in t.elements)
-    assert values == sorted(partner.log_value(x) for x in t.elements)
+    # the partner 7 q is the composite with Frobenius, a relabeling of T(F_q)
+    values = sorted(_log_lambda(t, (7,), x) for x in t.elements)
+    assert values == sorted(_log_lambda(t, (7 * 5,), x) for x in t.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +366,7 @@ def test_apply_ext_extends_apply():
         th = named_involution(g, seed)
         for m in _elements(g)[:20]:
             lifted = tuple(tuple(tw.embed(v, 2) for v in row) for row in m)
-            image = th.apply_ext(lifted, 2)
+            image = th.apply_ext(lifted)
             expected = tuple(
                 tuple(tw.embed(v, 2) for v in row) for row in th.apply(m)
             )
@@ -1123,18 +1130,6 @@ def test_phi_theta_certified_values():
                 assert got == KILLED_BOTH
             else:
                 assert got == ()
-
-
-def test_phi_theta_certified_level4_cross_check():
-    g = MatrixGroup("gl2", 3, degrees=(1, 2, 4))
-    for torus in (TorusEmbedding(g, "split"), elliptic_torus(g)):
-        for seed in ("diag", "transpose-inverse"):
-            census = involution_orbit(named_involution(g, seed), torus)
-            for orbit in census.t_orbits:
-                if orbit.stable:
-                    level2 = phi_theta_certified(orbit.representative, torus, level=2)
-                    level4 = phi_theta_certified(orbit.representative, torus, level=4)
-                    assert level2 == level4
 
 
 @pytest.mark.parametrize("q", (3, 5))

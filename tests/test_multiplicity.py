@@ -179,7 +179,7 @@ def test_character_matches_epsilon_parity():
     big = epsilon_character(eps[4], torus)
     # trivial epsilon on the fourth roots of unity detects k = 0 mod 4
     for k in (1, 2, 3, 5, 6, 7):
-        lam = torus.character((k, 0))
+        lam = (k,)
         assert character_matches_epsilon(lam, big) == (k % 4 == 0)
 
 
@@ -190,7 +190,7 @@ def test_rhs_orbit_sum_reports_q3_diag():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
-    lam = torus.character((2, 0))
+    lam = (2,)
     total, reports = rhs_orbit_sum(orbit_entries(census, torus), lam)
     assert total == 1
     assert [r.n_members for r in reports] == [2, 4]
@@ -205,7 +205,7 @@ def test_rhs_orbit_sum_no_match():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
-    total, reports = rhs_orbit_sum(orbit_entries(census, torus), torus.character((1, 0)))
+    total, reports = rhs_orbit_sum(orbit_entries(census, torus), (1,))
     assert total == 0
     assert all(not r.matching for r in reports)
 
@@ -335,12 +335,23 @@ def test_cold_gl2_cell_filters_nothing(monkeypatch):
     assert calls == {"_direct_stabilizers": 0, "_literal_product": n_orbits}
 
 
-def test_rejects_degenerate_exponent():
-    group = MatrixGroup("gl2", 3)
-    with pytest.raises(ConfigError):
-        verify_theorem(group, "diag", (4,))
-    with pytest.raises(ConfigError):
-        verify_theorem(group, "diag", (0,))
+def test_rejects_degenerate_exponent(monkeypatch):
+    # a Frobenius-fixed exponent or a wrong exponent count is refused
+    # before the census is built
+    censuses = []
+
+    def counted(*args):
+        censuses.append(args)
+        return census_for(*args)
+
+    monkeypatch.setattr(multiplicity, "census_for", counted)
+    gl2, prod = MatrixGroup("gl2", 3), MatrixGroup("gl2_x_gl2", 3)
+    for group, exponents in ((gl2, (4,)), (gl2, (0,)), (gl2, (1, 2)), (prod, (1,))):
+        with pytest.raises(ConfigError):
+            verify_theorem(group, "diag", exponents)
+    assert censuses == []
+    verify_theorem(gl2, "diag", (1,))
+    assert len(censuses) == 1
 
 
 def test_theorem_result_wall_time_positive():
@@ -408,7 +419,7 @@ def test_violation_carries_result():
     census = census_for(group, torus, "diag")
 
     one = _constant(conjugacy_classes(group), {0: 1})
-    lam = torus.character((1, 0))
+    lam = (1,)
     lhs = lhs_multiplicity(census, (one,))
     rhs, _ = rhs_orbit_sum(orbit_entries(census, torus), lam)
     assert lhs == 1 and rhs == 0
