@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError
-from .groups import BRUTE_FORCE_Q, MatrixGroup, _m_inv, _m_mul
+from .groups import BRUTE_FORCE_Q, MatrixGroup
 
 __all__ = [
     "cyclotomic",
@@ -185,9 +185,9 @@ class ConjugacyTable:
 
     def _cross_check_brute_force(self):
         group = self.group
-        t = group.tower
+        mat_mul = group.tower.base.mat_mul
         gens = group.gl2_generators()
-        gen_invs = [_m_inv(t.base, s) for s in gens]
+        gen_invs = list(map(group.tower.base.mat_inv, gens))
         remaining = dict.fromkeys(group.gl2_elements())
         found = {}
         for start in group.gl2_elements():
@@ -199,7 +199,7 @@ class ConjugacyTable:
                 nxt = []
                 for x in frontier:
                     for s, si in zip(gens, gen_invs):
-                        y = _m_mul(t.base, _m_mul(t.base, s, x), si)
+                        y = mat_mul(mat_mul(s, x), si)
                         if y not in orbit:
                             orbit.add(y)
                             nxt.append(y)

@@ -20,9 +20,12 @@ inverses and square roots at a level read that table: one addition,
 multiplication or halving of logs mod q^d - 1, with zero tested first.
 
 The base field (``tower.base``) and ``tower.element_ops(d)`` offer the same
-operations (add, sub, mul, neg, inv, dot, zero, one), on codes and on
-``FieldElement`` entries of level d, so the matrix and linear-algebra kernels
-take either; ``dot(a, b, c, d)`` is a*b + c*d.
+operations (add, sub, mul, neg, inv, zero, one), on codes and on
+``FieldElement`` entries of level d, so the linear-algebra kernels take
+either.  Both also own the 2x2 matrix kernel (``mat_mul``, ``mat_det``,
+``mat_inv`` and ``mat_monic``, the scaling that makes the first nonzero
+row-major entry 1); the base field reads each entry straight off its
+tables, and adds ``row_times``, one row of a product.
 """
 
 from __future__ import annotations
@@ -116,11 +119,6 @@ class _BaseField:
     def mul(self, a, b):
         return self._mul[a][b]
 
-    def dot(self, a, b, c, d):
-        """a*b + c*d, the step of a 2x2 matrix product."""
-        mul = self._mul
-        return self._add[mul[a][b]][mul[c][d]]
-
     def neg(self, a):
         return self._neg[a]
 
@@ -132,6 +130,47 @@ class _BaseField:
     def embed_int(self, n: int) -> int:
         """The scalar n*1, i.e. the image of an ordinary integer."""
         return n % self.p
+
+    # -- 2x2 matrices ((a, b), (c, d)) of codes, read off the tables ----------
+
+    def mat_mul(self, x, y):
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        mul, add = self._mul, self._add
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+        return (
+            (add[ma[e]][mb[g]], add[ma[f]][mb[h]]),
+            (add[mc[e]][md[g]], add[mc[f]][md[h]]),
+        )
+
+    def row_times(self, r, y):
+        """The row vector r times the 2x2 matrix y, a row of mat_mul."""
+        u, v = r
+        (e, f), (g, h) = y
+        mu, mv, add = self._mul[u], self._mul[v], self._add
+        return add[mu[e]][mv[g]], add[mu[f]][mv[h]]
+
+    def mat_det(self, x):
+        (a, b), (c, d) = x
+        mul = self._mul
+        return self._add[mul[a][d]][self._neg[mul[b][c]]]
+
+    def mat_inv(self, x):
+        (a, b), (c, d) = x
+        det = self.mat_det(x)
+        if det == 0:
+            raise ZeroDivisionError("inverse of a singular matrix")
+        scale, neg = self._mul[self._inv[det]], self._neg
+        return ((scale[d], scale[neg[b]]), (scale[neg[c]], scale[a]))
+
+    def mat_monic(self, x):
+        """x scaled so its first nonzero row-major entry is 1."""
+        (a, b), (c, d) = x
+        lead = a or b or c or d
+        if not lead:
+            raise ZeroDivisionError("the zero matrix has no monic form")
+        scale = self._mul[self._inv[lead]]
+        return ((scale[a], scale[b]), (scale[c], scale[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +401,8 @@ class FieldElement:
 
 
 class _ElementOps:
-    """The base field's code operations, over the FieldElement entries of one level."""
+    """The base field's code operations and 2x2 matrix kernel, over the
+    FieldElement entries of one level."""
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -371,8 +411,29 @@ class _ElementOps:
     inv = staticmethod(FieldElement.inverse)
 
     @staticmethod
-    def dot(a, b, c, d):
-        return a * b + c * d
+    def mat_mul(x, y):
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+    @staticmethod
+    def mat_det(x):
+        (a, b), (c, d) = x
+        return a * d - b * c
+
+    def mat_inv(self, x):
+        (a, b), (c, d) = x
+        di = self.mat_det(x).inverse()
+        return ((di * d, di * -b), (di * -c, di * a))
+
+    @staticmethod
+    def mat_monic(x):
+        (a, b), (c, d) = x
+        lead = a or b or c or d
+        if not lead:
+            raise ZeroDivisionError("the zero matrix has no monic form")
+        li = lead.inverse()
+        return ((li * a, li * b), (li * c, li * d))
 
     def __init__(self, tower: "FieldTower", level: int):
         self.zero = tower.zero(level)

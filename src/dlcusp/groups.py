@@ -7,8 +7,8 @@ witness matrix that is canonicalized once so orbit bookkeeping is hashing,
 not pointwise map comparison.
 
 The two group kinds are ``gl2`` and ``gl2_x_gl2``: direct products of one and
-of two GL2 factors.  Every operation works factor by factor through one 2x2
-matrix kernel; only ``MatrixGroup.split`` and ``MatrixGroup.join`` know that
+of two GL2 factors.  Every operation works factor by factor through the
+field's 2x2 matrix kernel (``mat_mul`` and its kin in ``dlcusp.gf``); only ``MatrixGroup.split`` and ``MatrixGroup.join`` know that
 a gl2 element is a bare matrix and a product element a pair.  Only odd q is
 supported, and enumeration is bounded so every operation stays at desk scale.
 """
@@ -73,37 +73,13 @@ def _closure(start, gens, step) -> set:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over a field F given by its operations: tower.base for base
-# codes, tower.element_ops(2) for FieldElement entries of F_{q^2}
-
-
-def _m_mul(F, x, y):
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    dot = F.dot
-    return (
-        (dot(a, e, b, g), dot(a, f, b, h)),
-        (dot(c, e, d, g), dot(c, f, d, h)),
-    )
+# 2x2 matrices over a field F that owns the kernel (mat_mul, mat_inv,
+# mat_det, mat_monic): tower.base for base codes, read off its tables, and
+# tower.element_ops(2) for FieldElement entries of F_{q^2}
 
 
 def _m_sub(F, x, y):
     return tuple(tuple(map(F.sub, rx, ry)) for rx, ry in zip(x, y))
-
-
-def _m_det(F, x):
-    (a, b), (c, d) = x
-    return F.sub(F.mul(a, d), F.mul(b, c))
-
-
-def _m_inv(F, x):
-    (a, b), (c, d) = x
-    di = F.inv(_m_det(F, x))
-    mul, neg = F.mul, F.neg
-    return (
-        (mul(di, d), mul(di, neg(b))),
-        (mul(di, neg(c)), mul(di, a)),
-    )
 
 
 def _m_transpose(x):
@@ -111,8 +87,8 @@ def _m_transpose(x):
     return ((a, c), (b, d))
 
 
-def _m_scale(F, c, x):
-    return tuple(tuple(F.mul(c, v) for v in row) for row in x)
+def _m_neg(F, x):
+    return tuple(tuple(map(F.neg, row)) for row in x)
 
 
 def _m_identity():
@@ -126,15 +102,15 @@ def _m_is_scalar(m) -> bool:
 def _act(F, outer, a, ai, g):
     """One factor of an involution: g -> a g a^-1, or a g^-T a^-1 when outer."""
     if outer:
-        g = _m_inv(F, _m_transpose(g))
-    return _m_mul(F, _m_mul(F, a, g), ai)
+        g = F.mat_inv(_m_transpose(g))
+    return F.mat_mul(F.mat_mul(a, g), ai)
 
 
 def _d_act(F, outer, a, ai, x):
     """The differential of _act on a Lie algebra element."""
     if outer:
-        x = _m_scale(F, F.neg(1), _m_transpose(x))
-    return _m_mul(F, _m_mul(F, a, x), ai)
+        x = _m_neg(F, _m_transpose(x))
+    return F.mat_mul(F.mat_mul(a, x), ai)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +149,6 @@ class MatrixGroup:
         self.gl2_order = (q * q - 1) * (q * q - q)
         self.order = self.gl2_order**n_factors
         self._gl2_elements = None
-        self._mul2 = partial(_m_mul, tower.base)
         if n_factors == 1:
             self.factor = self
         else:
@@ -193,10 +168,10 @@ class MatrixGroup:
     # -- element arithmetic -------------------------------------------------
 
     def mul(self, x, y):
-        return self.join(tuple(map(self._mul2, self.split(x), self.split(y))))
+        return self.join(tuple(map(self.tower.base.mat_mul, self.split(x), self.split(y))))
 
     def inv(self, x):
-        return self.join(tuple(_m_inv(self.tower.base, m) for m in self.split(x)))
+        return self.join(tuple(map(self.tower.base.mat_inv, self.split(x))))
 
     def identity(self):
         return self.scalar(1)
@@ -213,7 +188,7 @@ class MatrixGroup:
             return False
         if any(not (isinstance(v, int) and 0 <= v < self.q) for r in m for v in r):
             return False
-        return _m_det(self.tower.base, m) != 0
+        return self.tower.base.mat_det(m) != 0
 
     def scalar(self, z: int):
         return self.join((((z, 0), (0, z)),) * self.n_factors)
@@ -227,7 +202,7 @@ class MatrixGroup:
 
     def gl2_elements(self):
         if self._gl2_elements is None:
-            F = self.tower.base
+            det = self.tower.base.mat_det
             out = [
                 m
                 for m in (
@@ -237,7 +212,7 @@ class MatrixGroup:
                     for c in range(self.q)
                     for d in range(self.q)
                 )
-                if _m_det(F, m) != 0
+                if det(m) != 0
             ]
             if len(out) != self.gl2_order:
                 raise ConsistencyError(
@@ -319,7 +294,7 @@ class TorusEmbedding:
             eps = t.smallest_nonsquare()
             pairs = ((a, b) for a in range(q) for b in range(q))
             candidates = (((a, t.base.mul(b, eps)), (b, a)) for a, b in pairs)
-            points = tuple(sorted(m for m in candidates if _m_det(t.base, m) != 0))
+            points = tuple(sorted(m for m in candidates if t.base.mat_det(m) != 0))
             expected = q * q - 1
             # the F_{q^2} constants of u = a + b delta, delta^2 = eps
             self.eps = t.embed(eps, 2)
@@ -331,7 +306,7 @@ class TorusEmbedding:
                 f"{kind} torus of GL2 has {len(points)} points, not {expected}"
             )
         self.points = points
-        self.canonical = {p: _canonical_witness(t.base, p) for p in points}
+        self.canonical = {p: t.base.mat_monic(p) for p in points}
         self.elements = tuple(
             map(group.join, itertools.product(points, repeat=group.n_factors))
         )
@@ -412,14 +387,6 @@ def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
 # involutions
 
 
-def _canonical_witness(F, m):
-    """Scale a witness so its first nonzero row-major entry is 1."""
-    for v in (m[0][0], m[0][1], m[1][0], m[1][1]):
-        if v:
-            return _m_scale(F, F.inv(v), m)
-    raise ConfigError("zero witness matrix")
-
-
 class Involution:
     """An order-two automorphism with a canonical witness.
 
@@ -440,7 +407,7 @@ class Involution:
                 raise ConfigError("swap involutions need the product group")
             if not group.factor.contains(witness):
                 raise ConfigError("swap witness must be an invertible 2x2 matrix")
-            self.witness = _canonical_witness(group.tower.base, witness)
+            self.witness = group.tower.base.mat_monic(witness)
         elif kind in ("inner", "outer"):
             parts = group.split(witness)
             if len(parts) != group.n_factors:
@@ -452,28 +419,28 @@ class Involution:
 
     def _check_component(self, m):
         F = self.group.tower.base
-        if not (len(m) == 2 and all(len(r) == 2 for r in m)) or _m_det(F, m) == 0:
+        if not (len(m) == 2 and all(len(r) == 2 for r in m)) or F.mat_det(m) == 0:
             raise ConfigError("witness must be an invertible 2x2 matrix")
         if self._outer:
             mt = _m_transpose(m)
-            if mt != m and mt != _m_scale(F, F.neg(1), m):
+            if mt != m and mt != _m_neg(F, m):
                 raise ConfigError("outer witness must be symmetric or antisymmetric")
         else:
-            if not _m_is_scalar(_m_mul(F, m, m)):
+            if not _m_is_scalar(F.mat_mul(m, m)):
                 raise ConfigError("inner witness must square to a central element")
             if _m_is_scalar(m):
                 raise ConfigError("inner witness must not be central")
-        return _canonical_witness(F, m)
+        return F.mat_monic(m)
 
     @cached_property
     def _factor_witnesses(self):
         """(witnesses, their inverses), one per factor of the image."""
         F = self.group.tower.base
         if self._swaps:
-            ai = _m_inv(F, self.witness)
+            ai = F.mat_inv(self.witness)
             return (self.witness, ai), (ai, self.witness)
         ws = self.group.split(self.witness)
-        return ws, tuple(_m_inv(F, w) for w in ws)
+        return ws, tuple(map(F.mat_inv, ws))
 
     def _on_factors(self, one_factor, x, ws, wis):
         """Map each factor of x (after the swap) by one_factor(a, a^-1, m)."""
@@ -511,11 +478,9 @@ class Involution:
         F = self.group.tower.base
         gs = self.group.split(g)
         right = gs[::-1] if self._swaps else gs
-        right = map(_m_transpose, right) if self._outer else map(partial(_m_inv, F), right)
+        right = map(_m_transpose, right) if self._outer else map(F.mat_inv, right)
         ws = self._factor_witnesses[0]
-        new = tuple(
-            _m_mul(F, _m_mul(F, gi, w), r) for gi, w, r in zip(gs, ws, right)
-        )
+        new = tuple(F.mat_mul(F.mat_mul(gi, w), r) for gi, w, r in zip(gs, ws, right))
         witness = new[0] if self._swaps else self.group.join(new)
         return Involution(self.group, self.kind, witness)
 
@@ -542,7 +507,7 @@ class Involution:
             for a, ai in witnesses:
                 images = [act(a, ai, p) for p in pts]
                 t_theta.append(
-                    [p for p, im in zip(pts, images) if canonical[p] == _canonical_witness(F, im)]
+                    [p for p, im in zip(pts, images) if canonical[p] == F.mat_monic(im)]
                 )
                 fixed.append([p for p, im in zip(pts, images) if im == p])
             join = self.group.join
@@ -557,7 +522,7 @@ class Involution:
         for p in pts:
             im = act(a, ai, p)
             by_image.setdefault(im, []).append(p)
-            by_form.setdefault(_canonical_witness(F, im), []).append(p)
+            by_form.setdefault(F.mat_monic(im), []).append(p)
         return (
             tuple((x0, x1) for x0 in pts for x1 in by_form.get(canonical[x0], ())),
             tuple((x0, x1) for x0 in pts for x1 in by_image.get(x0, ())),
@@ -763,7 +728,7 @@ def _gl2_stabilizer_sets(factor: MatrixGroup, outer: bool, a, ai):
         if im == g:
             fixed.append(g)
             twisted.append(g)
-        elif _m_is_scalar(_m_mul(F, g, _m_inv(F, im))):
+        elif _m_is_scalar(F.mat_mul(g, F.mat_inv(im))):
             twisted.append(g)
     return twisted, fixed
 
@@ -790,22 +755,16 @@ def _direct_stabilizers(theta: Involution):
     )
 
 
-def _row_times(F, r, y):
-    """The row vector r times the 2x2 matrix y, by the steps of _m_mul."""
-    (e, f), (g, h) = y
-    u, v = r
-    return F.dot(u, e, v, g), F.dot(u, f, v, h)
-
-
 def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
     """The product set {x y : x in G^theta, y in T_theta}, one int code per element.
 
     Row i of x y is (row i of x) y, so each distinct factor matrix y of the
-    T_theta points gets a table of r y over the rows r of G^theta's factor
-    matrices (at most q^2 of them), and a factor product is two lookups.  A
-    row (u, v) has code u q + v, a factor matrix the code (row 0) q^2 +
-    (row 1), and factor k of n has weight (q^4)^(n - 1 - k).  Entries lie in
-    range(q), so the packing is injective.
+    T_theta points gets a table of r y (the base field's row_times, read off
+    its tables) over the rows r of G^theta's factor matrices (at most q^2 of
+    them), and a factor product is two lookups.  A row (u, v) has code
+    u q + v, a factor matrix the code (row 0) q^2 + (row 1), and factor k of
+    n has weight (q^4)^(n - 1 - k).  Entries lie in range(q), so the packing
+    is injective.
     """
     F, q = group.tower.base, group.q
     q2 = q * q
@@ -829,7 +788,7 @@ def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
         for (rows, top, bottom, weight, products), m in zip(slots, group.split(y)):
             if m not in products:
                 # the weighted code of r m for each row r, as a bottom and as a top row
-                low = [(u * q + v) * weight for u, v in (_row_times(F, r, m) for r in rows)]
+                low = [(u * q + v) * weight for u, v in (F.row_times(r, m) for r in rows)]
                 high = [c * q2 for c in low]
                 products[m] = array(
                     "q", map(add, map(high.__getitem__, top), map(low.__getitem__, bottom))
@@ -958,25 +917,33 @@ class LieFixedSpace:
         self.dimension = len(plus)
         self.vectors = plus
         self.free = free
+        # each non-free coordinate with the basis vectors' entries there
+        self._bound = [
+            (i, [v[i] for v in plus]) for i in range(n) if i not in free
+        ]
 
     def matrix_of_ad(self, g):
         """Coordinates of Ad(g) restricted to the fixed space.
 
         Each image is read at the free coordinates and must equal the
-        combination of the basis with those coefficients.
+        combination of the basis with those coefficients.  At a free
+        coordinate the combination is its coefficient by construction, so
+        only the other coordinates are compared.
         """
         group = self.theta.group
         F = group.tower.base
+        add, mul = F.add, F.mul
         gi = group.inv(g)
         cols = []
         for v in self.vectors:
             image = _vec(group, group.mul(group.mul(g, _unvec(group, v)), gi))
             coords = [image[c] for c in self.free]
-            rebuilt = [F.zero] * len(image)
-            for c, w in zip(coords, self.vectors):
-                rebuilt = [F.add(r, F.mul(c, x)) for r, x in zip(rebuilt, w)]
-            if rebuilt != image:
-                raise ConsistencyError("Ad(g) does not preserve the fixed space")
+            for i, entries in self._bound:
+                acc = F.zero
+                for c, x in zip(coords, entries):
+                    acc = add(acc, mul(c, x))
+                if acc != image[i]:
+                    raise ConsistencyError("Ad(g) does not preserve the fixed space")
             cols.append(coords)
         n = self.dimension
         return [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -1090,7 +1057,7 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     for k in range(torus.coord_count):
         e = _generator_point(torus, k)
         image = theta.apply_ext(e)
-        s = group.join(tuple(map(partial(_m_mul, E), group.split(e), group.split(image))))
+        s = group.join(tuple(map(E.mat_mul, group.split(e), group.split(image))))
         plus.append((s, _coords_of_ext(torus, s)))
     one = t.one(2)
     vanishing = set(
@@ -1122,7 +1089,7 @@ def _centralizer_dimension(group: MatrixGroup, mats, E) -> int:
         for vec in basis:
             x = _unvec(group, vec)
             comm = tuple(
-                _m_sub(E, _m_mul(E, xm, sm), _m_mul(E, sm, xm))
+                _m_sub(E, E.mat_mul(xm, sm), E.mat_mul(sm, xm))
                 for xm, sm in zip(group.split(x), group.split(s))
             )
             rows.append(_vec(group, group.join(comm)))

@@ -61,23 +61,37 @@ class EpsilonCharacter(NamedTuple):
 
 
 def _domain_generators(group: MatrixGroup, domain) -> list:
-    """Generators of the abelian group domain, picked in domain order: a point
-    outside the span so far joins, and the span grows by its cosets x^k S.
+    """Fewest generators of the abelian group domain: at each step a point of
+    largest order modulo the span so far joins, and the span grows by its
+    cosets x^k S.
 
-    Nothing rests on the pick; _check_multiplicative certifies the closure.
+    A cyclic subgroup of largest order is a direct summand of a finite
+    abelian group, so step i adds the i-th invariant factor and the count is
+    the least possible.  A point's powers have no larger order than the
+    point, so they are skipped as candidates.  Nothing rests on the pick;
+    _check_multiplicative certifies the closure.
     """
     span, gens = {group.identity()}, []
-    for x in domain:
-        if x in span:
-            continue
-        gens.append(x)
-        power, coset, grown = x, span, set(span)
-        while power not in span:
-            coset = [group.mul(x, s) for s in coset]
+    while True:
+        best, best_order, seen = None, 0, set()
+        for x in domain:
+            if x in span or x in seen:
+                continue
+            order, power = 1, x
+            while power not in span:
+                seen.add(power)
+                power = group.mul(x, power)
+                order += 1
+            if order > best_order:
+                best, best_order = x, order
+        if best is None:
+            return gens
+        gens.append(best)
+        coset, grown = span, set(span)
+        for _ in range(best_order - 1):
+            coset = [group.mul(best, s) for s in coset]
             grown.update(coset)
-            power = group.mul(x, power)
         span = grown
-    return gens
 
 
 def _check_multiplicative(group: MatrixGroup, signs: dict, gens) -> None:

@@ -20,7 +20,7 @@ from dlcusp.dlchar import (
     general_position_exponents,
 )
 from dlcusp.errors import ConfigError, ConsistencyError
-from dlcusp.groups import MatrixGroup, _m_det
+from dlcusp.groups import MatrixGroup
 
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9))
@@ -79,7 +79,7 @@ def test_memoized_class_key_matches_the_direct_key(q):
         if b == c == 0 and a == d:
             expected = ("central", a)
         else:
-            expected = table._noncentral_key(F.add(a, d), _m_det(F, x))
+            expected = table._noncentral_key(F.add(a, d), F.mat_det(x))
         assert table.class_key(x) == expected
     # one entry per (trace, nonzero det) pair
     assert len(table._key_by_trace_det) == q * (q - 1)
@@ -395,7 +395,7 @@ def _coset_key(F, x):
     """The representative of the type of the coset x N that _coset_type_sums uses."""
     (a, _), (c, d) = x
     if c != 0:
-        return ((0, F.neg(_m_det(F, x))), (1, 0))
+        return ((0, F.neg(F.mat_det(x))), (1, 0))
     return ((min(a, d), 0), (0, max(a, d)))
 
 
@@ -412,7 +412,7 @@ def test_coset_keys_name_the_sets_g_u_b(q):
 
     for x in g.gl2_elements():
         (a, _), (c, d) = x
-        det = _m_det(F, x)
+        det = F.mat_det(x)
         if c != 0:
             expected = Counter(table._noncentral_key(tr, det) for tr in range(q))
         elif a != d:

@@ -276,15 +276,6 @@ def test_sqrt_on_all_squares():
             assert t.sqrt(t.zero(level)).is_zero()
 
 
-@pytest.mark.parametrize("q", (3, 9))
-def test_dot_is_two_products_and_a_sum(q):
-    t = build_field(q, degrees=(1, 2))
-    levels = (1, 2) if q == 3 else (1,)
-    for F, xs in [(t.base, range(q))] + [(t.element_ops(d), _elements(t, d)) for d in levels]:
-        for a, b, c, d in itertools.product(xs, repeat=4):
-            assert F.dot(a, b, c, d) == F.add(F.mul(a, b), F.mul(c, d))
-
-
 # F_q for q = p^f is the degree-f level over F_p, a code the base-p value of
 # its coefficient tuple (low degree first).  Its tables must be schoolbook
 # polynomial arithmetic modulo the lexicographically least monic irreducible
@@ -394,3 +385,148 @@ def test_deterministic_rebuild():
     assert a._lv(2).modulus == b._lv(2).modulus
     assert a.generator(2).coeffs == b.generator(2).coeffs
     assert a._lv(2).powers == b._lv(2).powers
+
+
+# The 2x2 matrix kernel (mat_mul, row_times, mat_det, mat_inv, mat_monic)
+# against matrices worked by hand from scalar addition and multiplication
+# alone: residues mod q for prime q, schoolbook polynomials for q = 9, and
+# convolution for FieldElement entries; -1 and inverses are found by search.
+
+
+class _SchoolbookMatrices:
+    def __init__(self, elements, add, mul, zero, one):
+        self.add, self.mul, self.zero, self.one = add, mul, zero, one
+        self.minus_one = next(x for x in elements if add(x, one) == zero)
+        self.inverse = {
+            x: next(y for y in elements if mul(x, y) == one) for x in elements if x != zero
+        }
+
+    def mat_mul(self, x, y):
+        add, mul = self.add, self.mul
+        return tuple(
+            tuple(add(mul(x[i][0], y[0][j]), mul(x[i][1], y[1][j])) for j in (0, 1))
+            for i in (0, 1)
+        )
+
+    def det(self, x):
+        (a, b), (c, d) = x
+        return self.add(self.mul(a, d), self.mul(self.minus_one, self.mul(b, c)))
+
+    def scale(self, s, x):
+        return tuple(tuple(self.mul(s, v) for v in row) for row in x)
+
+    def inv(self, x):
+        (a, b), (c, d) = x
+        m = self.minus_one
+        return self.scale(
+            self.inverse[self.det(x)], ((d, self.mul(m, b)), (self.mul(m, c), a))
+        )
+
+    def monic(self, x):
+        lead = next(v for row in x for v in row if v != self.zero)
+        return self.scale(self.inverse[lead], x)
+
+    def identity(self):
+        return ((self.one, self.zero), (self.zero, self.one))
+
+
+def _code_schoolbook(q):
+    if q in BASE_MODULI:
+        p, modulus = BASE_MODULI[q]
+        f = len(modulus) - 1
+        digits = [tuple(c // p**i % p for i in range(f)) for c in range(q)]
+        code = {d: c for c, d in enumerate(digits)}
+
+        def add(a, b):
+            return code[tuple((x + y) % p for x, y in zip(digits[a], digits[b]))]
+
+        def mul(a, b):
+            return code[_schoolbook(p, modulus, digits[a], digits[b])]
+
+    else:
+
+        def add(a, b):
+            return (a + b) % q
+
+        def mul(a, b):
+            return a * b % q
+
+    return _SchoolbookMatrices(range(q), add, mul, 0, 1)
+
+
+def _matrices(entries):
+    return (((a, b), (c, d)) for a, b, c, d in itertools.product(entries, repeat=4))
+
+
+def _random_matrix(rng, entries):
+    return tuple(tuple(rng.choice(entries) for _ in range(2)) for _ in range(2))
+
+
+def test_mat_mul_and_row_times_on_every_pair_q3():
+    F = build_field(3, degrees=(1,)).base
+    ref = _code_schoolbook(3)
+    mats = list(_matrices(range(3)))
+    for x in mats:
+        for y in mats:
+            product = ref.mat_mul(x, y)
+            assert F.mat_mul(x, y) == product
+            assert (F.row_times(x[0], y), F.row_times(x[1], y)) == product
+
+
+@pytest.mark.parametrize("q", (9, 13))
+def test_mat_mul_and_row_times_on_seeded_pairs(q):
+    F = build_field(q, degrees=(1,)).base
+    ref = _code_schoolbook(q)
+    rng = random.Random(q)
+    for _ in range(3000):
+        x, y = _random_matrix(rng, range(q)), _random_matrix(rng, range(q))
+        product = ref.mat_mul(x, y)
+        assert F.mat_mul(x, y) == product
+        assert (F.row_times(x[0], y), F.row_times(x[1], y)) == product
+
+
+def _check_det_inv_monic(F, ref, x):
+    det = ref.det(x)
+    assert F.mat_det(x) == det
+    if det == ref.zero:
+        with pytest.raises(ZeroDivisionError):
+            F.mat_inv(x)
+    else:
+        inverse = F.mat_inv(x)
+        assert inverse == ref.inv(x)
+        assert ref.mat_mul(x, inverse) == ref.identity()
+    if x == ((ref.zero, ref.zero), (ref.zero, ref.zero)):
+        with pytest.raises(ZeroDivisionError):
+            F.mat_monic(x)
+    else:
+        monic = F.mat_monic(x)
+        assert monic == ref.monic(x)
+        assert next(v for row in monic for v in row if v != ref.zero) == ref.one
+
+
+@pytest.mark.parametrize("q", (3, 5, 9))
+def test_mat_det_inv_monic_on_every_matrix(q):
+    F = build_field(q, degrees=(1,)).base
+    ref = _code_schoolbook(q)
+    for x in _matrices(range(q)):
+        _check_det_inv_monic(F, ref, x)
+
+
+def test_element_matrix_kernel_q3_level2():
+    t = build_field(3, degrees=(1, 2))
+    E = t.element_ops(2)
+    elements = _elements(t, 2)
+
+    def add(x, y):
+        return FieldElement(t, 2, tuple((a + b) % 3 for a, b in zip(x.coeffs, y.coeffs)))
+
+    def mul(x, y):
+        return FieldElement(t, 2, _conv_mul(t, 2, x.coeffs, y.coeffs))
+
+    ref = _SchoolbookMatrices(elements, add, mul, t.zero(2), t.one(2))
+    for x in _matrices(elements):
+        _check_det_inv_monic(E, ref, x)
+    rng = random.Random(2)
+    for _ in range(1000):
+        x, y = _random_matrix(rng, elements), _random_matrix(rng, elements)
+        assert E.mat_mul(x, y) == ref.mat_mul(x, y)

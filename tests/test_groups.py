@@ -47,7 +47,7 @@ def _elements(g):
 
 def _det(g, m):
     """The determinant code of a gl2 matrix."""
-    return groups._m_det(g.tower.base, m)
+    return g.tower.base.mat_det(m)
 
 
 def test_group_orders():
@@ -573,16 +573,17 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
 
 def test_literal_product_check_raises(monkeypatch):
     # a multiplication that returns its right factor, injected at the row
-    # product of the literal check: G^theta of diag is diagonal, so each row
-    # of x is a multiple of a unit row and picking y's row of the same index
-    # makes x y = y; on the elliptic torus the literal G^theta T_theta then
-    # has |T_theta| = 4 elements where |G_theta| / m = 8
+    # product of the literal check (the base field's row_times): G^theta of
+    # diag is diagonal, so each row of x is a multiple of a unit row and
+    # picking y's row of the same index makes x y = y; on the elliptic torus
+    # the literal G^theta T_theta then has |T_theta| = 4 elements where
+    # |G_theta| / m = 8
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "diag")
     t = elliptic_torus(g)
     census = involution_orbit(th, t)
     assert len(stabilizer_data(th, t, census).t_theta) == 4
-    monkeypatch.setattr(groups, "_row_times", lambda F, r, y: y[0] if r[0] else y[1])
+    monkeypatch.setattr(g.tower.base, "row_times", lambda r, y: y[0] if r[0] else y[1])
     with pytest.raises(ConsistencyError, match="literal product"):
         stabilizer_data(th, t, census)
     # a torus orbit's check runs on its first pick
@@ -601,7 +602,7 @@ def test_literal_product_check_runs_on_large_cells(monkeypatch):
     data = stabilizer_data(th, t, census)
     assert data.g_fixed_order * len(data.t_theta) == 580_608 > 200_000
     assert data.m == 1
-    monkeypatch.setattr(groups, "_row_times", lambda F, r, y: r)
+    monkeypatch.setattr(g.tower.base, "row_times", lambda r, y: r)
     with pytest.raises(ConsistencyError, match="literal product"):
         stabilizer_data(th, t, census)
 

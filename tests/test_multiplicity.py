@@ -2,6 +2,7 @@
 subgroup averages, and the grid of verified cells at small q."""
 
 import cmath
+import itertools
 import math
 from collections import Counter
 
@@ -133,18 +134,39 @@ def test_epsilon_sign_table_that_is_not_a_character_raises(monkeypatch):
     assert g in gens and victim in (x, group.mul(g, x))
 
 
+def _fewest_generators(group, domain):
+    """The least number of domain points whose closure is the domain, by search."""
+    for k in itertools.count(1):
+        for gens in itertools.combinations(domain, k):
+            span, frontier = {group.identity()}, [group.identity()]
+            while frontier:
+                frontier = {group.mul(g, x) for x in frontier for g in gens} - span
+                span |= frontier
+            if span == set(domain):
+                return k
+
+
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_epsilon_generators_that_miss_points_raise(monkeypatch, q):
     group, torus, theta, domain = _split_diag(q)
     gens = multiplicity._domain_generators(group, domain)
-    # each generator lies outside the span of the earlier ones, so the
-    # span without the last misses it
-    assert len(gens) >= 2
+    # as few generators as possible (Z_{q-1}^2 needs two), each outside the
+    # span of the earlier ones, so the span without the last misses it
+    assert len(gens) == _fewest_generators(group, domain) == 2
     monkeypatch.setattr(
         multiplicity, "_domain_generators", lambda group, domain: gens[:-1]
     )
     with pytest.raises(ConsistencyError, match="generators reach"):
         epsilon_character(theta, torus)
+
+
+def test_epsilon_generators_of_a_cyclic_domain():
+    # the swap fixes the diagonal copy of the cyclic elliptic torus
+    group = MatrixGroup("gl2_x_gl2", 3)
+    torus = elliptic_torus(group)
+    domain = named_involution(group, "swap").torus_side(torus)[1]
+    assert len(domain) == 8
+    assert len(multiplicity._domain_generators(group, domain)) == 1
 
 
 def test_epsilon_generators_that_leave_the_domain_raise(monkeypatch):
