@@ -180,28 +180,28 @@ def cmd_verify_sigma(config: RunConfig) -> int:
         except ConsistencyError as e:
             failures.append({"datum": name, "message": str(e), "detail": e.detail})
         if config.twists:
-            # equal draws share one datum: certify it once, report every index
-            verdicts = {}
-            for i, twisted in enumerate(
-                random_twists(datum, config.twists, seed=config.rng_seed)
-            ):
-                if twisted.tau not in verdicts:
-                    try:
-                        sigma_product(twisted)
-                        verdicts[twisted.tau] = None
-                    except ConsistencyError as e:
-                        verdicts[twisted.tau] = e
-                e = verdicts[twisted.tau]
-                if e is not None:
-                    failures.append(
-                        {
-                            "datum": name,
-                            "twist": i,
-                            "tau": twisted.tau,
-                            "message": str(e),
-                            "detail": e.detail,
-                        }
-                    )
+            # equal draws share one datum: certify each distinct one once, and
+            # walk the draws only to report a failure at every index
+            twists = random_twists(datum, config.twists, seed=config.rng_seed)
+            failed = {}
+            for twisted in dict.fromkeys(twists):
+                try:
+                    sigma_product(twisted)
+                except ConsistencyError as e:
+                    failed[twisted] = e
+            if failed:
+                for i, twisted in enumerate(twists):
+                    e = failed.get(twisted)
+                    if e is not None:
+                        failures.append(
+                            {
+                                "datum": name,
+                                "twist": i,
+                                "tau": twisted.tau,
+                                "message": str(e),
+                                "detail": e.detail,
+                            }
+                        )
     _emit(config, results, failures)
     return _fail_exit(config, failures) if failures else 0
 

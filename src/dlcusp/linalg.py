@@ -10,6 +10,8 @@ stays integer and no rational type is needed.
 
 from __future__ import annotations
 
+from operator import mul
+
 # ---------------------------------------------------------------------------
 # integer / rational matrices
 
@@ -19,15 +21,12 @@ def int_identity(n: int) -> list[list[int]]:
 
 
 def int_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def int_mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def int_transpose(a):
@@ -47,26 +46,6 @@ def int_det(a) -> int:
             minor = [row[:j] + row[j + 1 :] for row in a[1:]]
             det += (-1) ** j * a[0][j] * int_det(minor)
     return det
-
-
-def int_mat_inverse(a):
-    """Exact inverse of an integer matrix with det +-1, as integer rows."""
-    n = len(a)
-    d = int_det(a)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {d})")
-    cof = [
-        [
-            (-1) ** (i + j)
-            * int_det([row[:j] + row[j + 1 :] for k, row in enumerate(a) if k != i])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    if n == 1:
-        cof = [[1]]
-    adj = int_transpose(cof)
-    return [[x * d for x in row] for row in adj]
 
 
 def rational_rank(rows) -> int:
@@ -95,9 +74,8 @@ def rational_rank(rows) -> int:
 
 def int_matrix_order(a, cap: int = 64) -> int:
     """Multiplicative order of an integer matrix, or raise past the cap."""
-    n = len(a)
-    ident = int_identity(n)
-    acc = [row[:] for row in a]
+    ident = int_identity(len(a))
+    acc = [list(row) for row in a]
     for k in range(1, cap + 1):
         if acc == ident:
             return k

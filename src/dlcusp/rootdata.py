@@ -36,7 +36,6 @@ from .linalg import (
     int_det,
     int_mat_mul,
     int_mat_vec,
-    int_mat_inverse,
     int_matrix_order,
     int_transpose,
     rational_rank,
@@ -81,6 +80,13 @@ def _dot(a: Vec, b: Vec) -> int:
 class TwistedRootDatum:
     """Validated twisted root datum; construction checks every invariant.
 
+    The checks come in two parts.  The root-system checks (rank, roots,
+    coroots, positive system) run once per datum built here; ``with_twist``
+    shares the checked root system of its datum and runs only the twist
+    checks: tau is rank x rank, unimodular, of finite order (the stated
+    order is its true order), permutes the roots and is compatible with the
+    coroots.
+
     Data compare, hash and print by value: by all seven fields, name too.
     """
 
@@ -98,10 +104,6 @@ class TwistedRootDatum:
         self.roots = roots
         self.coroots = coroots
         self.positive = positive
-        self.tau = tau
-        self.order = order
-        self.name = name
-        self._key = (rank, roots, coroots, positive, tau, order, name)
         n = self.rank
         if n < 1:
             raise ConfigError("rank must be positive")
@@ -113,6 +115,8 @@ class TwistedRootDatum:
         if len(set(self.roots)) != len(self.roots):
             raise ConfigError("duplicate roots")
         root_set = set(self.roots)
+        # root -> index, shared by every retwist of this root system
+        self._index = {a: i for i, a in enumerate(self.roots)}
         if any(all(x == 0 for x in a) for a in self.roots):
             raise ConfigError("zero is not a root")
         for a in self.roots:
@@ -138,34 +142,50 @@ class TwistedRootDatum:
             _vneg(a) for a in pos_roots
         } != root_set:
             raise ConfigError("positive system must pick one of each +-pair")
-        # the twist
-        if len(self.tau) != n or any(len(r) != n for r in self.tau):
+        self._set_twist(tau, order, name)
+
+    def _set_twist(self, tau: tuple[Vec, ...], order: int | None, name: str) -> None:
+        """Check ``tau`` against the checked root system and make it the twist.
+
+        ``order`` is the stated order, which must be the true one; None takes
+        the true order as computed here."""
+        n = self.rank
+        if len(tau) != n or any(len(r) != n for r in tau):
             raise ConfigError("tau must be rank x rank")
-        d = int_det([list(r) for r in self.tau])
+        d = int_det(tau)
         if d not in (1, -1):
             raise ConfigError(f"tau must be unimodular, det {d}")
         try:
-            true_order = int_matrix_order([list(r) for r in self.tau])
+            true_order = int_matrix_order(tau)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if true_order != self.order:
-            raise ConfigError(f"stated order {self.order}, actual {true_order}")
-        for a in self.roots:
-            if self.tau_apply(a) not in root_set:
+        if order is None:
+            order = true_order
+        elif true_order != order:
+            raise ConfigError(f"stated order {order}, actual {true_order}")
+        index = self._index
+        images = [int_mat_vec(tau, a) for a in self.roots]
+        for a, image in zip(self.roots, images):
+            if image not in index:
                 raise ConfigError(f"tau does not permute the roots (fails at {a})")
-        # the induced cocharacter map must permute coroots compatibly
-        dual = self.tau_dual()
-        for a, av in zip(self.roots, self.coroots):
-            image = self.tau_apply(a)
-            image_co = tuple(int_mat_vec(dual, av))
-            if self.coroots[self.roots.index(image)] != image_co:
+        # the induced cocharacter map (tau^-1)^T must send a^vee to (tau a)^vee;
+        # multiplied through by tau^T that is tau^T (tau a)^vee = a^vee, with
+        # no inverse to form
+        tau_t = int_transpose(tau)
+        for av, image in zip(self.coroots, images):
+            if int_mat_vec(tau_t, self.coroots[index[image]]) != av:
                 raise ConfigError("tau and its dual disagree on the coroot pairing")
+        self.tau = tau
+        self.order = order
+        self.name = name
+        self._key = (self.rank, self.roots, self.coroots, self.positive, tau, order, name)
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
         return isinstance(other, TwistedRootDatum) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return (
@@ -177,17 +197,13 @@ class TwistedRootDatum:
     # -- basic geometry ------------------------------------------------------
 
     def tau_apply(self, v: Vec) -> Vec:
-        return tuple(int_mat_vec([list(r) for r in self.tau], v))
-
-    def tau_dual(self) -> list[list[int]]:
-        """Matrix of the twist on the cocharacter side (transpose inverse)."""
-        return int_transpose(int_mat_inverse([list(r) for r in self.tau]))
+        return int_mat_vec(self.tau, v)
 
     def positive_roots(self) -> tuple[Vec, ...]:
         return tuple(self.roots[i] for i in self.positive)
 
     def coroot_of(self, a: Vec) -> Vec:
-        return self.coroots[self.roots.index(a)]
+        return self.coroots[self._index[a]]
 
 
 class GaloisOrbit(NamedTuple):
@@ -252,17 +268,24 @@ def load_datum(name: str) -> TwistedRootDatum:
 
 
 def with_twist(datum: TwistedRootDatum, tau) -> TwistedRootDatum:
-    """The same root system under a different twist."""
-    tau = tuple(tuple(int(x) for x in r) for r in tau)
-    return TwistedRootDatum(
-        rank=datum.rank,
-        roots=datum.roots,
-        coroots=datum.coroots,
-        positive=datum.positive,
-        tau=tau,
-        order=int_matrix_order([list(r) for r in tau]),
-        name=f"{datum.name}:retwisted",
-    )
+    """The same root system under a different twist.
+
+    Every entry of ``tau`` must be an int: a float, string or boolean is
+    refused as the loader refuses it, not coerced.  The root system was
+    checked when ``datum`` was built and is shared as it is; only the twist
+    checks run, and the order is the twist's true order."""
+    try:
+        tau = tuple(tuple(map(_int, r)) for r in tau)
+    except TypeError as e:
+        raise ConfigError(f"twist for {datum.name!r} has a mistyped entry: {e}") from None
+    twisted = TwistedRootDatum.__new__(TwistedRootDatum)
+    twisted.rank = datum.rank
+    twisted.roots = datum.roots
+    twisted.coroots = datum.coroots
+    twisted.positive = datum.positive
+    twisted._index = datum._index
+    twisted._set_twist(tau, None, f"{datum.name}:retwisted")
+    return twisted
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +613,46 @@ def _pool_product(a, b) -> tuple[Vec, ...]:
     """The product of two pool matrices, kept for the process: the data of
     one rank share a pool, so a pair drawn for one is not multiplied again
     for another."""
-    return tuple(map(tuple, int_mat_mul([list(r) for r in a], [list(r) for r in b])))
+    return tuple(map(tuple, int_mat_mul(a, b)))
+
+
+def _pool_indices(seed: int, n: int):
+    """Endless seeded indices below ``n``, each drawn as ``Random.choice``
+    draws one from a sequence of length ``n`` on CPython 3.10-3.13
+    (``Random._randbelow_with_getrandbits``): k = n.bit_length() random
+    bits, drawn again while >= n."""
+    getrandbits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    while True:
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        yield i
 
 
 def random_twists(datum: TwistedRootDatum, count: int, seed: int = 0):
     """Randomized valid retwists of a shipped datum (products of pool matrices).
 
-    Each of the ``count`` draws is the product of two seeded pool choices.
-    Draws with the same product share one datum, validated once."""
+    A draw is a pair (i, j) of indices into the datum's pool, taken in turn
+    from ``_pool_indices``, and its twist is pool[i] * pool[j]: at every
+    index, the twist of two ``rng.choice(pool)`` calls on a seeded
+    ``random.Random``.  Each index pair is multiplied once, and each
+    distinct product is built and validated once (``with_twist``: only its
+    twist checks run); draws with the same product share that datum."""
     pool = list(_matrix_pool(datum.rank).values())
-    rng = random.Random(seed)
+    n = len(pool)
+    indices = _pool_indices(seed, n)
+    by_pair = [None] * (n * n)
     by_product = {}
     out = []
-    for _ in range(count):
-        m = _pool_product(rng.choice(pool), rng.choice(pool))
-        if m not in by_product:
-            by_product[m] = with_twist(datum, m)
-        out.append(by_product[m])
+    # zip takes i, then j, from the one index stream
+    for i, j in itertools.islice(zip(indices, indices), count):
+        twisted = by_pair[i * n + j]
+        if twisted is None:
+            m = _pool_product(pool[i], pool[j])
+            twisted = by_product.get(m)
+            if twisted is None:
+                twisted = by_product[m] = with_twist(datum, m)
+            by_pair[i * n + j] = twisted
+        out.append(twisted)
     return out

@@ -15,7 +15,6 @@ from dlcusp.linalg import (
     fq_rref,
     int_det,
     int_identity,
-    int_mat_inverse,
     int_mat_mul,
     int_mat_vec,
     int_matrix_order,
@@ -40,13 +39,62 @@ def test_int_det_multiplicative_sampled():
         assert int_det(int_mat_mul(a, b)) == int_det(a) * int_det(b)
 
 
+def _unimodular_inverse(a):
+    """det(a) times the adjugate of a, from cofactors: the inverse when det(a)
+    is +-1.  The package checks twists without inverting them, so the
+    inverse lives here, as a check on int_det and int_mat_mul."""
+    n = len(a)
+    d = int_det(a)
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det {d})")
+    if n == 1:
+        return [[d]]
+    return [
+        [
+            d
+            * (-1) ** (i + j)
+            * int_det([row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def test_int_inverse_of_unimodular():
     a = [[1, 1], [0, 1]]
-    assert int_mat_mul(a, int_mat_inverse(a)) == int_identity(2)
+    assert int_mat_mul(a, _unimodular_inverse(a)) == int_identity(2)
     w = [[0, 1], [1, 0]]
-    assert int_mat_inverse(w) == [[0, 1], [1, 0]]
+    assert _unimodular_inverse(w) == [[0, 1], [1, 0]]
     with pytest.raises(ValueError):
-        int_mat_inverse([[2, 0], [0, 1]])
+        _unimodular_inverse([[2, 0], [0, 1]])
+    # seeded products of elementary matrices are unimodular
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            m = int_identity(n)
+            for _ in range(6):
+                e = int_identity(n)
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                e[i][j] = rng.choice((-1, 1)) if i != j else -1
+                m = int_mat_mul(m, e)
+            inv = _unimodular_inverse(m)
+            assert int_mat_mul(m, inv) == int_mat_mul(inv, m) == int_identity(n)
+
+
+def test_int_mat_mul_matches_schoolbook():
+    rng = random.Random(23)
+    for _ in range(200):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+        expected = [[0] * m for _ in range(n)]
+        for i in range(n):
+            for j in range(m):
+                for t in range(k):
+                    expected[i][j] += a[i][t] * b[t][j]
+        assert int_mat_mul(a, b) == expected
+        # tuple rows give the same product
+        assert int_mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == expected
 
 
 def test_int_mat_vec():

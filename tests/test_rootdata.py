@@ -6,6 +6,7 @@ counts, and positives sent negative all worked out independently) before
 any code ran.
 """
 
+import itertools
 import json
 import random
 
@@ -13,7 +14,7 @@ import pytest
 
 from dlcusp.errors import ConfigError, ConsistencyError
 from dlcusp.gf import build_field
-from dlcusp.linalg import int_mat_mul, rational_rank
+from dlcusp.linalg import int_matrix_order, int_mat_mul, rational_rank
 from dlcusp.rootdata import (
     GaloisOrbit,
     InvolutionOnDatum,
@@ -34,6 +35,7 @@ from dlcusp.rootdata import (
     verify_centralizer_sigma,
     with_twist,
     _matrix_pool,
+    _pool_indices,
 )
 
 ALL_NAMES = (
@@ -78,11 +80,22 @@ def test_frozen_sign_table(name):
     assert sorted(o.size for o in galois_orbits(datum)) == sizes
 
 
+def _dual(tau):
+    """(tau^-1)^T, built here: tau has finite order m, so tau^-1 = tau^(m-1)."""
+    n = len(tau)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = ident
+    for _ in range(int_matrix_order(tau) - 1):
+        inverse = int_mat_mul(inverse, tau)
+    assert int_mat_mul(tau, inverse) == ident
+    return [list(col) for col in zip(*inverse)]
+
+
 def test_cocharacter_rank_agrees():
     # the twist-fixed rank is the same on the cocharacter lattice
     for name in ALL_NAMES:
         datum = load_datum(name)
-        dual = datum.tau_dual()
+        dual = _dual(datum.tau)
         n = datum.rank
         delta = [[dual[i][j] - (i == j) for j in range(n)] for i in range(n)]
         co_rank = n - rational_rank(delta)
@@ -136,6 +149,15 @@ def test_random_twists_deterministic():
     a = random_twists(datum, 10, seed=3)
     b = random_twists(datum, 10, seed=3)
     assert [t.tau for t in a] == [t.tau for t in b]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 32))
+def test_pool_indices_match_random_choice(n):
+    # a draw's indices are the indices rng.choice would pick, in order
+    for seed in range(100):
+        rng = random.Random(seed)
+        expected = [rng.choice(range(n)) for _ in range(200)]
+        assert list(itertools.islice(_pool_indices(seed, n), 200)) == expected
 
 
 @pytest.mark.parametrize("seed", (0, 3, 17))
@@ -212,6 +234,108 @@ def test_load_datum_errors_and_paths(tmp_path):
         mistyped.write_text(path.read_text().replace(f'"rank": {d.rank}', f'"rank": {rank}'))
         with pytest.raises(ConfigError, match="mistyped"):
             load_datum(str(mistyped))
+
+
+# -- retwisting -----------------------------------------------------------------
+
+# a root system on which a twist can permute the roots but not the coroots:
+# roots +-(1, 0) with coroots +-(2, 1)
+LEANING = dict(rank=2, roots=((1, 0), (-1, 0)), coroots=((2, 1), (-2, -1)), positive=(0,))
+
+
+def _coroot_compatible(datum, tau):
+    """The twist check as stated: (tau^-1)^T a^vee = (tau a)^vee at every root."""
+    dual = _dual(tau)
+    for a, av in zip(datum.roots, datum.coroots):
+        image = tuple(sum(x * y for x, y in zip(row, a)) for row in tau)
+        if datum.coroot_of(image) != tuple(sum(x * y for x, y in zip(row, av)) for row in dual):
+            return False
+    return True
+
+
+def _permutes_roots(datum, tau):
+    images = {tuple(sum(x * y for x, y in zip(row, a)) for row in tau) for a in datum.roots}
+    return images == set(datum.roots)
+
+
+def test_with_twist_refuses_mistyped_entries():
+    split = load_datum("gl2_split")
+    for tau in (((1.9, 0), (0, 1)), (("1", 0), (0, 1)), ((True, 0), (0, 1)), (1, 0)):
+        with pytest.raises(ConfigError, match="mistyped"):
+            with_twist(split, tau)
+    assert with_twist(split, [[0, 1], [1, 0]]).tau == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "base, tau, order, message",
+    [
+        ("gl2_split", ((1, 0),), 1, "rank x rank"),
+        ("gl2_split", ((1, 0), (0, 1, 0)), 1, "rank x rank"),
+        ("gl2_split", ((2, 0), (0, 1)), 1, "unimodular, det 2"),
+        ("gl2_split", ((1, 1), (0, 1)), 1, "order exceeds 64"),
+        ("gl2_split", ((0, -1), (1, 0)), 4, "does not permute the roots"),
+        ("leaning", ((1, 0), (0, -1)), 2, "disagree on the coroot pairing"),
+    ],
+)
+def test_retwist_refusals_match_the_constructor(base, tau, order, message):
+    if base == "leaning":
+        datum = TwistedRootDatum(**LEANING, tau=((1, 0), (0, 1)), order=1)
+    else:
+        datum = load_datum(base)
+    fields = dict(rank=datum.rank, roots=datum.roots, coroots=datum.coroots)
+    with pytest.raises(ConfigError, match=message) as built:
+        TwistedRootDatum(**fields, positive=datum.positive, tau=tau, order=order)
+    with pytest.raises(ConfigError) as retwisted:
+        with_twist(datum, tau)
+    assert str(retwisted.value) == str(built.value)
+
+
+def test_coroot_check_agrees_with_the_inverse_on_the_pools():
+    for name in ALL_NAMES:
+        datum = load_datum(name)
+        for tau in _matrix_pool(datum.rank).values():
+            if not _permutes_roots(datum, tau):
+                with pytest.raises(ConfigError, match="does not permute"):
+                    with_twist(datum, tau)
+            elif _coroot_compatible(datum, tau):
+                assert with_twist(datum, tau).tau == tau
+            else:
+                with pytest.raises(ConfigError, match="coroot pairing"):
+                    with_twist(datum, tau)
+
+
+def test_coroot_check_agrees_with_the_inverse_both_ways():
+    # every finite-order unimodular 2x2 matrix with entries in {-1, 0, 1}
+    # that permutes the roots of LEANING: some keep the coroots, some do not
+    datum = TwistedRootDatum(**LEANING, tau=((1, 0), (0, 1)), order=1)
+    verdicts = set()
+    for entries in itertools.product((-1, 0, 1), repeat=4):
+        tau = (entries[:2], entries[2:])
+        if entries[0] * entries[3] - entries[1] * entries[2] not in (1, -1):
+            continue
+        try:
+            int_matrix_order(tau)
+        except ValueError:
+            continue
+        if not _permutes_roots(datum, tau):
+            continue
+        compatible = _coroot_compatible(datum, tau)
+        verdicts.add(compatible)
+        if compatible:
+            assert with_twist(datum, tau).tau == tau
+        else:
+            with pytest.raises(ConfigError, match="coroot pairing"):
+                with_twist(datum, tau)
+    assert verdicts == {True, False}
+
+
+def test_retwist_shares_the_root_system():
+    datum = load_datum("gl2xgl2_swap")
+    twisted = with_twist(datum, datum.tau)
+    for field in ("rank", "roots", "coroots", "positive"):
+        assert getattr(twisted, field) is getattr(datum, field)
+    assert (twisted.order, twisted.name) == (datum.order, "gl2xgl2_swap:retwisted")
+    assert hash(twisted) == hash(with_twist(datum, datum.tau))
 
 
 # -- involutions on a datum ---------------------------------------------------
