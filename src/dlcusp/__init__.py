@@ -2,7 +2,7 @@
 
 Submodules, roughly bottom up:
 
-- ``gf``: small finite field towers, discrete logs
+- ``gf``: F_q and F_{q^2} on int codes, discrete logs and square roots
 - ``rootdata``: twisted root data, Galois orbits, sign invariants
 - ``groups``: GL2-scale matrix groups, tori, involutions, fixed Lie algebras
 - ``dlchar``: conjugacy classes and certified cuspidal characters

@@ -311,7 +311,7 @@ def _theorem_rows(config: RunConfig):
     for kind, q in _group_qs(config):
         group = MatrixGroup(kind, q)
         reps = [k for k, _ in general_position_exponents(group.factor)]
-        n = group.tower.order(2)
+        n = group.tower.ext.order
         choices = [reps] + [[-k % n for k in reps]] * (group.n_factors - 1)
         grid = list(itertools.product(*choices))
         if config.exponent:
@@ -514,9 +514,13 @@ def _config_from(ns) -> RunConfig:
     if config.twists < 0:
         raise ConfigError(f"--twists must be nonnegative, got {config.twists}")
     if config.out:
-        # refused before any cell runs: the report is written after the last
+        # refused before any cell runs: the report is written after the last.
+        # The write renames a new file over the target, which would turn a
+        # device or a FIFO into a regular file.
         if os.path.isdir(config.out):
             raise ConfigError(f"--out {config.out} is a directory")
+        if os.path.exists(config.out) and not os.path.isfile(config.out):
+            raise ConfigError(f"--out {config.out} is not a regular file")
         directory = os.path.dirname(os.path.abspath(config.out))
         if not os.path.isdir(directory):
             raise ConfigError(f"--out {config.out}: no directory {directory}")

@@ -79,7 +79,7 @@ class ConjugacyTable:
         t = group.tower
         F = t.base
         q = group.q
-        n = self.n_modulus = t.order(2)
+        n = self.n_modulus = t.ext.order
         # x^e mod Phi_n for each exponent e, as {degree: nonzero coefficient}:
         # x^e = x^(e - deg) x^deg, and x^deg = x^deg - Phi_n mod Phi_n
         phi = cyclotomic(n)
@@ -92,14 +92,13 @@ class ConjugacyTable:
                 for i, v in self._powers[e - d + j].items():
                     r[i] = r.get(i, 0) - c * v
             self._powers.append({i: v for i, v in r.items() if v})
-        self._emb_log = {z: t.discrete_log(t.embed(z, 2)) for z in range(1, q)}
+        self._emb_log = {z: t.discrete_log(z) for z in range(1, q)}
         # each nonzero square with its least root, and the constants of _noncentral_key
         self._least_root = {}
         for x in range(1, q):
             self._least_root.setdefault(F.mul(x, x), x)
         self._four = F.embed_int(4)
         self._half = F.inv(F.embed_int(2))
-        self._half2 = t.scalar(2, 2).inverse()
         self._key_by_trace_det = {
             (tr, det): self._noncentral_key(tr, det)
             for tr in range(q)
@@ -151,9 +150,8 @@ class ConjugacyTable:
             r1 = F.mul(F.add(tr, s), half)
             r2 = F.mul(F.sub(tr, s), half)
             return ("split", tuple(sorted((r1, r2))))
-        s2 = t.sqrt(t.embed(disc, 2))
-        u = (t.embed(tr, 2) + s2) * self._half2
-        e = t.discrete_log(u)
+        E = t.ext
+        e = t.discrete_log(E.mul(E.add(tr, t.sqrt(disc)), half))
         return ("elliptic", min(e, (e * self.group.q) % self.n_modulus))
 
     def class_of(self, g) -> int:
@@ -269,7 +267,7 @@ def general_position_exponents(group: MatrixGroup):
     (q^2 - q) / 2 of them.
     """
     q = group.q
-    n = group.tower.order(2)
+    n = group.tower.ext.order
     # Frobenius is an involution on exponents mod n, as q^2 = 1 mod n
     pairs = tuple((k, k * q % n) for k in range(1, n) if k < k * q % n)
     if len(pairs) != (q * q - q) // 2:

@@ -1,43 +1,38 @@
-"""Exact arithmetic in towers of small odd finite fields.
+"""Exact arithmetic in a small odd finite field F_q and its quadratic extension.
 
-A tower fixes a base field F_q (q = p^f odd) and one extension F_{q^d} per
-requested degree d.  Each extension is presented as F_q[y] modulo the
-lexicographically smallest monic irreducible polynomial of that degree,
-elements as coefficient tuples over the base, and each multiplicative group
-by a brute-force discrete-log table for a fixed generator.  Everything stays
-small enough (q^d in the thousands) that exhaustive tables beat anything
-clever, and exhaustive tables cannot be silently wrong.
+Both fields carry their elements as int codes.  F_q's codes are 0..q-1, with
+table-driven arithmetic.  For prime q the code is the residue itself.  For
+q = p^f with f > 1, F_q is F_p[y] modulo the lexicographically smallest monic
+irreducible of degree f, and a code is the base-p value of its coefficient
+tuple, low degree first.
 
-Base-field scalars are carried as integer codes 0..q-1 with table-driven
-arithmetic.  For prime q the code is the residue itself.  For q = p^f with
-f > 1, F_q is built as the degree-f level over F_p, the same construction
-as every extension, and a code is the base-p value of its coefficient
-tuple, low degree first.  The matrix layer works directly on these codes.
+F_{q^2} is F_q[y] modulo the lexicographically smallest monic irreducible
+quadratic, and c0 + c1 y has the code c0 + c1 q.  So F_q's codes are
+F_{q^2}'s codes below q, and the embedding F_q -> F_{q^2} is the identity: a
+base code is an element of either field, and the scalar n*1 is
+``embed_int(n)`` in both.  F_{q^2} adds digit by digit through F_q's tables.
+Its products, powers, inverses, logs and square roots read a discrete-log
+table for a fixed generator: one addition, multiplication or halving of logs
+mod q^2 - 1, with zero tested first.  Everything stays small enough (q^2 in
+the hundreds) that exhaustive tables beat anything clever, and exhaustive
+tables cannot be silently wrong.
 
-Every level keeps a discrete-log table (``powers`` and its inverse ``log``)
-for a fixed generator of its multiplicative group.  Products, powers,
-inverses and square roots at a level read that table: one addition,
-multiplication or halving of logs mod q^d - 1, with zero tested first.
-
-The base field (``tower.base``) and ``tower.element_ops(d)`` offer the same
-operations (add, sub, mul, neg, inv, zero, one), on codes and on
-``FieldElement`` entries of level d, so the linear-algebra kernels take
-either.  Both also own the 2x2 matrix kernel (``mat_mul``, ``mat_det``,
-``mat_inv`` and ``mat_monic``, the scaling that makes the first nonzero
-row-major entry 1); the base field reads each entry straight off its
-tables, and adds ``row_times``, one row of a product.
+The base field (``tower.base``) and the extension (``tower.ext``) offer the
+same operations (add, sub, mul, neg, inv, zero, one, embed_int), so the
+linear-algebra kernels take either.  Both also own the 2x2 matrix kernel
+(``mat_mul``, ``mat_det``, ``mat_inv`` and ``mat_monic``, the scaling that
+makes the first nonzero row-major entry 1); the base field reads each entry
+straight off its tables, and adds ``row_times``, one row of a product.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .errors import ConsistencyError
 
 __all__ = [
     "FieldTower",
-    "FieldElement",
     "build_field",
     "odd_prime_power",
 ]
@@ -84,9 +79,10 @@ class _BaseField:
     """F_q arithmetic on codes 0..q-1, q = p^f, read off addition and
     multiplication tables.
 
-    F_p is arithmetic mod p.  For f > 1, F_q is the degree-f level over F_p
+    F_p is arithmetic mod p.  For f > 1, F_q is the degree-f extension of F_p
     and a code is the base-p value of its coefficient tuple, low degree
-    first; the tables are filled from that level's operations.
+    first; the tables are filled from its polynomial arithmetic.
+    ``generator`` is the least code of multiplicative order q - 1.
     """
 
     zero = 0
@@ -101,14 +97,24 @@ class _BaseField:
             self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
             self._mul = [[a * b % p for b in range(q)] for a in range(q)]
         else:
-            level = _Level(_BaseField(p, 1), f)
-            self.modulus = level.modulus
+            ext = _Extension(_BaseField(p, 1), f)
+            self.modulus = ext.modulus
             digits = [tuple(c // p**i % p for i in range(f)) for c in range(q)]
             code = {d: c for c, d in enumerate(digits)}
-            self._add = [[code[level.add(x, y)] for y in digits] for x in digits]
-            self._mul = [[code[level.mul(x, y)] for y in digits] for x in digits]
+            self._add = [
+                [code[tuple((a + b) % p for a, b in zip(x, y))] for y in digits]
+                for x in digits
+            ]
+            self._mul = [[code[ext.mul(x, y)] for y in digits] for x in digits]
         self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self.generator = next(c for c in range(1, q) if self._order_of(c) == q - 1)
+
+    def _order_of(self, c: int) -> int:
+        row, x, k = self._mul[c], c, 1
+        while x != 1:
+            x, k = row[x], k + 1
+        return k
 
     def add(self, a, b):
         return self._add[a][b]
@@ -174,85 +180,129 @@ class _BaseField:
 
 
 # ---------------------------------------------------------------------------
-# extension levels
+# the quadratic extension F_{q^2} on integer codes
 
 
-class _Level:
-    """F_{q^d} over the base: coefficient tuples modulo a fixed monic modulus.
+class _ExtField:
+    """F_{q^2} arithmetic on codes c0 + c1 q, for c0 + c1 y with F_q codes
+    c0, c1; the codes below q are F_q's own.
 
-    ``powers[i]`` is g^i for the fixed generator g and ``log`` inverts it, so
-    products, powers and inverses of units are one addition or multiplication
-    of logs mod q^d - 1.  The convolution product and square-and-multiply
-    (``_poly_mul``, ``_poly_pow``) only build those tables.
+    ``powers[i]`` is the code of g^i for the fixed generator g and ``log``
+    inverts it (``log[0]`` is None), so products, powers and inverses of
+    units are one addition or multiplication of logs mod q^2 - 1.
     """
 
-    def __init__(self, base: _BaseField, degree: int):
+    zero = 0
+    one = 1
+
+    def __init__(self, base: _BaseField):
+        self.base = base
+        self.q = q = base.q
+        ext = _Extension(base, 2)
+        self.modulus = ext.modulus
+        self.order = ext.order
+        self.powers = [c0 + c1 * q for c0, c1 in ext.powers]
+        self.generator = self.powers[1]
+        self.log = [None] * (q * q)
+        for i, c in enumerate(self.powers):
+            self.log[c] = i
+        # n*1 has the same code in both fields
+        self.embed_int = base.embed_int
+
+    def add(self, a, b):
+        q, add = self.q, self.base._add
+        a1, a0 = divmod(a, q)
+        b1, b0 = divmod(b, q)
+        return add[a0][b0] + q * add[a1][b1]
+
+    def neg(self, a):
+        neg = self.base._neg
+        a1, a0 = divmod(a, self.q)
+        return neg[a0] + self.q * neg[a1]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        log = self.log
+        return self.powers[(log[a] + log[b]) % self.order]
+
+    def pow(self, a, n: int):
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero in F_{q^2}")
+            return 1 if n == 0 else 0
+        return self.powers[self.log[a] * n % self.order]
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero in F_{q^2}")
+        return self.powers[-self.log[a] % self.order]
+
+    # -- 2x2 matrices ((a, b), (c, d)) of codes ------------------------------
+
+    def mat_mul(self, x, y):
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        add, mul = self.add, self.mul
+        return (
+            (add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h))),
+            (add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))),
+        )
+
+    def mat_det(self, x):
+        (a, b), (c, d) = x
+        return self.sub(self.mul(a, d), self.mul(b, c))
+
+    def mat_inv(self, x):
+        (a, b), (c, d) = x
+        det = self.mat_det(x)
+        if not det:
+            raise ZeroDivisionError("inverse of a singular matrix")
+        di, mul, neg = self.inv(det), self.mul, self.neg
+        return ((mul(di, d), mul(di, neg(b))), (mul(di, neg(c)), mul(di, a)))
+
+    def mat_monic(self, x):
+        """x scaled so its first nonzero row-major entry is 1."""
+        (a, b), (c, d) = x
+        lead = a or b or c or d
+        if not lead:
+            raise ZeroDivisionError("the zero matrix has no monic form")
+        li, mul = self.inv(lead), self.mul
+        return ((mul(li, a), mul(li, b)), (mul(li, c), mul(li, d)))
+
+
+# ---------------------------------------------------------------------------
+# building an extension by polynomial arithmetic
+
+
+class _Extension:
+    """F_{r^d} over a field F_r on codes: coefficient tuples (low degree
+    first) modulo the lexicographically least monic irreducible, with the
+    powers of the least generator in coefficient order.
+
+    ``mul`` is the convolution product and ``pow`` square-and-multiply on
+    top of it; they only build the tables of the fields above.
+    """
+
+    def __init__(self, base, degree: int):
         self.base = base
         self.degree = degree
         self.order = base.q**degree - 1
-        self.zero = (0,) * degree
         self.one = (1,) + (0,) * (degree - 1)
         self.modulus = self._canonical_modulus()
-        self.generator_coeffs = self._find_generator()
-        self.log = {}
+        generator = self._find_generator()
         self.powers = []
         x = self.one
-        for i in range(self.order):
+        for _ in range(self.order):
             self.powers.append(x)
-            self.log[x] = i
-            x = self._poly_mul(x, self.generator_coeffs)
+            x = self.mul(x, generator)
         if x != self.one:
-            raise ConsistencyError("generator order is wrong", detail=self.generator_coeffs)
-
-    # -- coefficientwise operations (fixed length d) -------------------------
-
-    def add(self, xs, ys):
-        b = self.base
-        return tuple(b.add(x, y) for x, y in zip(xs, ys))
-
-    def sub(self, xs, ys):
-        b = self.base
-        return tuple(b.sub(x, y) for x, y in zip(xs, ys))
-
-    def neg(self, xs):
-        b = self.base
-        return tuple(b.neg(x) for x in xs)
-
-    # -- multiplicative operations, read off the log table -------------------
-
-    def log_of(self, xs) -> int:
-        """The discrete log of a unit; zero and non-elements raise."""
-        try:
-            return self.log[xs]
-        except KeyError:
-            what = "zero" if xs == self.zero else f"{xs!r}, which is not an element"
-            raise ValueError(f"discrete log of {what} at degree {self.degree}") from None
+            raise ConsistencyError("generator order is wrong", detail=generator)
 
     def mul(self, xs, ys):
-        zero = self.zero
-        if xs == zero or ys == zero:
-            return zero
-        log = self.log
-        try:
-            return self.powers[(log[xs] + log[ys]) % self.order]
-        except KeyError:
-            raise ValueError(f"{xs!r} or {ys!r} is not an element of degree {self.degree}") from None
-
-    def pow(self, xs, n: int):
-        if xs == self.zero:
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self.one if n == 0 else self.zero
-        return self.powers[self.log_of(xs) * n % self.order]
-
-    def inv(self, xs):
-        if xs == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.powers[-self.log_of(xs) % self.order]
-
-    # -- table construction --------------------------------------------------
-
-    def _poly_mul(self, xs, ys):
         b = self.base
         d = self.degree
         conv = [0] * (2 * d - 1) if d > 1 else [0]
@@ -270,13 +320,13 @@ class _Level:
                     conv[k - d + i] = b.sub(conv[k - d + i], b.mul(lead, self.modulus[i]))
         return tuple(conv[:d])
 
-    def _poly_pow(self, xs, n: int):
+    def pow(self, xs, n: int):
         out = self.one
         acc = xs
         while n:
             if n & 1:
-                out = self._poly_mul(out, acc)
-            acc = self._poly_mul(acc, acc)
+                out = self.mul(out, acc)
+            acc = self.mul(acc, acc)
             n >>= 1
         return out
 
@@ -317,7 +367,7 @@ class _Level:
         for tail in itertools.product(range(self.base.q), repeat=self.degree):
             if all(c == 0 for c in tail):
                 continue
-            if all(self._poly_pow(tail, m) != self.one for m in prime_cofactors):
+            if all(self.pow(tail, m) != self.one for m in prime_cofactors):
                 return tail
         raise AssertionError("no generator found")  # unreachable: F_q^d* is cyclic
 
@@ -326,192 +376,44 @@ class _Level:
 # public surface
 
 
-class FieldElement:
-    """An element of one level of a tower; immutable and hashable.
-
-    It combines and compares only with elements of its own tower and level;
-    a base code enters through ``FieldTower.embed``, never as a bare int.
-    """
-
-    __slots__ = ("tower", "level", "coeffs")
-
-    def __init__(self, tower: "FieldTower", level: int, coeffs: tuple[int, ...]):
-        self.tower = tower
-        self.level = level
-        self.coeffs = coeffs
-
-    def _peer(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine a field element with {type(other).__name__}")
-        if other.tower is not self.tower:
-            raise ValueError("elements belong to different towers")
-        if other.level != self.level:
-            raise ValueError(
-                f"elements live at different levels ({self.level} vs {other.level}); "
-                "embed through the tower first"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = self._peer(other)
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).sub(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).neg(self.coeffs))
-
-    def __mul__(self, other):
-        other = self._peer(other)
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).mul(self.coeffs, other.coeffs))
-
-    def __truediv__(self, other):
-        other = self._peer(other)
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).pow(self.coeffs, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, self.tower._lv(self.level).inv(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return (
-            self.tower is other.tower
-            and self.level == other.level
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.tower), self.level, self.coeffs))
-
-    def __repr__(self):
-        q = self.tower.q
-        return f"<F_{q}^{self.level} {list(self.coeffs)}>"
-
-
-class _ElementOps:
-    """The base field's code operations and 2x2 matrix kernel, over the
-    FieldElement entries of one level."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-    inv = staticmethod(FieldElement.inverse)
-
-    @staticmethod
-    def mat_mul(x, y):
-        (a, b), (c, d) = x
-        (e, f), (g, h) = y
-        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-    @staticmethod
-    def mat_det(x):
-        (a, b), (c, d) = x
-        return a * d - b * c
-
-    def mat_inv(self, x):
-        (a, b), (c, d) = x
-        di = self.mat_det(x).inverse()
-        return ((di * d, di * -b), (di * -c, di * a))
-
-    @staticmethod
-    def mat_monic(x):
-        (a, b), (c, d) = x
-        lead = a or b or c or d
-        if not lead:
-            raise ZeroDivisionError("the zero matrix has no monic form")
-        li = lead.inverse()
-        return ((li * a, li * b), (li * c, li * d))
-
-    def __init__(self, tower: "FieldTower", level: int):
-        self.zero = tower.zero(level)
-        self.one = tower.one(level)
-
-
 class FieldTower:
-    """F_q together with one extension F_{q^d} per requested degree."""
+    """F_q (``base``) and F_{q^2} (``ext``), both on int codes; F_q's codes
+    are F_{q^2}'s codes below q."""
 
-    def __init__(self, q: int, degrees):
+    def __init__(self, q: int):
         self.p, self.f = odd_prime_power(q)
         self.q = q
-        degs = sorted(set(int(d) for d in degrees) | {1})
-        if any(d < 1 for d in degs):
-            raise ValueError("extension degrees must be positive")
         self.base = _BaseField(self.p, self.f)
-        self.degrees = degs
-        self._levels = {d: _Level(self.base, d) for d in degs}
-        self._ops = {d: _ElementOps(self, d) for d in degs}
+        self.ext = _ExtField(self.base)
 
-    def _lv(self, level: int) -> _Level:
-        try:
-            return self._levels[level]
-        except KeyError:
-            raise ValueError(f"level {level} is not part of this tower") from None
+    def discrete_log(self, x: int) -> int:
+        """The log of a unit of F_{q^2} against ``ext.generator``; zero and
+        non-codes raise."""
+        log = self.ext.log
+        e = log[x] if 0 <= x < len(log) else None
+        if e is None:
+            what = "zero" if x == 0 else f"{x!r}, which is not a code"
+            raise ValueError(f"discrete log of {what} in F_{self.q}^2")
+        return e
 
-    # -- element constructors ------------------------------------------------
+    def sqrt(self, x: int) -> int:
+        """The canonical square root in F_{q^2}: the one whose coefficient
+        pair (c0, c1) is lexicographically smaller, c0 compared first.
 
-    def zero(self, level: int = 1) -> FieldElement:
-        return FieldElement(self, level, self._lv(level).zero)
-
-    def one(self, level: int = 1) -> FieldElement:
-        return FieldElement(self, level, self._lv(level).one)
-
-    def scalar(self, level: int, n: int) -> FieldElement:
-        """The integer scalar n*1 at the given level."""
-        return self.embed(self.base.embed_int(n), level)
-
-    def embed(self, code: int, level: int) -> FieldElement:
-        """The canonical embedding F_q -> F_{q^d} of the base element with this code."""
-        if not 0 <= code < self.q:
-            raise ValueError("base code out of range")
-        self._lv(level)  # refuses a level outside the tower
-        return FieldElement(self, level, (code,) + (0,) * (level - 1))
-
-    def element_ops(self, level: int) -> _ElementOps:
-        """Field operations on FieldElement entries of a level, shaped like ``base``."""
-        self._lv(level)  # refuses a level outside the tower
-        return self._ops[level]
-
-    def generator(self, level: int) -> FieldElement:
-        return FieldElement(self, level, self._lv(level).generator_coeffs)
-
-    def order(self, level: int) -> int:
-        """Size of the multiplicative group at this level."""
-        return self._lv(level).order
-
-    # -- arithmetic helpers ----------------------------------------------------
-
-    def discrete_log(self, x: FieldElement) -> int:
-        if x.tower is not self:
-            raise ValueError("element belongs to a different tower")
-        return self._lv(x.level).log_of(x.coeffs)
-
-    def sqrt(self, x: FieldElement) -> FieldElement:
-        """The canonical square root: the one with the lex-smaller coefficients.
-
-        For x = g^e the roots are g^(e/2) and g^(e/2 + (q^d - 1)/2) = -g^(e/2);
-        an odd e means x is not a square.
+        For x = g^e the roots are g^(e/2) and g^(e/2 + (q^2 - 1)/2) =
+        -g^(e/2); an odd e means x is not a square.  The smaller code is not
+        always the smaller pair, since a code compares c1 first.
         """
-        if x.is_zero():
-            return x
-        lv = self._lv(x.level)
-        e = lv.log_of(x.coeffs)
+        if x == 0:
+            return 0
+        E = self.ext
+        e = self.discrete_log(x)
         if e % 2:
-            raise ValueError(f"{x!r} is not a square at its level")
-        root = lv.powers[e // 2]
-        return FieldElement(self, x.level, min(root, lv.powers[e // 2 + lv.order // 2]))
+            raise ValueError(f"code {x} is not a square in F_{self.q}^2")
+        q = self.q
+        return min(
+            E.powers[e // 2], E.powers[e // 2 + E.order // 2], key=lambda c: (c % q, c // q)
+        )
 
     def smallest_nonsquare(self) -> int:
         """Code of the first base unit that is not a square in F_q."""
@@ -522,9 +424,9 @@ class FieldTower:
         raise AssertionError("odd field without a nonsquare")  # unreachable
 
     def __repr__(self):
-        return f"FieldTower(q={self.q}, degrees={self.degrees})"
+        return f"FieldTower(q={self.q})"
 
 
-def build_field(q: int, degrees) -> FieldTower:
-    """Build the tower F_q together with F_{q^d} for each degree d."""
-    return FieldTower(q, degrees)
+def build_field(q: int) -> FieldTower:
+    """Build F_q together with F_{q^2}."""
+    return FieldTower(q)

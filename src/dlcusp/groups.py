@@ -19,12 +19,12 @@ import itertools
 import math
 import warnings
 from array import array
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from operator import add
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
-from .gf import FieldElement, build_field, odd_prime_power
+from .gf import build_field, odd_prime_power
 from .linalg import fq_det, fq_kernel, fq_nullspace
 from .rootdata import InvolutionOnDatum, TwistedRootDatum, load_datum
 
@@ -74,8 +74,8 @@ def _closure(start, gens, step) -> set:
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices over a field F that owns the kernel (mat_mul, mat_inv,
-# mat_det, mat_monic): tower.base for base codes, read off its tables, and
-# tower.element_ops(2) for FieldElement entries of F_{q^2}
+# mat_det, mat_monic): tower.base for F_q codes, read off its tables, and
+# tower.ext for F_{q^2} codes, of which F_q's are the ones below q
 
 
 def _m_sub(F, x, y):
@@ -138,7 +138,7 @@ class MatrixGroup:
                 f"{kind} with q = {q} exceeds the desk-scale bound {Q_BOUND[kind]}",
                 required=((q * q - 1) * (q * q - q)) ** n_factors,
             )
-        self._setup(build_field(q, (1, 2)), n_factors)
+        self._setup(build_field(q), n_factors)
 
     def _setup(self, tower, n_factors: int) -> None:
         q = tower.q
@@ -226,7 +226,7 @@ class MatrixGroup:
         t = self.tower
         basis = [t.base.embed_int(1)]
         # the base multiplicative generator's powers give an F_p-basis for q = p^f
-        gamma = t.generator(1).coeffs[0]
+        gamma = t.base.generator
         for i in range(1, t.f):
             basis.append(t.base.mul(basis[-1], gamma))
         gens = []
@@ -297,10 +297,11 @@ class TorusEmbedding:
             points = tuple(sorted(m for m in candidates if t.base.mat_det(m) != 0))
             expected = q * q - 1
             # the F_{q^2} constants of u = a + b delta, delta^2 = eps
-            self.eps = t.embed(eps, 2)
-            self.delta = t.sqrt(self.eps)
-            self.delta_inv = self.delta.inverse()
-            self.half = t.scalar(2, 2).inverse()
+            E = t.ext
+            self.eps = eps
+            self.delta = t.sqrt(eps)
+            self.delta_inv = E.inv(self.delta)
+            self.half = E.inv(E.embed_int(2))
         if len(points) != expected:
             raise ConsistencyError(
                 f"{kind} torus of GL2 has {len(points)} points, not {expected}"
@@ -332,12 +333,12 @@ class TorusEmbedding:
 
     def _factor_generators(self):
         """Generators of one factor's torus: diag(gamma, 1) and diag(1, gamma) for
-        the split torus, the point with the eigenvalue generator(2) for the
+        the split torus, the point with the eigenvalue ext.generator for the
         cyclic elliptic one."""
         if self.kind == "split":
-            gamma = self.group.tower.generator(1).coeffs[0]
+            gamma = self.group.tower.base.generator
             return (((gamma, 0), (0, 1)), ((1, 0), (0, gamma)))
-        u = self.group.tower.generator(2)
+        u = self.group.tower.ext.generator
         return (next(p for p in self.points if self._factor_coords(p)[0] == u),)
 
     def contains(self, x) -> bool:
@@ -346,25 +347,26 @@ class TorusEmbedding:
     # -- coordinates --------------------------------------------------------
 
     def _factor_coords(self, m):
-        t = self.group.tower
         if self.kind == "split":
-            return (t.embed(m[0][0], 2), t.embed(m[1][1], 2))
-        u = t.embed(m[0][0], 2) + t.embed(m[1][0], 2) * self.delta
-        return (u, u**self.group.q)
+            return (m[0][0], m[1][1])
+        E = self.group.tower.ext
+        u = E.add(m[0][0], E.mul(m[1][0], self.delta))
+        return (u, E.pow(u, self.group.q))
 
     def eigen_coords(self, x):
-        """Exact coordinate tuple of a torus point (elements of F_{q^2})."""
+        """Exact coordinate tuple of a torus point (F_{q^2} codes)."""
         return tuple(c for m in self.group.split(x) for c in self._factor_coords(m))
 
     def eigenvalue_logs(self, x):
         """The discrete log of each factor's first eigenvalue coordinate."""
         return tuple(map(self.group.tower.discrete_log, self.eigen_coords(x)[::2]))
 
-    def root_value(self, root, coords) -> FieldElement:
-        acc = self.group.tower.one(2)
+    def root_value(self, root, coords) -> int:
+        E = self.group.tower.ext
+        acc = E.one
         for e, c in zip(root, coords):
             if e:
-                acc = acc * c**e
+                acc = E.mul(acc, E.pow(c, e))
         return acc
 
     # -- extension points ---------------------------------------------------
@@ -372,11 +374,11 @@ class TorusEmbedding:
     def _factor_point(self, u, v):
         """The factor matrix over F_{q^2} with eigenvalue coordinates (u, v)."""
         if self.kind == "split":
-            zero = self.group.tower.zero(2)
-            return ((u, zero), (zero, v))
-        a = (u + v) * self.half
-        b = (u - v) * self.half * self.delta_inv
-        return ((a, b * self.eps), (b, a))
+            return ((u, 0), (0, v))
+        E = self.group.tower.ext
+        a = E.mul(E.add(u, v), self.half)
+        b = E.mul(E.mul(E.sub(u, v), self.half), self.delta_inv)
+        return ((a, E.mul(b, self.eps)), (b, a))
 
 
 def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
@@ -456,12 +458,10 @@ class Involution:
         return self._on_factors(act, g, *self._factor_witnesses)
 
     def apply_ext(self, g):
-        """The same map on matrices with FieldElement entries of F_{q^2}."""
-        t = self.group.tower
-        emb = lambda m: tuple(tuple(t.embed(v, 2) for v in row) for row in m)
-        ws, wis = self._factor_witnesses
-        act = partial(_act, t.element_ops(2), self._outer)
-        return self._on_factors(act, g, tuple(map(emb, ws)), tuple(map(emb, wis)))
+        """The same map on matrices over F_{q^2}; the witnesses' F_q codes
+        are F_{q^2} codes as they stand."""
+        act = partial(_act, self.group.tower.ext, self._outer)
+        return self._on_factors(act, g, *self._factor_witnesses)
 
     def _d_apply(self, x):
         """The differential of theta on a Lie algebra element (same tuple shapes)."""
@@ -978,7 +978,7 @@ def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOn
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize the torus")
     n = torus.coord_count
-    N = t.order(2)
+    N = t.ext.order
     rows = [[0] * n for _ in range(n)]
     for k in range(n):
         coords = _coords_of_ext(torus, theta.apply_ext(_generator_point(torus, k)))
@@ -1001,10 +1001,9 @@ def _generator_point(torus: TorusEmbedding, k: int):
 
     These coord_count points generate the torus over F_{q^2}.
     """
-    t = torus.group.tower
-    g, one = t.generator(2), t.one(2)
+    g = torus.group.tower.ext.generator
     return _point_from_coords(
-        torus, tuple(g if i == k else one for i in range(torus.coord_count))
+        torus, tuple(g if i == k else 1 for i in range(torus.coord_count))
     )
 
 
@@ -1020,17 +1019,19 @@ def _point_from_coords(torus: TorusEmbedding, coords):
 
 def _coords_of_ext(torus: TorusEmbedding, m):
     """Eigenvalue coordinates of a torus point over F_{q^2}, checked."""
+    E = torus.group.tower.ext
     coords = ()
     for f in torus.group.split(m):
         if torus.kind == "split":
-            if not (f[0][1].is_zero() and f[1][0].is_zero()):
+            if f[0][1] or f[1][0]:
                 raise ConsistencyError("extension image is not in the split torus")
             coords += (f[0][0], f[1][1])
             continue
         a, b = f[0][0], f[1][0]
-        if f[0][1] != b * torus.eps or f[1][1] != a:
+        if f[0][1] != E.mul(b, torus.eps) or f[1][1] != a:
             raise ConsistencyError("extension image is not in the elliptic torus")
-        coords += (a + b * torus.delta, a - b * torus.delta)
+        bd = E.mul(b, torus.delta)
+        coords += (E.add(a, bd), E.sub(a, bd))
     return coords
 
 
@@ -1046,22 +1047,20 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     sorted root tuple.
     """
     group = torus.group
-    t = group.tower
     datum = torus.datum
     shadow = derived_theta_star(theta, torus)
     negated = set(
         a for a in datum.roots if shadow.apply(a) == tuple(-x for x in a)
     )
-    E = t.element_ops(2)
+    E = group.tower.ext
     plus = []
     for k in range(torus.coord_count):
         e = _generator_point(torus, k)
         image = theta.apply_ext(e)
         s = group.join(tuple(map(E.mat_mul, group.split(e), group.split(image))))
         plus.append((s, _coords_of_ext(torus, s)))
-    one = t.one(2)
     vanishing = set(
-        a for a in datum.roots if all(torus.root_value(a, c) == one for _, c in plus)
+        a for a in datum.roots if all(torus.root_value(a, c) == E.one for _, c in plus)
     )
     if vanishing != negated:
         raise ConsistencyError(
@@ -1096,7 +1095,7 @@ def _centralizer_dimension(group: MatrixGroup, mats, E) -> int:
         # nullspace of the commutator map restricted to the current span
         coeff_rows = [[rows[j][i] for j in range(len(basis))] for i in range(n)]
         basis = [
-            [sum((c * v for c, v in zip(co, col)), E.zero) for col in zip(*basis)]
+            [reduce(E.add, map(E.mul, co, col), E.zero) for col in zip(*basis)]
             for co in fq_nullspace(coeff_rows, E)
         ]
     return len(basis)

@@ -85,8 +85,7 @@ def int_matrix_order(a, cap: int = 64) -> int:
 
 # ---------------------------------------------------------------------------
 # matrices over a field given by its operations (add, sub, mul, neg, inv,
-# zero, one): ``tower.base`` for base-field codes, ``tower.element_ops(d)``
-# for FieldElement entries
+# zero, one): ``tower.base`` for F_q codes, ``tower.ext`` for F_{q^2} codes
 
 
 def fq_rref(rows, field):

@@ -150,12 +150,12 @@ def epsilon_character(
         domain = theta.torus_side(torus)[1]
     space = LieFixedSpace(theta)
     shadow = derived_theta_star(theta, torus)
-    datum = torus.datum
+    datum, ext = torus.datum, torus.group.tower.ext
     signs = {}
     for t in domain:
         det_sign = lie_fixed_det(theta, t, space)
         coords = torus.eigen_coords(t)
-        prod_sign = epsilon_product(datum, shadow, lambda a: torus.root_value(a, coords))
+        prod_sign = epsilon_product(datum, shadow, lambda a: torus.root_value(a, coords), ext)
         if det_sign != prod_sign:
             raise MethodDisagreement(
                 "fixed-space determinant and root-orbit product disagree",
@@ -177,14 +177,14 @@ def _log_lambda(torus: TorusEmbedding, exponents, t) -> int:
     """log lambda(t) = sum of k_i log u_i(t) mod q^2 - 1, for lambda with
     exponent k_i against the eigenvalue u_i of factor i."""
     logs = torus.eigenvalue_logs(t)
-    return sum(k * e for k, e in zip(exponents, logs)) % torus.group.tower.order(2)
+    return sum(k * e for k, e in zip(exponents, logs)) % torus.group.tower.ext.order
 
 
 def character_matches_epsilon(exponents, eps: EpsilonCharacter) -> bool:
     """Exact test of lambda (one exponent per factor) restricted to the fixed
     points against epsilon: log lambda is 0 where epsilon is 1 and half the
     order of F_{q^2}^x where it is -1."""
-    half = eps.torus.group.tower.order(2) // 2
+    half = eps.torus.group.tower.ext.order // 2
     return all(
         _log_lambda(eps.torus, exponents, t) == (0 if eps.sign(t) == 1 else half)
         for t in eps.domain

@@ -463,7 +463,7 @@ def _pair_roots(datum: TwistedRootDatum, subset: tuple) -> tuple[Vec, ...]:
     return tuple(sorted(subset & set(datum.positive_roots())))
 
 
-def orbit_product(datum: TwistedRootDatum, subset, evaluate) -> int:
+def orbit_product(datum: TwistedRootDatum, subset, evaluate, field) -> int:
     """Product of a(t) over one root per +-pair {a, -a} inside ``subset``.
 
     ``subset`` must be twist-stable and closed under -1, as every phi_theta
@@ -471,34 +471,33 @@ def orbit_product(datum: TwistedRootDatum, subset, evaluate) -> int:
     line X_a + theta(X_a) of the fixed Lie algebra, on which t acts by a(t);
     a determinant does not depend on the field, so the twist orbits decide
     nothing here beyond stability.
-    ``evaluate`` maps a root vector to a field element; a(t) and (-a)(t) must
-    be equal, hence their own inverse (they are, whenever the subset is a
-    phi_theta of a fixed point), which makes the product a sign and makes
-    the choice between a and -a irrelevant.  Both facts are checked, not
-    trusted.
+    ``evaluate`` maps a root vector to an element of ``field``, which
+    multiplies them; a(t) and (-a)(t) must be equal, hence their own inverse
+    (they are, whenever the subset is a phi_theta of a fixed point), which
+    makes the product a sign and makes the choice between a and -a
+    irrelevant.  Both facts are checked, not trusted.
     """
-    acc = None
+    acc = one = field.one
     for a in _pair_roots(datum, tuple(subset)):
         v = evaluate(a)
         if v != evaluate(_vneg(a)):
             raise ConsistencyError(
                 "orbit product depends on the representative", detail=a
             )
-        acc = v if acc is None else acc * v
-    if acc is None:
-        return 1
-    one = acc.tower.one(acc.level)
+        acc = field.mul(acc, v)
     if acc == one:
         return 1
-    if acc == -one:
+    if acc == field.neg(one):
         return -1
-    raise ConsistencyError(f"orbit product is not a sign: {acc!r}")
+    raise ConsistencyError(f"orbit product is not a sign: code {acc}")
 
 
-def epsilon_product(datum: TwistedRootDatum, theta: InvolutionOnDatum, evaluate) -> int:
+def epsilon_product(
+    datum: TwistedRootDatum, theta: InvolutionOnDatum, evaluate, field
+) -> int:
     """Lattice-level epsilon value: the orbit product over the negated roots,
     one root per +-pair of roots."""
-    return orbit_product(datum, phi_theta(datum, theta), evaluate)
+    return orbit_product(datum, phi_theta(datum, theta), evaluate, field)
 
 
 def sub_datum_on(datum: TwistedRootDatum, subset) -> TwistedRootDatum:

@@ -209,7 +209,7 @@ def test_criterion_7_product_swap_inner_product():
     view = group.factor
     reps = tuple(k for k, _ in general_position_exponents(view))
     assert reps == (1, 2, 5)
-    n = group.tower.order(2)
+    n = group.tower.ext.order
     grid = []
     for ki in reps:
         row = []

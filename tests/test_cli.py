@@ -6,6 +6,7 @@ output, and the prime power q = 9."""
 import json
 import os
 import re
+import stat
 
 import pytest
 
@@ -397,6 +398,21 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys, directory):
     assert "configuration error" in err
     assert out == ""
     assert list(tmp_path.rglob("*")) == ([target] if directory else [])
+
+
+def test_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
+    # the report is renamed over its target, which would replace a FIFO or a
+    # device with a regular file; the FIFO is only ever stat-ed, never opened
+    fifo = tmp_path / "r.json"
+    os.mkfifo(fifo)
+    code, out, err = run_cli(
+        capsys, "verify", "theorem", "--group", "gl2", "--q", "3", "--out", str(fifo)
+    )
+    assert code == 2
+    assert "not a regular file" in err
+    assert out == ""
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
-"""Field tower tests against independently derived constants.
+"""Field tests against independently derived constants.
 
 The moduli and generator facts asserted here were computed by hand from the
 canonical construction (lexicographically least monic irreducible, least
-generator in coefficient order) before the implementation existed.
+generator in coefficient order) before the implementation existed.  An
+F_{q^2} element c0 + c1 y has the code c0 + c1 q, so F_q's codes are the
+F_{q^2} codes below q.
 """
 
 import itertools
@@ -12,35 +14,36 @@ import pytest
 
 from dlcusp.dlchar import cuspidal_character
 from dlcusp.errors import ConfigError
-from dlcusp.gf import FieldElement, build_field
+from dlcusp.gf import build_field
 from dlcusp.groups import MatrixGroup, elliptic_torus
 from dlcusp.multiplicity import _log_lambda
 
 
-def _elements(t, level):
-    """All elements of a level, in lexicographic coefficient order."""
-    return [FieldElement(t, level, c) for c in itertools.product(range(t.q), repeat=level)]
+def _pair(t, c):
+    """The coefficient pair (c0, c1) of an F_{q^2} code."""
+    return c % t.q, c // t.q
 
 
-def _units(t, level):
-    return [x for x in _elements(t, level) if not x.is_zero()]
+def _code(t, pair):
+    return pair[0] + pair[1] * t.q
 
 
 def test_rejects_bad_orders():
     for q in (4, 6, 8, 12, 1, 0, -3):
         with pytest.raises(ValueError):
-            build_field(q, degrees=(1, 2))
+            build_field(q)
 
 
 def test_prime_power_base_field():
-    t = build_field(9, degrees=(1,))
+    t = build_field(9)
     # base F_9 = F_3[y]/(y^2 + 1), codes are base-3 digit strings
     assert t.p == 3 and t.f == 2 and t.q == 9
     assert t.base.mul(3, 3) == 2  # y * y = -1
     assert t.smallest_nonsquare() == 4
 
 
-# level-2 modulus, generator, and generator order for each acceptance field
+# the F_{q^2} modulus, generator (as a coefficient pair) and unit count for
+# each acceptance field
 FROZEN = {
     3: {"modulus": (1, 0, 1), "generator": (1, 1), "order": 8, "nonsquare": 2},
     5: {"modulus": (1, 1, 1), "generator": (1, 3), "order": 24, "nonsquare": 2},
@@ -50,164 +53,167 @@ FROZEN = {
 
 @pytest.mark.parametrize("q", sorted(FROZEN))
 def test_frozen_tower_constants(q):
-    t = build_field(q, degrees=(1, 2))
+    t = build_field(q)
     facts = FROZEN[q]
-    assert t._lv(2).modulus == facts["modulus"]
-    assert t.generator(2).coeffs == facts["generator"]
-    assert t.order(2) == facts["order"]
+    assert t.ext.modulus == facts["modulus"]
+    assert _pair(t, t.ext.generator) == facts["generator"]
+    assert t.ext.order == facts["order"]
     assert t.smallest_nonsquare() == facts["nonsquare"]
-    assert t.order(1) == q - 1
+    assert t.base._order_of(t.base.generator) == q - 1
 
 
 def test_frozen_generator_powers_q3():
-    t = build_field(3, degrees=(1, 2))
-    g = FieldElement(t, 2, (1, 1))
-    assert (g ** 4).coeffs == (2, 0)  # (1+y)^4 = -1
-    assert (g ** 8).coeffs == (1, 0)
+    E = build_field(3).ext
+    g = _code(E, (1, 1))
+    assert E.generator == g
+    assert E.pow(g, 4) == 2  # (1+y)^4 = -1
+    assert E.pow(g, 8) == 1
 
 
 def test_frozen_generator_powers_q5():
-    t = build_field(5, degrees=(1, 2))
-    g = t.generator(2)
-    assert (g ** 12).coeffs == (4, 0)  # the half-order power is -1
+    E = build_field(5).ext
+    assert E.pow(E.generator, 12) == 4  # the half-order power is -1
 
 
 def test_frozen_generator_powers_q7():
-    t = build_field(7, degrees=(1, 2))
-    g = t.generator(2)
-    assert (g ** 8).coeffs == (5, 0)
-    assert (g ** 16).coeffs == (4, 0)
-    assert (g ** 24).coeffs == (6, 0)
+    E = build_field(7).ext
+    g = E.generator
+    assert E.pow(g, 8) == 5
+    assert E.pow(g, 16) == 4
+    assert E.pow(g, 24) == 6
 
 
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_element_counts_and_orders(q):
-    t = build_field(q, degrees=(1, 2))
-    for level in (1, 2):
-        lv = t._lv(level)
-        # the generator's powers are the q^d - 1 units, zero not among them
-        assert t.order(level) == q**level - 1
-        assert len(set(lv.powers)) == len(lv.log) == t.order(level)
-        assert lv.zero not in lv.log
+    t = build_field(q)
+    E = t.ext
+    # the generator's powers are the q^2 - 1 units, zero not among them
+    assert E.order == q * q - 1
+    assert len(set(E.powers)) == E.order == q * q - 1
+    assert sorted(E.powers) == list(range(1, q * q))
+    assert E.log[0] is None
+    # the base generator's powers are the q - 1 units of F_q
+    units, x = set(), 1
+    for _ in range(q - 1):
+        units.add(x)
+        x = t.base.mul(x, t.base.generator)
+    assert x == 1 and units == set(range(1, q))
 
 
 def test_discrete_log_roundtrip_exhaustive():
     for q in (3, 5):
-        t = build_field(q, degrees=(1, 2))
-        g = t.generator(2)
-        n = t.order(2)
+        t = build_field(q)
+        E = t.ext
+        n = E.order
         seen = set()
-        for x in _units(t, 2):
+        for x in range(1, q * q):
             k = t.discrete_log(x)
             assert 0 <= k < n
-            assert g ** k == x
+            assert E.pow(E.generator, k) == x
             seen.add(k)
         assert seen == set(range(n))
-        assert t.discrete_log(g) == 1
-        assert t.discrete_log(t.one(2)) == 0
+        assert t.discrete_log(E.generator) == 1
+        assert t.discrete_log(E.one) == 0
 
 
 def test_discrete_log_of_zero_rejected():
-    t = build_field(3, degrees=(1, 2))
-    with pytest.raises(ValueError):
-        t.discrete_log(t.zero(2))
+    t = build_field(3)
+    for bad in (0, 9, -1):  # zero, and codes past either end
+        with pytest.raises(ValueError):
+            t.discrete_log(bad)
 
 
 def test_frobenius_is_dlog_multiplication():
-    t = build_field(3, degrees=(1, 2))
-    n = t.order(2)
-    for x in _units(t, 2):
-        assert t.discrete_log(x**t.q) == (3 * t.discrete_log(x)) % n
-    assert (t.zero(2) ** t.q).is_zero()
+    t = build_field(3)
+    E = t.ext
+    n = E.order
+    for x in range(1, 9):
+        assert t.discrete_log(E.pow(x, t.q)) == (3 * t.discrete_log(x)) % n
+    assert E.pow(0, t.q) == 0
 
 
 def test_frobenius_orbit_pairs_q3():
     # unit exponent pairs {k, 3k mod 8} that are not Frobenius fixed
-    t = build_field(3, degrees=(1, 2))
     pairs = set()
     for k in range(8):
         if (3 * k) % 8 != k:
             pairs.add(frozenset({k, (3 * k) % 8}))
     assert pairs == {frozenset({1, 3}), frozenset({2, 6}), frozenset({5, 7})}
-    del t
+    assert build_field(3).ext.order == 8
 
 
 def test_field_axioms_exhaustive_pairs_q3():
-    t = build_field(3, degrees=(1, 2))
-    xs = _elements(t, 2)
-    one, zero = t.one(2), t.zero(2)
+    E = build_field(3).ext
+    xs = range(9)
+    one, zero = E.one, E.zero
     for x in xs:
-        assert x + zero == x
-        assert x * one == x
-        assert x - x == zero
-        assert (-x) + x == zero
-        if not x.is_zero():
-            assert x * x.inverse() == one
-            assert (one / x) * x == one
+        assert E.add(x, zero) == x
+        assert E.mul(x, one) == x
+        assert E.sub(x, x) == zero
+        assert E.add(E.neg(x), x) == zero
+        if x:
+            assert E.mul(x, E.inv(x)) == one
+            assert E.mul(E.pow(x, -1), x) == one
     for x in xs:
         for y in xs:
-            assert x + y == y + x
-            assert x * y == y * x
+            assert E.add(x, y) == E.add(y, x)
+            assert E.mul(x, y) == E.mul(y, x)
 
 
 def test_field_axioms_sampled_triples():
-    t = build_field(5, degrees=(1, 2))
-    xs = _elements(t, 2)
+    E = build_field(5).ext
     rng = random.Random(7)
     for _ in range(500):
-        x, y, z = (rng.choice(xs) for _ in range(3))
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        x, y, z = (rng.randrange(25) for _ in range(3))
+        assert E.add(E.add(x, y), z) == E.add(x, E.add(y, z))
+        assert E.mul(E.mul(x, y), z) == E.mul(x, E.mul(y, z))
+        assert E.mul(x, E.add(y, z)) == E.add(E.mul(x, y), E.mul(x, z))
 
 
 def test_pow_matches_repeated_multiplication():
-    t = build_field(7, degrees=(1, 2))
-    g = t.generator(2)
-    acc = t.one(2)
+    E = build_field(7).ext
+    g = E.generator
+    acc = E.one
     for k in range(20):
-        assert g ** k == acc
-        acc = acc * g
-    assert g ** (-1) == g.inverse()
-
-
-def test_cross_level_arithmetic_rejected():
-    t = build_field(3, degrees=(1, 2))
-    with pytest.raises(ValueError):
-        FieldElement(t, 1, (1,)) + FieldElement(t, 2, (1, 0))
-
-
-def test_cross_tower_arithmetic_rejected():
-    a = build_field(3, degrees=(1, 2))
-    b = build_field(3, degrees=(1, 2))
-    with pytest.raises(ValueError):
-        a.one(2) + b.one(2)
+        assert E.pow(g, k) == acc
+        acc = E.mul(acc, g)
+    assert E.pow(g, -1) == E.inv(g)
 
 
 def test_embed_is_a_field_hom():
-    t = build_field(3, degrees=(1, 2))
-    for a in range(3):
-        for b in range(3):
-            ea = t.embed(a, 2)
-            eb = t.embed(b, 2)
-            assert ea + eb == t.embed(t.base.add(a, b), 2)
-            assert ea * eb == t.embed(t.base.mul(a, b), 2)
-    assert t.embed(2, 2) == FieldElement(t, 2, (2, 0))
+    # the embedding F_q -> F_{q^2} is the identity on codes: the extension's
+    # arithmetic on codes below q is the base field's
+    for q in (3, 5, 9, 13):
+        t = build_field(q)
+        B, E = t.base, t.ext
+        for a in range(q):
+            assert _pair(t, a) == (a, 0)
+            assert E.neg(a) == B.neg(a)
+            if a:
+                assert E.inv(a) == B.inv(a)
+            for b in range(q):
+                assert E.add(a, b) == B.add(a, b)
+                assert E.sub(a, b) == B.sub(a, b)
+                assert E.mul(a, b) == B.mul(a, b)
 
 
 def test_scalar_reduces_mod_p():
-    t = build_field(5, degrees=(1, 2))
-    assert t.scalar(2, 7) == t.embed(2, 2)
-    assert t.scalar(2, -1) == t.embed(4, 2)
+    t = build_field(5)
+    assert t.ext.embed_int(7) == t.base.embed_int(7) == 2
+    assert t.ext.embed_int(-1) == 4
+    # at q = 9 the scalar 4 * 1 is code 1, and code 4 is the nonsquare
+    t9 = build_field(9)
+    assert t9.ext.embed_int(4) == 1
+    assert t9.smallest_nonsquare() == 4
 
 
-# Slow references for the table arithmetic: the convolution product modulo the
-# level's modulus, and square-and-multiply on top of it.
+# Slow references for the extension's arithmetic: the convolution product of
+# coefficient pairs modulo the modulus, and square-and-multiply on top of it.
 
 
 def _conv_mul(t, level, xs, ys):
     F = t.base
-    m = t._lv(level).modulus
+    m = t.ext.modulus
     conv = [0] * (2 * level - 1)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -229,51 +235,89 @@ def _ref_pow(t, level, xs, n):
     return out
 
 
-@pytest.mark.parametrize("q,level", ((3, 2), (3, 4), (5, 2), (9, 2)))
+@pytest.mark.parametrize("q,level", ((3, 2), (5, 2), (9, 2)))
 def test_table_arithmetic_matches_convolution(q, level):
-    t = build_field(q, degrees=(1, level))
-    lv = t._lv(level)
-    xs = [x.coeffs for x in _elements(t, level)]
-    zero, one = xs[0], (1,) + (0,) * (level - 1)
+    # level is the extension degree, 2 for the one extension
+    t = build_field(q)
+    E = t.ext
+    xs = list(itertools.product(range(q), repeat=level))  # (c0, c1) pairs
+    one = (1,) + (0,) * (level - 1)
     for x in xs:
         for y in xs:
-            assert lv.mul(x, y) == _conv_mul(t, level, x, y)
-    n = t.order(level)
+            assert _pair(t, E.mul(_code(t, x), _code(t, y))) == _conv_mul(t, level, x, y)
+    n = E.order
     for x in xs[1:]:
-        inv = lv.inv(x)
+        c = _code(t, x)
+        inv = _pair(t, E.inv(c))
         assert inv == _ref_pow(t, level, x, n - 1)
         assert _conv_mul(t, level, x, inv) == one
         for k in range(n + 2):
-            assert lv.pow(x, k) == _ref_pow(t, level, x, k)
-        assert lv.pow(x, -3) == _ref_pow(t, level, inv, 3)
-    assert lv.pow(zero, 0) == one
-    assert lv.pow(zero, 5) == zero
+            assert _pair(t, E.pow(c, k)) == _ref_pow(t, level, x, k)
+        assert _pair(t, E.pow(c, -3)) == _ref_pow(t, level, inv, 3)
+    assert E.pow(0, 0) == 1
+    assert E.pow(0, 5) == 0
     with pytest.raises(ZeroDivisionError):
-        lv.inv(zero)
+        E.inv(0)
     with pytest.raises(ZeroDivisionError):
-        lv.pow(zero, -1)
-    stray = (q,) + (0,) * (level - 1)  # a code out of range: neither zero nor a unit
-    for bad in (lambda: lv.mul(stray, one), lambda: lv.mul(one, stray),
-                lambda: lv.inv(stray), lambda: lv.pow(stray, 2)):
-        with pytest.raises(ValueError):
+        E.pow(0, -1)
+    stray = q * q  # a code out of range: neither zero nor a unit
+    for bad in (lambda: E.mul(stray, 1), lambda: E.mul(1, stray),
+                lambda: E.inv(stray), lambda: E.pow(stray, 2)):
+        with pytest.raises(IndexError):
             bad()
 
 
 def test_sqrt_on_all_squares():
     for q in (3, 5, 7, 9, 11, 13):
-        t = build_field(q, degrees=(1, 2))
-        for level in (1, 2):
-            roots = {}
-            for y in _units(t, level):
-                roots.setdefault(_conv_mul(t, level, y.coeffs, y.coeffs), []).append(y.coeffs)
-            for x in _units(t, level):
-                if x.coeffs in roots:
-                    assert t.sqrt(x).coeffs == min(roots[x.coeffs])
-                else:
-                    with pytest.raises(ValueError):
-                        t.sqrt(x)
-            assert len(roots) == t.order(level) // 2
-            assert t.sqrt(t.zero(level)).is_zero()
+        t = build_field(q)
+        roots = {}
+        for y in range(1, q * q):
+            roots.setdefault(t.ext.mul(y, y), []).append(_pair(t, y))
+        for x in range(1, q * q):
+            if x in roots:
+                # the root with the lex-smaller pair, c0 first, not the
+                # smaller code
+                assert _pair(t, t.sqrt(x)) == min(roots[x])
+            else:
+                with pytest.raises(ValueError):
+                    t.sqrt(x)
+        assert len(roots) == t.ext.order // 2
+        assert t.sqrt(0) == 0
+        # every unit of F_q is a square in F_{q^2}
+        assert all(x in roots for x in range(1, q))
+
+
+# delta = sqrt(eps) for the smallest nonsquare eps of F_q, as a code, and the
+# codes of g^0, g^1, ... for the generator g of F_{q^2}^x (so the position of
+# a unit is its discrete log), both computed with the coefficient-tuple
+# elements that preceded the codes
+PINNED_DELTA = {3: (2, 3), 5: (2, 11), 7: (3, 14), 9: (4, 59), 11: (2, 33), 13: (2, 66)}
+PINNED_POWERS = {
+    3: [1, 4, 6, 7, 2, 8, 3, 5],
+    5: [1, 16, 12, 11, 20, 13, 2, 7, 24, 22, 15, 21, 4, 14, 18, 19, 5, 17, 3, 23, 6, 8,
+        10, 9],
+    9: [1, 10, 63, 77, 69, 47, 33, 66, 26, 24, 7, 70, 27, 15, 35, 59, 44, 31, 46, 53, 3,
+        30, 36, 71, 37, 78, 19, 38, 61, 55, 4, 40, 18, 28, 25, 17, 52, 23, 75, 79, 2, 20,
+        45, 43, 48, 64, 57, 51, 13, 12, 5, 50, 54, 21, 58, 34, 76, 62, 65, 67, 6, 60, 72,
+        49, 74, 39, 11, 73, 32, 29, 8, 80, 9, 56, 14, 22, 68, 16, 42, 41],
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_DELTA))
+def test_pinned_nonsquare_and_delta(q):
+    t = build_field(q)
+    eps, delta = PINNED_DELTA[q]
+    assert t.smallest_nonsquare() == eps
+    assert t.sqrt(eps) == delta
+    assert t.ext.mul(delta, delta) == eps
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_POWERS))
+def test_pinned_discrete_logs(q):
+    t = build_field(q)
+    assert t.ext.powers == PINNED_POWERS[q]
+    for k, x in enumerate(PINNED_POWERS[q]):
+        assert t.discrete_log(x) == k
 
 
 # F_q for q = p^f is the degree-f level over F_p, a code the base-p value of
@@ -301,7 +345,7 @@ def _schoolbook(p, modulus, xs, ys):
 def test_base_tables_are_schoolbook_arithmetic(q):
     p, modulus = BASE_MODULI[q]
     f = len(modulus) - 1
-    t = build_field(q, degrees=(1,))
+    t = build_field(q)
     assert t.base.modulus == modulus
     digits = [tuple(c // p**i % p for i in range(f)) for c in range(q)]
     code = {d: c for c, d in enumerate(digits)}
@@ -313,7 +357,7 @@ def test_base_tables_are_schoolbook_arithmetic(q):
 
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
 def test_base_generator_is_the_least_primitive_code(q):
-    t = build_field(q, degrees=(1, 2))
+    t = build_field(q)
 
     def order(c):
         x, k = c, 1
@@ -321,11 +365,11 @@ def test_base_generator_is_the_least_primitive_code(q):
             x, k = t.base.mul(x, c), k + 1
         return k
 
-    assert t.generator(1).coeffs == (next(c for c in range(1, q) if order(c) == q - 1),)
+    assert t.base.generator == next(c for c in range(1, q) if order(c) == q - 1)
 
 
 def test_base_arithmetic_q9():
-    t = build_field(9, degrees=(1, 2))
+    t = build_field(9)
     # inverses in the 9-element base field
     for a in range(1, 9):
         assert t.base.mul(a, t.base.inv(a)) == 1
@@ -345,7 +389,7 @@ def _f_q2_characters(q):
 
 def test_character_log_value_is_a_hom():
     g, te = _f_q2_characters(3)
-    n = g.tower.order(2)
+    n = g.tower.ext.order
     log = lambda x: _log_lambda(te, (3,), x)
     for x in te.elements:
         for y in te.elements:
@@ -380,17 +424,17 @@ def test_character_trivial_on_base_units():
 
 
 def test_deterministic_rebuild():
-    a = build_field(7, degrees=(1, 2))
-    b = build_field(7, degrees=(1, 2))
-    assert a._lv(2).modulus == b._lv(2).modulus
-    assert a.generator(2).coeffs == b.generator(2).coeffs
-    assert a._lv(2).powers == b._lv(2).powers
+    a = build_field(7)
+    b = build_field(7)
+    assert a.ext.modulus == b.ext.modulus
+    assert a.ext.generator == b.ext.generator
+    assert a.ext.powers == b.ext.powers
 
 
 # The 2x2 matrix kernel (mat_mul, row_times, mat_det, mat_inv, mat_monic)
 # against matrices worked by hand from scalar addition and multiplication
 # alone: residues mod q for prime q, schoolbook polynomials for q = 9, and
-# convolution for FieldElement entries; -1 and inverses are found by search.
+# convolution for F_{q^2} codes; -1 and inverses are found by search.
 
 
 class _SchoolbookMatrices:
@@ -463,7 +507,7 @@ def _random_matrix(rng, entries):
 
 
 def test_mat_mul_and_row_times_on_every_pair_q3():
-    F = build_field(3, degrees=(1,)).base
+    F = build_field(3).base
     ref = _code_schoolbook(3)
     mats = list(_matrices(range(3)))
     for x in mats:
@@ -475,7 +519,7 @@ def test_mat_mul_and_row_times_on_every_pair_q3():
 
 @pytest.mark.parametrize("q", (9, 13))
 def test_mat_mul_and_row_times_on_seeded_pairs(q):
-    F = build_field(q, degrees=(1,)).base
+    F = build_field(q).base
     ref = _code_schoolbook(q)
     rng = random.Random(q)
     for _ in range(3000):
@@ -506,27 +550,91 @@ def _check_det_inv_monic(F, ref, x):
 
 @pytest.mark.parametrize("q", (3, 5, 9))
 def test_mat_det_inv_monic_on_every_matrix(q):
-    F = build_field(q, degrees=(1,)).base
+    F = build_field(q).base
     ref = _code_schoolbook(q)
     for x in _matrices(range(q)):
         _check_det_inv_monic(F, ref, x)
 
 
 def test_element_matrix_kernel_q3_level2():
-    t = build_field(3, degrees=(1, 2))
-    E = t.element_ops(2)
-    elements = _elements(t, 2)
+    t = build_field(3)
+    E = t.ext
+    elements = range(9)
 
     def add(x, y):
-        return FieldElement(t, 2, tuple((a + b) % 3 for a, b in zip(x.coeffs, y.coeffs)))
+        return _code(t, tuple((a + b) % 3 for a, b in zip(_pair(t, x), _pair(t, y))))
 
     def mul(x, y):
-        return FieldElement(t, 2, _conv_mul(t, 2, x.coeffs, y.coeffs))
+        return _code(t, _conv_mul(t, 2, _pair(t, x), _pair(t, y)))
 
-    ref = _SchoolbookMatrices(elements, add, mul, t.zero(2), t.one(2))
+    ref = _SchoolbookMatrices(elements, add, mul, 0, 1)
     for x in _matrices(elements):
         _check_det_inv_monic(E, ref, x)
     rng = random.Random(2)
     for _ in range(1000):
         x, y = _random_matrix(rng, elements), _random_matrix(rng, elements)
         assert E.mat_mul(x, y) == ref.mat_mul(x, y)
+
+
+# F_{q^2} against schoolbook arithmetic on coefficient pairs modulo its
+# modulus, with F_q's own operations taken from _code_schoolbook rather than
+# from the tables.  The moduli are the least monic irreducible quadratics:
+# y^2 + 1 at q = 3 (-1 is a nonsquare mod 3); y^2 + 4y + 1 at q = 9 (no root
+# in F_9, checked below); y^2 + 3y + 1 at q = 13 (discriminant 5, a nonsquare
+# mod 13).
+EXT_MODULI = {3: (1, 0, 1), 9: (1, 4, 1), 13: (1, 3, 1)}
+
+
+def _pair_schoolbook(q):
+    ref = _code_schoolbook(q)
+    c0, c1, _ = EXT_MODULI[q]
+    neg = lambda a: ref.mul(ref.minus_one, a)
+    assert not any(ref.add(ref.mul(y, y), ref.add(ref.mul(c1, y), c0)) == 0 for y in range(q))
+
+    def add(x, y):
+        return ref.add(x[0], y[0]), ref.add(x[1], y[1])
+
+    def mul(x, y):
+        # (a + b y)(c + d y) with y^2 = -c1 y - c0
+        a, b = x
+        c, d = y
+        bd = ref.mul(b, d)
+        lo = ref.add(ref.mul(a, c), neg(ref.mul(bd, c0)))
+        hi = ref.add(ref.add(ref.mul(a, d), ref.mul(b, c)), neg(ref.mul(bd, c1)))
+        return lo, hi
+
+    return add, mul, neg
+
+
+@pytest.mark.parametrize("q", sorted(EXT_MODULI))
+def test_ext_is_schoolbook_arithmetic(q):
+    t = build_field(q)
+    E = t.ext
+    assert E.modulus == EXT_MODULI[q]
+    add, mul, neg = _pair_schoolbook(q)
+    if q == 3:
+        pairs = list(itertools.product(range(9), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q * q), rng.randrange(q * q)) for _ in range(3000)]
+    for x, y in pairs:
+        px, py = _pair(t, x), _pair(t, y)
+        assert _pair(t, E.add(x, y)) == add(px, py)
+        assert _pair(t, E.sub(x, y)) == add(px, (neg(py[0]), neg(py[1])))
+        assert _pair(t, E.neg(x)) == (neg(px[0]), neg(px[1]))
+        assert _pair(t, E.mul(x, y)) == mul(px, py)
+        if y:
+            assert mul(py, _pair(t, E.inv(y))) == (1, 0)
+    # the 2x2 kernel over the same reference
+    ref = _SchoolbookMatrices(
+        range(q * q),
+        lambda x, y: _code(t, add(_pair(t, x), _pair(t, y))),
+        lambda x, y: _code(t, mul(_pair(t, x), _pair(t, y))),
+        0,
+        1,
+    )
+    rng = random.Random(q + 1)
+    for _ in range(300):
+        x, y = _random_matrix(rng, range(q * q)), _random_matrix(rng, range(q * q))
+        assert E.mat_mul(x, y) == ref.mat_mul(x, y)
+        _check_det_inv_monic(E, ref, x)

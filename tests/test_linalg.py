@@ -157,7 +157,7 @@ def test_int_matrix_order():
 
 @pytest.fixture(scope="module")
 def t7():
-    return build_field(7, degrees=(1, 2)).base
+    return build_field(7).base
 
 
 def test_fq_rref_pivots(t7):
@@ -175,7 +175,7 @@ def test_fq_det_and_rank(t7):
 
 
 def test_fq_det_multiplicative_exhaustive_q3():
-    t = build_field(3, degrees=(1, 2)).base
+    t = build_field(3).base
     mats = [
         [[a, b], [c, d]]
         for a in range(3)

@@ -395,7 +395,7 @@ def test_phi_theta_refuses_an_involution_on_another_datum():
     with pytest.raises(ConfigError, match="not on the datum"):
         phi_theta(ell, invs["minus_id"])
     with pytest.raises(ConfigError, match="not on the datum"):
-        epsilon_product(ell, invs["minus_id"], lambda a: None)
+        epsilon_product(ell, invs["minus_id"], lambda a: None, build_field(3).ext)
 
 
 def test_phi_theta_closed_under_negation():
@@ -413,55 +413,58 @@ def test_orbit_product_sign_values():
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
     assert killed == ((-1, 1), (1, -1))
-    t = build_field(3, degrees=(1, 2))
-    one = t.one(2)
+    E = build_field(3).ext
+    one, minus = E.one, E.neg(E.one)
 
-    assert orbit_product(ell, killed, lambda a: one) == 1
-    assert orbit_product(ell, killed, lambda a: -one) == -1
-    assert orbit_product(ell, (), lambda a: one) == 1
+    assert orbit_product(ell, killed, lambda a: one, E) == 1
+    assert orbit_product(ell, killed, lambda a: minus, E) == -1
+    assert orbit_product(ell, (), lambda a: one, E) == 1
 
 
 def test_orbit_product_guardrails():
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
-    t = build_field(3, degrees=(1, 2))
-    g = t.generator(2)
+    E = build_field(3).ext
+    one, minus = E.one, E.neg(E.one)
     with pytest.raises(ConsistencyError):  # value is not self-inverse
-        orbit_product(ell, killed, lambda a: g)
+        orbit_product(ell, killed, lambda a: E.generator, E)
     with pytest.raises(ConsistencyError):  # value depends on the representative
-        orbit_product(
-            ell, killed, lambda a: t.one(2) if a == (-1, 1) else -t.one(2)
-        )
+        orbit_product(ell, killed, lambda a: one if a == (-1, 1) else minus, E)
     with pytest.raises(ConsistencyError):  # subset not stable under the twist
-        orbit_product(ell, ((-1, 1),), lambda a: t.one(2))
+        orbit_product(ell, ((-1, 1),), lambda a: one, E)
+
+
+def _root_evaluator(E, coords):
+    """a -> a(t) for the torus point t with these F_{q^2} coordinates."""
+
+    def evaluate(root):
+        acc = E.one
+        for c, k in zip(coords, root):
+            acc = E.mul(acc, E.pow(c, k))
+        return acc
+
+    return evaluate
 
 
 def test_orbit_product_at_fixed_points():
     # evaluate the killed roots at twist-fixed torus points of F_9
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
-    t = build_field(3, degrees=(1, 2))
-    for u in (t.one(2), -t.one(2)):  # the points fixed by inversion
-        coords = (u, u ** 3)
-
-        def evaluate(root):
-            acc = t.one(2)
-            for c, k in zip(coords, root):
-                acc = acc * c ** k
-            return acc
-
-        assert orbit_product(ell, killed, evaluate) == 1
+    E = build_field(3).ext
+    for u in (E.one, E.neg(E.one)):  # the points fixed by inversion
+        evaluate = _root_evaluator(E, (u, E.pow(u, 3)))
+        assert orbit_product(ell, killed, evaluate, E) == 1
 
 
 def test_orbit_product_one_factor_per_root_pair():
-    t = build_field(3, degrees=(1, 2))
-    one = t.one(2)
+    E = build_field(3).ext
+    one, minus = E.one, E.neg(E.one)
     # untwisted: a and -a are separate orbits of one +-pair, so one factor
     split = load_datum("gl2_split")
     minus_id = datum_involutions(split)["minus_id"]
     killed = phi_theta(split, minus_id)
-    assert orbit_product(split, killed, lambda a: -one) == -1
-    assert epsilon_product(split, minus_id, lambda a: -one) == -1
+    assert orbit_product(split, killed, lambda a: minus, E) == -1
+    assert epsilon_product(split, minus_id, lambda a: minus, E) == -1
     # the factor swap: two non-symmetric orbits, negatives of each other,
     # holding two +-pairs of roots between them
     swap = load_datum("gl2xgl2_swap")
@@ -477,32 +480,25 @@ def test_orbit_product_one_factor_per_root_pair():
     # inverted by theta when every entry is +-1.  Over the algebraic closure
     # the fixed Lie algebra is so(2) + so(2), on which t acts by a1/b1 and
     # a2/b2; at t = (1, -1, -1, 1) both are -1, so the determinant is +1.
-    coords = (one, -one, -one, one)
-
-    def evaluate(root):
-        acc = one
-        for c, k in zip(coords, root):
-            acc = acc * c ** k
-        return acc
-
-    assert evaluate((1, -1, 0, 0)) == evaluate((0, 0, 1, -1)) == -one
-    assert epsilon_product(swap, theta, evaluate) == 1
-    assert orbit_product(swap, swap.roots, lambda a: -one) == 1
+    evaluate = _root_evaluator(E, (one, minus, minus, one))
+    assert evaluate((1, -1, 0, 0)) == evaluate((0, 0, 1, -1)) == minus
+    assert epsilon_product(swap, theta, evaluate, E) == 1
+    assert orbit_product(swap, swap.roots, lambda a: minus, E) == 1
     # the pick between a and -a is checked, not trusted
     first = set(orbits[0].elements)
     with pytest.raises(ConsistencyError):
-        orbit_product(swap, swap.roots, lambda a: one if a in first else -one)
+        orbit_product(swap, swap.roots, lambda a: one if a in first else minus, E)
     with pytest.raises(ConsistencyError):  # subset not closed under -1
-        orbit_product(swap, orbits[0].elements, lambda a: one)
+        orbit_product(swap, orbits[0].elements, lambda a: one, E)
 
 
 def test_epsilon_product_matches_orbit_product():
     ell = load_datum("gl2_elliptic")
     theta = datum_involutions(ell)["minus_id"]
-    t = build_field(3, degrees=(1, 2))
-    one = t.one(2)
-    assert epsilon_product(ell, theta, lambda a: -one) == orbit_product(
-        ell, phi_theta(ell, theta), lambda a: -one
+    E = build_field(3).ext
+    minus = E.neg(E.one)
+    assert epsilon_product(ell, theta, lambda a: minus, E) == orbit_product(
+        ell, phi_theta(ell, theta), lambda a: minus, E
     )
 
 
