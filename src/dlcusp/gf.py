@@ -20,9 +20,9 @@ tables cannot be silently wrong.
 The base field (``tower.base``) and the extension (``tower.ext``) offer the
 same operations (add, sub, mul, neg, inv, zero, one, embed_int), so the
 linear-algebra kernels take either.  Both also own the 2x2 matrix kernel
-(``mat_mul``, ``mat_det``, ``mat_inv`` and ``mat_monic``, the scaling that
-makes the first nonzero row-major entry 1); the base field reads each entry
-straight off its tables, and adds ``row_times``, one row of a product.
+(``mat_mul``, ``mat_det`` and ``mat_inv``); the base field reads each entry
+straight off its tables, and adds ``row_times``, one row of a product, and
+``mat_monic``, the scaling that makes the first nonzero row-major entry 1.
 """
 
 from __future__ import annotations
@@ -263,15 +263,6 @@ class _ExtField:
             raise ZeroDivisionError("inverse of a singular matrix")
         di, mul, neg = self.inv(det), self.mul, self.neg
         return ((mul(di, d), mul(di, neg(b))), (mul(di, neg(c)), mul(di, a)))
-
-    def mat_monic(self, x):
-        """x scaled so its first nonzero row-major entry is 1."""
-        (a, b), (c, d) = x
-        lead = a or b or c or d
-        if not lead:
-            raise ZeroDivisionError("the zero matrix has no monic form")
-        li, mul = self.inv(lead), self.mul
-        return ((mul(li, a), mul(li, b)), (mul(li, c), mul(li, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Explicit matrix groups over small odd fields, tori, and involutions.
 
 Everything here is a finite, fully materialized object: group elements are
-nested tuples of field codes, tori are explicit element lists with exact
-eigenvalue coordinates in the quadratic extension, and involutions carry a
-witness matrix that is canonicalized once so orbit bookkeeping is hashing,
-not pointwise map comparison.
+nested tuples of field codes, tori are explicit element lists whose points
+carry the discrete logs of their eigenvalues in the quadratic extension, and
+involutions carry a witness matrix that is canonicalized once so orbit
+bookkeeping is hashing, not pointwise map comparison.
 
 The two group kinds are ``gl2`` and ``gl2_x_gl2``: direct products of one and
 of two GL2 factors.  Every operation works factor by factor through the
-field's 2x2 matrix kernel (``mat_mul`` and its kin in ``dlcusp.gf``); only ``MatrixGroup.split`` and ``MatrixGroup.join`` know that
-a gl2 element is a bare matrix and a product element a pair.  Only odd q is
-supported, and enumeration is bounded so every operation stays at desk scale.
+field's 2x2 matrix kernel (``mat_mul`` and its kin in ``dlcusp.gf``); only
+``MatrixGroup.split`` and ``MatrixGroup.join`` know that a gl2 element is a
+bare matrix and a product element a pair.  Only odd q is supported, and
+enumeration is bounded so every operation stays at desk scale.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import itertools
 import math
 import warnings
 from array import array
-from functools import cached_property, partial, reduce
-from operator import add
+from functools import cached_property, partial
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError, ResourceBoundError
@@ -74,8 +75,8 @@ def _closure(start, gens, step) -> set:
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices over a field F that owns the kernel (mat_mul, mat_inv,
-# mat_det, mat_monic): tower.base for F_q codes, read off its tables, and
-# tower.ext for F_{q^2} codes, of which F_q's are the ones below q
+# mat_det): tower.base for F_q codes, read off its tables, and tower.ext for
+# F_{q^2} codes, of which F_q's are the ones below q
 
 
 def _m_sub(F, x, y):
@@ -259,54 +260,81 @@ TORUS_DATA = {
 }
 
 
+class _TorusShape(NamedTuple):
+    """One GL2 factor's torus of a kind, as data: its points are
+    P diag(u, v) P^-1 for the eigenbasis P over F_{q^2}."""
+
+    basis: tuple  # P, whose columns are the eigenvectors of u and v
+    pairs: tuple  # the (u, v) of the F_q-rational points
+    generators: tuple  # the (u, v) of generators of the rational points
+    order: int  # the number of rational points
+
+
+def _torus_shape(tower, kind: str) -> _TorusShape:
+    """The split torus: P = I, (u, v) in F_q^x x F_q^x, generated by
+    (gamma, 1) and (1, gamma) for gamma the generator of F_q^x.  The
+    elliptic torus: P has columns (delta, 1) and (-delta, 1), delta^2 the
+    canonical nonsquare eps, so its points are ((a, b eps), (b, a)) with
+    u, v = a +- b delta; they are rational when v = u^q, and (g, g^q)
+    generates them for the generator g of F_{q^2}^x.  No other kind is
+    known."""
+    q, E = tower.q, tower.ext
+    if kind == "split":
+        gamma = tower.base.generator
+        units = range(1, q)
+        return _TorusShape(
+            _m_identity(),
+            tuple(itertools.product(units, units)),
+            ((gamma, 1), (1, gamma)),
+            (q - 1) ** 2,
+        )
+    if kind == "elliptic":
+        delta = tower.sqrt(tower.smallest_nonsquare())
+        g = E.generator
+        return _TorusShape(
+            ((delta, E.neg(delta)), (1, 1)),
+            tuple((u, E.pow(u, q)) for u in range(1, q * q)),
+            ((g, E.pow(g, q)),),
+            q * q - 1,
+        )
+    raise ConfigError(f"unknown torus kind {kind!r}")
+
+
 class TorusEmbedding:
     """A maximal torus of the group as an explicit element list.
 
-    The torus is the product of one torus per GL2 factor.  Exact eigenvalue
-    coordinates live in the quadratic extension, two per factor: the split
-    torus uses its two diagonal entries, the elliptic torus the eigenvalue
-    pair (u, u^q) through the basis {1, delta} with delta^2 the canonical
-    nonsquare.  Root vectors of the aligned twisted root datum are evaluated
-    against these coordinates, one coordinate per lattice basis vector.
+    The torus is the product of one torus per GL2 factor, each the
+    ``_torus_shape`` of its kind: a factor point is P diag(u, v) P^-1.  The
+    log vector l(t) of a point lists the discrete logs (log u, log v) of
+    each factor in turn, and a character of T, a root or lambda, is a
+    vector a of the aligned twisted root datum's lattice, whose value at t
+    is the generator of F_{q^2}^x to the power <a, l(t)> mod q^2 - 1.
 
-    ``points`` is one factor's torus, ``canonical`` maps each point to its
-    canonical form modulo central scaling, and ``generators`` generate the
-    whole torus: one factor generator at a time in one factor, the identity
-    in the others.  The closure of the factor generators is certified to be
-    ``points`` at construction.
+    ``points`` is one factor's torus, ``logs`` maps each point to its log
+    pair, ``canonical`` maps each point to its canonical form modulo
+    central scaling, and ``generators`` generate the whole torus: one factor
+    generator at a time in one factor, the identity in the others.  The
+    closure of the factor generators is certified to be ``points`` at
+    construction.
     """
 
     def __init__(self, group: MatrixGroup, kind: str):
-        if kind not in ("split", "elliptic"):
-            raise ConfigError(f"unknown torus kind {kind!r}")
+        t = group.tower
+        shape = _torus_shape(t, kind)
         if (group.kind, kind) not in TORUS_DATA:
             raise ConfigError("only the elliptic torus is wired for the product group")
         self.group = group
         self.kind = kind
         self.datum_name = TORUS_DATA[group.kind, kind]
         self.coord_count = 2 * group.n_factors
-        t = group.tower
-        q = group.q
-        if kind == "split":
-            points = tuple(((a, 0), (0, b)) for a in range(1, q) for b in range(1, q))
-            expected = (q - 1) ** 2
-        else:
-            eps = t.smallest_nonsquare()
-            pairs = ((a, b) for a in range(q) for b in range(q))
-            candidates = (((a, t.base.mul(b, eps)), (b, a)) for a, b in pairs)
-            points = tuple(sorted(m for m in candidates if t.base.mat_det(m) != 0))
-            expected = q * q - 1
-            # the F_{q^2} constants of u = a + b delta, delta^2 = eps
-            E = t.ext
-            self.eps = eps
-            self.delta = t.sqrt(eps)
-            self.delta_inv = E.inv(self.delta)
-            self.half = E.inv(E.embed_int(2))
-        if len(points) != expected:
+        self._basis = shape.basis, t.ext.mat_inv(shape.basis)
+        log = t.discrete_log
+        self.logs = {self._rational_point(u, v): (log(u), log(v)) for u, v in shape.pairs}
+        if len(self.logs) != shape.order:
             raise ConsistencyError(
-                f"{kind} torus of GL2 has {len(points)} points, not {expected}"
+                f"{kind} torus of GL2 has {len(self.logs)} points, not {shape.order}"
             )
-        self.points = points
+        points = self.points = tuple(sorted(self.logs))
         self.canonical = {p: t.base.mat_monic(p) for p in points}
         self.elements = tuple(
             map(group.join, itertools.product(points, repeat=group.n_factors))
@@ -317,7 +345,7 @@ class TorusEmbedding:
         # generators reach it exactly when the factor generators reach one
         # factor's points: n N products in place of N^n |generators|
         one = _m_identity()
-        factor_generators = self._factor_generators()
+        factor_generators = [self._rational_point(u, v) for u, v in shape.generators]
         reached = _closure(one, factor_generators, group.factor.mul)
         if reached != set(points):
             raise ConsistencyError(
@@ -331,54 +359,54 @@ class TorusEmbedding:
             for s in factor_generators
         )
 
-    def _factor_generators(self):
-        """Generators of one factor's torus: diag(gamma, 1) and diag(1, gamma) for
-        the split torus, the point with the eigenvalue ext.generator for the
-        cyclic elliptic one."""
-        if self.kind == "split":
-            gamma = self.group.tower.base.generator
-            return (((gamma, 0), (0, 1)), ((1, 0), (0, gamma)))
-        u = self.group.tower.ext.generator
-        return (next(p for p in self.points if self._factor_coords(p)[0] == u),)
-
     def contains(self, x) -> bool:
         return x in self._set
 
-    # -- coordinates --------------------------------------------------------
-
-    def _factor_coords(self, m):
-        if self.kind == "split":
-            return (m[0][0], m[1][1])
-        E = self.group.tower.ext
-        u = E.add(m[0][0], E.mul(m[1][0], self.delta))
-        return (u, E.pow(u, self.group.q))
-
-    def eigen_coords(self, x):
-        """Exact coordinate tuple of a torus point (F_{q^2} codes)."""
-        return tuple(c for m in self.group.split(x) for c in self._factor_coords(m))
-
     def eigenvalue_logs(self, x):
-        """The discrete log of each factor's first eigenvalue coordinate."""
-        return tuple(map(self.group.tower.discrete_log, self.eigen_coords(x)[::2]))
+        """The log vector l(x) of a torus point: each factor's log pair in turn."""
+        return tuple(e for m in self.group.split(x) for e in self.logs[m])
 
-    def root_value(self, root, coords) -> int:
+    # -- points over F_{q^2} -------------------------------------------------
+
+    def _factor_matrix(self, u, v):
+        """P diag(u, v) P^-1 over F_{q^2}."""
         E = self.group.tower.ext
-        acc = E.one
-        for e, c in zip(root, coords):
-            if e:
-                acc = E.mul(acc, E.pow(c, e))
-        return acc
+        P, P_inv = self._basis
+        return E.mat_mul(E.mat_mul(P, ((u, 0), (0, v))), P_inv)
 
-    # -- extension points ---------------------------------------------------
+    def _rational_point(self, u, v):
+        """The factor point with eigenvalues (u, v), checked F_q-rational:
+        F_{q^2} codes below q are F_q's."""
+        m = self._factor_matrix(u, v)
+        if max(map(max, m)) >= self.group.q:
+            raise ConsistencyError(
+                f"the {self.kind} torus point of {(u, v)} is not F_q-rational"
+            )
+        return m
 
-    def _factor_point(self, u, v):
-        """The factor matrix over F_{q^2} with eigenvalue coordinates (u, v)."""
-        if self.kind == "split":
-            return ((u, 0), (0, v))
+    def ext_point(self, logs):
+        """The point over F_{q^2} with log vector ``logs``."""
+        powers = self.group.tower.ext.powers
+        return self.group.join(
+            tuple(
+                self._factor_matrix(powers[logs[i]], powers[logs[i + 1]])
+                for i in range(0, len(logs), 2)
+            )
+        )
+
+    def ext_logs(self, x):
+        """The log vector of a point over F_{q^2}; each factor m must be
+        diagonal in the eigenbasis, as P^-1 m P."""
         E = self.group.tower.ext
-        a = E.mul(E.add(u, v), self.half)
-        b = E.mul(E.mul(E.sub(u, v), self.half), self.delta_inv)
-        return ((a, E.mul(b, self.eps)), (b, a))
+        log = self.group.tower.discrete_log
+        P, P_inv = self._basis
+        logs = ()
+        for m in self.group.split(x):
+            (u, b), (c, v) = E.mat_mul(E.mat_mul(P_inv, m), P)
+            if b or c:
+                raise ConsistencyError(f"extension image is not in the {self.kind} torus")
+            logs += (log(u), log(v))
+        return logs
 
 
 def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
@@ -969,70 +997,35 @@ def lie_fixed_det(theta: Involution, g, space: LieFixedSpace) -> int:
 def derived_theta_star(theta: Involution, torus: TorusEmbedding) -> InvolutionOnDatum:
     """Recover the lattice involution induced on the torus character lattice.
 
-    Works from the generator points over the quadratic extension, whose
-    discrete-log coordinate tuples are the unit vectors, so each column of
-    the matrix is read off exactly; the result is validated against the
-    aligned datum.
+    Works from the generator points over the quadratic extension, whose log
+    vectors are the unit vectors, so row k of the matrix is the log vector
+    of theta of generator point k, read off exactly; the result is
+    validated against the aligned datum.
     """
-    t = torus.group.tower
     if not theta.stabilizes(torus):
         raise ConfigError("involution does not stabilize the torus")
-    n = torus.coord_count
-    N = t.ext.order
-    rows = [[0] * n for _ in range(n)]
-    for k in range(n):
-        coords = _coords_of_ext(torus, theta.apply_ext(_generator_point(torus, k)))
-        for j in range(n):
-            e = t.discrete_log(coords[j]) % N
+    N = torus.group.tower.ext.order
+    rows = []
+    for k in range(torus.coord_count):
+        row = []
+        for e in torus.ext_logs(theta.apply_ext(_generator_point(torus, k))):
             if e > N // 2:
                 e -= N
             if e not in (-1, 0, 1):
                 raise ConsistencyError(
                     f"involution shadow has a non-unimodular exponent {e}"
                 )
-            # row k of the matrix lists the image exponents of basis slot k
-            rows[k][j] = e
-    shadow = tuple(tuple(r) for r in rows)
-    return InvolutionOnDatum(torus.datum, shadow, name="derived")
+            row.append(e)
+        rows.append(tuple(row))
+    return InvolutionOnDatum(torus.datum, tuple(rows), name="derived")
 
 
 def _generator_point(torus: TorusEmbedding, k: int):
-    """The point over F_{q^2} with the generator of F_{q^2} in coordinate k, 1 elsewhere.
+    """The point over F_{q^2} with log vector the k-th unit vector.
 
     These coord_count points generate the torus over F_{q^2}.
     """
-    g = torus.group.tower.ext.generator
-    return _point_from_coords(
-        torus, tuple(g if i == k else 1 for i in range(torus.coord_count))
-    )
-
-
-def _point_from_coords(torus: TorusEmbedding, coords):
-    """The point over F_{q^2} with these eigenvalue coordinates."""
-    return torus.group.join(
-        tuple(
-            torus._factor_point(coords[i], coords[i + 1])
-            for i in range(0, len(coords), 2)
-        )
-    )
-
-
-def _coords_of_ext(torus: TorusEmbedding, m):
-    """Eigenvalue coordinates of a torus point over F_{q^2}, checked."""
-    E = torus.group.tower.ext
-    coords = ()
-    for f in torus.group.split(m):
-        if torus.kind == "split":
-            if f[0][1] or f[1][0]:
-                raise ConsistencyError("extension image is not in the split torus")
-            coords += (f[0][0], f[1][1])
-            continue
-        a, b = f[0][0], f[1][0]
-        if f[0][1] != E.mul(b, torus.eps) or f[1][1] != a:
-            raise ConsistencyError("extension image is not in the elliptic torus")
-        bd = E.mul(b, torus.delta)
-        coords += (E.add(a, bd), E.sub(a, bd))
-    return coords
+    return torus.ext_point(tuple(int(i == k) for i in range(torus.coord_count)))
 
 
 def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
@@ -1041,10 +1034,10 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     t -> t theta(t) is a homomorphism of the abelian torus, so the images
     s_k of the generator points generate T+ = {t theta(t)} over
     F_{q^2}.  The set of roots equal to 1 at every s_k (those vanishing
-    on T+) must equal the set of roots negated by the lattice shadow, whose
-    exponents must be unimodular, and the common centralizer of the s_k in
-    the Lie algebra must have dimension rank + |the set|.  Returns the
-    sorted root tuple.
+    on T+, <a, l(s_k)> = 0 mod q^2 - 1) must equal the set of roots negated
+    by the lattice shadow, whose exponents must be unimodular, and the
+    common centralizer of the s_k in the Lie algebra must have dimension
+    rank + |the set|.  Returns the sorted root tuple.
     """
     group = torus.group
     datum = torus.datum
@@ -1057,10 +1050,12 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     for k in range(torus.coord_count):
         e = _generator_point(torus, k)
         image = theta.apply_ext(e)
-        s = group.join(tuple(map(E.mat_mul, group.split(e), group.split(image))))
-        plus.append((s, _coords_of_ext(torus, s)))
+        plus.append(group.join(tuple(map(E.mat_mul, group.split(e), group.split(image)))))
+    plus_logs = [torus.ext_logs(s) for s in plus]
     vanishing = set(
-        a for a in datum.roots if all(torus.root_value(a, c) == E.one for _, c in plus)
+        a
+        for a in datum.roots
+        if all(sum(map(mul, a, logs)) % E.order == 0 for logs in plus_logs)
     )
     if vanishing != negated:
         raise ConsistencyError(
@@ -1068,7 +1063,7 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
             detail={"vanishing": sorted(vanishing), "negated": sorted(negated)},
         )
     # centralizer dimension certificate
-    dim = _centralizer_dimension(group, [s for s, _ in plus], E)
+    dim = _centralizer_dimension(group, plus, E)
     if dim != torus.coord_count + len(vanishing):
         raise ConsistencyError(
             "Lie centralizer of T+ has the wrong dimension",
@@ -1078,24 +1073,19 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
 
 
 def _centralizer_dimension(group: MatrixGroup, mats, E) -> int:
-    """dim over the field E of {X in the Lie algebra : Xs = sX for all s}."""
+    """dim over the field E of {X in the Lie algebra : Xs = sX for all s}:
+    the null space of the maps X -> Xs - sX, one block of rows per s."""
     n = 4 * group.n_factors
-    basis = [[E.one if i == j else E.zero for j in range(n)] for i in range(n)]
+    units = [_unvec(group, [int(i == j) for j in range(n)]) for i in range(n)]
+    rows = []
     for s in mats:
-        if not basis:
-            break
-        rows = []
-        for vec in basis:
-            x = _unvec(group, vec)
+        cols = []
+        for x in units:
             comm = tuple(
                 _m_sub(E, E.mat_mul(xm, sm), E.mat_mul(sm, xm))
                 for xm, sm in zip(group.split(x), group.split(s))
             )
-            rows.append(_vec(group, group.join(comm)))
-        # nullspace of the commutator map restricted to the current span
-        coeff_rows = [[rows[j][i] for j in range(len(basis))] for i in range(n)]
-        basis = [
-            [reduce(E.add, map(E.mul, co, col), E.zero) for col in zip(*basis)]
-            for co in fq_nullspace(coeff_rows, E)
-        ]
-    return len(basis)
+            cols.append(_vec(group, group.join(comm)))
+        # column j of the block is the commutator of the j-th unit with s
+        rows.extend(map(list, zip(*cols)))
+    return len(fq_nullspace(rows, E))

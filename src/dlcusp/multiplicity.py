@@ -150,12 +150,11 @@ def epsilon_character(
         domain = theta.torus_side(torus)[1]
     space = LieFixedSpace(theta)
     shadow = derived_theta_star(theta, torus)
-    datum, ext = torus.datum, torus.group.tower.ext
+    datum, n = torus.datum, torus.group.tower.ext.order
     signs = {}
     for t in domain:
         det_sign = lie_fixed_det(theta, t, space)
-        coords = torus.eigen_coords(t)
-        prod_sign = epsilon_product(datum, shadow, lambda a: torus.root_value(a, coords), ext)
+        prod_sign = epsilon_product(datum, shadow, torus.eigenvalue_logs(t), n)
         if det_sign != prod_sign:
             raise MethodDisagreement(
                 "fixed-space determinant and root-orbit product disagree",
@@ -175,8 +174,8 @@ def epsilon_character(
 
 def _log_lambda(torus: TorusEmbedding, exponents, t) -> int:
     """log lambda(t) = sum of k_i log u_i(t) mod q^2 - 1, for lambda with
-    exponent k_i against the eigenvalue u_i of factor i."""
-    logs = torus.eigenvalue_logs(t)
+    exponent k_i against the first eigenvalue u_i of factor i."""
+    logs = torus.eigenvalue_logs(t)[::2]
     return sum(k * e for k, e in zip(exponents, logs)) % torus.group.tower.ext.order
 
 

@@ -31,7 +31,7 @@ import random
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, ResourceBoundError
 from .linalg import (
     int_det,
     int_mat_mul,
@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 Vec = tuple[int, ...]
+
+# the most retwists one random_twists call draws: each draw keeps a datum
+# reference, so time and memory grow with the count
+TWIST_CAP = 100_000
 
 # the shipped library; a plain path, since importlib.resources loads inspect
 # on Python 3.12 and later
@@ -463,7 +467,7 @@ def _pair_roots(datum: TwistedRootDatum, subset: tuple) -> tuple[Vec, ...]:
     return tuple(sorted(subset & set(datum.positive_roots())))
 
 
-def orbit_product(datum: TwistedRootDatum, subset, evaluate, field) -> int:
+def orbit_product(datum: TwistedRootDatum, subset, logs, n: int) -> int:
     """Product of a(t) over one root per +-pair {a, -a} inside ``subset``.
 
     ``subset`` must be twist-stable and closed under -1, as every phi_theta
@@ -471,33 +475,28 @@ def orbit_product(datum: TwistedRootDatum, subset, evaluate, field) -> int:
     line X_a + theta(X_a) of the fixed Lie algebra, on which t acts by a(t);
     a determinant does not depend on the field, so the twist orbits decide
     nothing here beyond stability.
-    ``evaluate`` maps a root vector to an element of ``field``, which
-    multiplies them; a(t) and (-a)(t) must be equal, hence their own inverse
-    (they are, whenever the subset is a phi_theta of a fixed point), which
-    makes the product a sign and makes the choice between a and -a
-    irrelevant.  Both facts are checked, not trusted.
+    ``logs`` is the log vector l(t) of a torus point against a generator of
+    a cyclic group of even order ``n``, so a(t) has the log <a, l(t)> mod n.
+    a(t) and (-a)(t) must be equal, 2 <a, l(t)> = 0 mod n (they are,
+    whenever the subset is a phi_theta of a fixed point): each a(t) is then
+    a sign, and the choice between a and -a is irrelevant.  This is
+    checked, not trusted.  A product with log 0 is 1, one with log n/2 is -1.
     """
-    acc = one = field.one
+    total = 0
     for a in _pair_roots(datum, tuple(subset)):
-        v = evaluate(a)
-        if v != evaluate(_vneg(a)):
+        e = _dot(a, logs)
+        if 2 * e % n:
             raise ConsistencyError(
                 "orbit product depends on the representative", detail=a
             )
-        acc = field.mul(acc, v)
-    if acc == one:
-        return 1
-    if acc == field.neg(one):
-        return -1
-    raise ConsistencyError(f"orbit product is not a sign: code {acc}")
+        total += e
+    return 1 if total % n == 0 else -1
 
 
-def epsilon_product(
-    datum: TwistedRootDatum, theta: InvolutionOnDatum, evaluate, field
-) -> int:
+def epsilon_product(datum: TwistedRootDatum, theta: InvolutionOnDatum, logs, n: int) -> int:
     """Lattice-level epsilon value: the orbit product over the negated roots,
     one root per +-pair of roots."""
-    return orbit_product(datum, phi_theta(datum, theta), evaluate, field)
+    return orbit_product(datum, phi_theta(datum, theta), logs, n)
 
 
 def sub_datum_on(datum: TwistedRootDatum, subset) -> TwistedRootDatum:
@@ -637,7 +636,12 @@ def random_twists(datum: TwistedRootDatum, count: int, seed: int = 0):
     index, the twist of two ``rng.choice(pool)`` calls on a seeded
     ``random.Random``.  Each index pair is multiplied once, and each
     distinct product is built and validated once (``with_twist``: only its
-    twist checks run); draws with the same product share that datum."""
+    twist checks run); draws with the same product share that datum.  A
+    count above TWIST_CAP is refused before any draw."""
+    if count > TWIST_CAP:
+        raise ResourceBoundError(
+            f"{count} twists exceed the cap {TWIST_CAP}", required=count
+        )
     pool = list(_matrix_pool(datum.rank).values())
     n = len(pool)
     indices = _pool_indices(seed, n)

@@ -467,6 +467,27 @@ def test_resource_bound(monkeypatch, capsys):
     assert "required 5" in err
 
 
+def test_twist_count_above_the_cap_is_refused_before_any_draw(monkeypatch, capsys):
+    def no_draw(seed, n):
+        raise AssertionError("a twist was drawn")
+
+    monkeypatch.setattr(rootdata, "_pool_indices", no_draw)
+    count = rootdata.TWIST_CAP + 1
+    code, out, err = run_cli(capsys, "verify", "sigma", "--twists", str(count))
+    assert code == 3
+    assert out == ""
+    assert f"required {count}" in err
+
+
+def test_twist_cap_admits_its_own_count(monkeypatch, capsys):
+    monkeypatch.setattr(rootdata, "TWIST_CAP", 3)
+    argv = ("verify", "sigma", "--data", "gl2_split")
+    assert run_cli(capsys, *argv, "--twists", "3")[0] == 0
+    code, _, err = run_cli(capsys, *argv, "--twists", "4")
+    assert code == 3
+    assert "required 4" in err
+
+
 def test_oversized_q_is_a_resource_refusal(capsys):
     code, _, err = run_cli(capsys, "table", "--group", "gl2", "--q", "17")
     assert code == 3

@@ -162,6 +162,11 @@ def test_product_torus():
         TorusEmbedding(g, "split")
 
 
+def test_unknown_torus_kind_is_refused():
+    with pytest.raises(ConfigError, match="unknown torus kind"):
+        TorusEmbedding(MatrixGroup("gl2", 3), "anisotropic")
+
+
 def test_elliptic_coords_are_eigenvalues():
     g = MatrixGroup("gl2", 5)
     t = elliptic_torus(g)
@@ -169,24 +174,49 @@ def test_elliptic_coords_are_eigenvalues():
     E = tw.ext
     n = E.order
     for x in t.elements:
-        u, v = t.eigen_coords(x)
-        assert v == E.pow(u, 5)  # coordinate pair is (eigenvalue, Frobenius image)
-        (k1,) = t.eigenvalue_logs(x)
-        assert k1 == tw.discrete_log(u)
-        assert tw.discrete_log(v) == (5 * k1) % n
-        # the characteristic polynomial of x vanishes at u; the trace and
+        k1, k2 = t.eigenvalue_logs(x)
+        assert k2 == (5 * k1) % n  # the log pair of (eigenvalue, Frobenius image)
+        # the characteristic polynomial of x vanishes at both; the trace and
         # determinant are F_q codes, hence F_{q^2} codes as they stand
         tr = tw.base.add(x[0][0], x[1][1])
-        assert E.add(E.sub(E.mul(u, u), E.mul(tr, u)), _det(g, x)) == E.zero
+        for k in (k1, k2):
+            u = E.powers[k]
+            assert E.add(E.sub(E.mul(u, u), E.mul(tr, u)), _det(g, x)) == E.zero
+        # the diagonalization over F_{q^2} reads the stored pair back
+        assert t.ext_logs(x) == (k1, k2)
+        assert t.ext_point((k1, k2)) == x
 
 
 def test_split_coords():
     g = MatrixGroup("gl2", 3)
     t = TorusEmbedding(g, "split")
     x = ((2, 0), (0, 1))
-    u, v = t.eigen_coords(x)
-    assert u == 2
-    assert v == g.tower.ext.one
+    log = g.tower.discrete_log
+    assert t.eigenvalue_logs(x) == (log(2), log(1)) == (4, 0)
+    assert t.ext_logs(x) == (4, 0)
+
+
+@pytest.mark.parametrize(
+    "q, generator, generator_logs, antidiag_logs",
+    ((3, ((1, 2), (1, 1)), (1, 3), (6, 2)), (9, ((5, 5), (3, 5)), (1, 9), (15, 55))),
+)
+def test_elliptic_log_pairs_are_pinned(q, generator, generator_logs, antidiag_logs):
+    # no report sees the coordinate convention: delta -> -delta, or the
+    # eigenbasis columns swapped, only swaps each point's pair (u, u^q), so
+    # these values, printed by the code before the eigenbasis, pin it
+    g = MatrixGroup("gl2", q)
+    t = elliptic_torus(g)
+    eps = g.tower.smallest_nonsquare()
+    assert t.generators == (generator,)
+    assert t.eigenvalue_logs(generator) == generator_logs
+    assert t.eigenvalue_logs(((0, eps), (1, 0))) == antidiag_logs
+
+
+def test_split_log_pair_is_pinned():
+    g = MatrixGroup("gl2", 9)
+    t = TorusEmbedding(g, "split")
+    eps = g.tower.smallest_nonsquare()
+    assert t.eigenvalue_logs(((eps, 0), (0, 1))) == (30, 0)
 
 
 def test_torus_membership_map_is_group_closed():
@@ -198,16 +228,19 @@ def test_torus_membership_map_is_group_closed():
 
 
 def test_root_value_against_log_coords():
+    # a root's value at t is the generator to the power <a, l(t)> mod q^2 - 1:
+    # checked against the product of powers of the eigenvalues of t, read
+    # off the diagonal of P^-1 t P
     g = MatrixGroup("gl2", 3)
-    t = elliptic_torus(g)
-    tw = g.tower
-    root = t.datum.roots[0]
-    for x in t.elements:
-        coords = t.eigen_coords(x)
-        v = t.root_value(root, coords)
-        k1, k2 = map(tw.discrete_log, coords)
-        expected = (root[0] * k1 + root[1] * k2) % tw.ext.order
-        assert tw.discrete_log(v) == expected
+    E = g.tower.ext
+    for t in (TorusEmbedding(g, "split"), elliptic_torus(g)):
+        P, P_inv = t._basis
+        for x in t.elements:
+            (u, _), (_, v) = E.mat_mul(E.mat_mul(P_inv, x), P)
+            logs = t.eigenvalue_logs(x)
+            for a in t.datum.roots:
+                value = E.mul(E.pow(u, a[0]), E.pow(v, a[1]))
+                assert value == E.powers[(a[0] * logs[0] + a[1] * logs[1]) % E.order]
 
 
 def test_extension_points_restrict_to_rational_points():
@@ -216,18 +249,56 @@ def test_extension_points_restrict_to_rational_points():
     for q in (3, 5, 9):
         g = MatrixGroup("gl2", q)
         t = elliptic_torus(g)
-        E = g.tower.ext
+        n = g.tower.ext.order
         rational = set(t.elements)  # F_q codes are F_{q^2} codes
-        point = groups._point_from_coords
-        # the Frobenius-linked coordinate pairs (u, u^q) give the F_q points,
-        # and no other pair does
-        units = E.powers
-        frob_linked = {point(t, (u, E.pow(u, q))) for u in units}
-        assert len(frob_linked) == q * q - 1
+        # the Frobenius-linked log pairs (k, q k) give the F_q points, and
+        # no other pair does
+        frob_linked = {t.ext_point((k, k * q % n)) for k in range(n)}
+        assert len(frob_linked) == n
         assert frob_linked == rational
         assert not any(
-            point(t, (u, v)) in rational for u in units for v in units if v != E.pow(u, q)
+            t.ext_point((k, j)) in rational
+            for k in range(n)
+            for j in range(n)
+            if j != k * q % n
         )
+
+
+@pytest.mark.parametrize("kind", ("split", "elliptic"))
+def test_ext_logs_inverts_ext_point(kind):
+    g = MatrixGroup("gl2", 3)
+    t = TorusEmbedding(g, kind)
+    n = g.tower.ext.order
+    for logs in itertools.product(range(n), repeat=2):
+        assert t.ext_logs(t.ext_point(logs)) == logs
+    # a matrix off the torus is not diagonal in its eigenbasis
+    with pytest.raises(ConsistencyError, match="not in the"):
+        t.ext_logs(((1, 1), (0, 1)))
+
+
+def test_torus_points_that_are_not_rational_raise(monkeypatch):
+    # an eigenvalue pair (u, v) with v != u^q gives an elliptic point over
+    # F_{q^2} only, which the build refuses
+    torus_shape = groups._torus_shape
+
+    def off_frobenius(tower, kind):
+        shape = torus_shape(tower, kind)
+        return shape._replace(pairs=((tower.ext.generator, 1),) + shape.pairs)
+
+    monkeypatch.setattr(groups, "_torus_shape", off_frobenius)
+    with pytest.raises(ConsistencyError, match="not F_q-rational"):
+        elliptic_torus(MatrixGroup("gl2", 3))
+
+
+def test_torus_point_count_is_checked(monkeypatch):
+    torus_shape = groups._torus_shape
+    monkeypatch.setattr(
+        groups,
+        "_torus_shape",
+        lambda tower, kind: torus_shape(tower, kind)._replace(order=7),
+    )
+    with pytest.raises(ConsistencyError, match="points, not 7"):
+        TorusEmbedding(MatrixGroup("gl2", 3), "split")
 
 
 # ---------------------------------------------------------------------------
@@ -930,12 +1001,15 @@ def test_torus_generators(kind, torus_kind, n_gens):
 def test_torus_generators_that_miss_points_raise(monkeypatch, kind, torus_kind):
     # the squares of the generators reach an index-2 or index-4 subgroup
     g = MatrixGroup(kind, 5)
-    factor_generators = groups.TorusEmbedding._factor_generators
-    monkeypatch.setattr(
-        groups.TorusEmbedding,
-        "_factor_generators",
-        lambda self: tuple(g.factor.mul(s, s) for s in factor_generators(self)),
-    )
+    torus_shape = groups._torus_shape
+
+    def squared_generators(tower, kind):
+        shape = torus_shape(tower, kind)
+        E = tower.ext
+        squares = tuple((E.mul(u, u), E.mul(v, v)) for u, v in shape.generators)
+        return shape._replace(generators=squares)
+
+    monkeypatch.setattr(groups, "_torus_shape", squared_generators)
     with pytest.raises(ConsistencyError, match="generators reach"):
         groups.TorusEmbedding(g, torus_kind)
 

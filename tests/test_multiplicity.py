@@ -122,8 +122,8 @@ def test_epsilon_sign_table_that_is_not_a_character_raises(monkeypatch):
         sign = lie_fixed_det(theta, t, space)
         return -sign if t == victim else sign
 
-    def product_route(datum, shadow, evaluate, field):
-        sign = epsilon_product(datum, shadow, evaluate, field)
+    def product_route(datum, shadow, logs, n):
+        sign = epsilon_product(datum, shadow, logs, n)
         return -sign if current == [victim] else sign
 
     monkeypatch.setattr("dlcusp.multiplicity.lie_fixed_det", det_route)

@@ -42,7 +42,11 @@ REPORTS = {
     "phi_theta_gl2_q3.json": (
         "verify", "phi-theta", "--group", "gl2", "--q", "3", "--torus", "both",
     ),
+    "phi_theta_gl2_q9.json": (
+        "verify", "phi-theta", "--group", "gl2", "--q", "9", "--torus", "both",
+    ),
     "phi_theta_gl2_x_gl2_q3.json": ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "3"),
+    "phi_theta_gl2_x_gl2_q5.json": ("verify", "phi-theta", "--group", "gl2_x_gl2", "--q", "5"),
     "table_gl2_q3.csv": ("table", "--group", "gl2", "--q", "3", "--format", "csv"),
     "sigma_twists_s11.json": ("verify", "sigma", "--twists", "300", "--rng-seed", "11"),
     "centralizer_sigma.json": ("verify", "centralizer-sigma"),

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from dlcusp.errors import ConfigError, ConsistencyError
-from dlcusp.gf import build_field
 from dlcusp.linalg import int_matrix_order, int_mat_mul, rational_rank
 from dlcusp.rootdata import (
     GaloisOrbit,
@@ -395,7 +394,7 @@ def test_phi_theta_refuses_an_involution_on_another_datum():
     with pytest.raises(ConfigError, match="not on the datum"):
         phi_theta(ell, invs["minus_id"])
     with pytest.raises(ConfigError, match="not on the datum"):
-        epsilon_product(ell, invs["minus_id"], lambda a: None, build_field(3).ext)
+        epsilon_product(ell, invs["minus_id"], (0, 0), 8)
 
 
 def test_phi_theta_closed_under_negation():
@@ -406,65 +405,52 @@ def test_phi_theta_closed_under_negation():
             assert {tuple(-x for x in a) for a in killed} == set(killed)
 
 
-# -- orbit products over a genuine field --------------------------------------
+# -- orbit products on log vectors ---------------------------------------------
+#
+# A torus point t is given by its log vector l(t) against a generator g of
+# F_9^x, of order 8, so a root a takes the value g^<a, l(t)>: 1 at log 0
+# and -1 at log 4.
 
 
 def test_orbit_product_sign_values():
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
     assert killed == ((-1, 1), (1, -1))
-    E = build_field(3).ext
-    one, minus = E.one, E.neg(E.one)
 
-    assert orbit_product(ell, killed, lambda a: one, E) == 1
-    assert orbit_product(ell, killed, lambda a: minus, E) == -1
-    assert orbit_product(ell, (), lambda a: one, E) == 1
+    assert orbit_product(ell, killed, (0, 0), 8) == 1
+    assert orbit_product(ell, killed, (2, 2), 8) == 1
+    assert orbit_product(ell, killed, (0, 4), 8) == -1
+    assert orbit_product(ell, killed, (3, 7), 8) == -1
+    assert orbit_product(ell, (), (1, 2), 8) == 1
 
 
 def test_orbit_product_guardrails():
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
-    E = build_field(3).ext
-    one, minus = E.one, E.neg(E.one)
-    with pytest.raises(ConsistencyError):  # value is not self-inverse
-        orbit_product(ell, killed, lambda a: E.generator, E)
-    with pytest.raises(ConsistencyError):  # value depends on the representative
-        orbit_product(ell, killed, lambda a: one if a == (-1, 1) else minus, E)
+    with pytest.raises(ConsistencyError):  # a(t) = g is not its own inverse (-a)(t)
+        orbit_product(ell, killed, (0, 1), 8)
+    with pytest.raises(ConsistencyError):  # a(t) = g^2 is not either
+        orbit_product(ell, killed, (0, 2), 8)
     with pytest.raises(ConsistencyError):  # subset not stable under the twist
-        orbit_product(ell, ((-1, 1),), lambda a: one, E)
-
-
-def _root_evaluator(E, coords):
-    """a -> a(t) for the torus point t with these F_{q^2} coordinates."""
-
-    def evaluate(root):
-        acc = E.one
-        for c, k in zip(coords, root):
-            acc = E.mul(acc, E.pow(c, k))
-        return acc
-
-    return evaluate
+        orbit_product(ell, ((-1, 1),), (0, 0), 8)
 
 
 def test_orbit_product_at_fixed_points():
-    # evaluate the killed roots at twist-fixed torus points of F_9
+    # evaluate the killed roots at twist-fixed torus points of F_9: l(t) is
+    # (k, 3k), and inversion fixes t = 1 and t = -1 = g^4
     ell = load_datum("gl2_elliptic")
     killed = phi_theta(ell, datum_involutions(ell)["minus_id"])
-    E = build_field(3).ext
-    for u in (E.one, E.neg(E.one)):  # the points fixed by inversion
-        evaluate = _root_evaluator(E, (u, E.pow(u, 3)))
-        assert orbit_product(ell, killed, evaluate, E) == 1
+    for k in (0, 4):
+        assert orbit_product(ell, killed, (k, 3 * k % 8), 8) == 1
 
 
 def test_orbit_product_one_factor_per_root_pair():
-    E = build_field(3).ext
-    one, minus = E.one, E.neg(E.one)
     # untwisted: a and -a are separate orbits of one +-pair, so one factor
     split = load_datum("gl2_split")
     minus_id = datum_involutions(split)["minus_id"]
     killed = phi_theta(split, minus_id)
-    assert orbit_product(split, killed, lambda a: minus, E) == -1
-    assert epsilon_product(split, minus_id, lambda a: minus, E) == -1
+    assert orbit_product(split, killed, (4, 0), 8) == -1
+    assert epsilon_product(split, minus_id, (4, 0), 8) == -1
     # the factor swap: two non-symmetric orbits, negatives of each other,
     # holding two +-pairs of roots between them
     swap = load_datum("gl2xgl2_swap")
@@ -480,26 +466,27 @@ def test_orbit_product_one_factor_per_root_pair():
     # inverted by theta when every entry is +-1.  Over the algebraic closure
     # the fixed Lie algebra is so(2) + so(2), on which t acts by a1/b1 and
     # a2/b2; at t = (1, -1, -1, 1) both are -1, so the determinant is +1.
-    evaluate = _root_evaluator(E, (one, minus, minus, one))
-    assert evaluate((1, -1, 0, 0)) == evaluate((0, 0, 1, -1)) == minus
-    assert epsilon_product(swap, theta, evaluate, E) == 1
-    assert orbit_product(swap, swap.roots, lambda a: minus, E) == 1
-    # the pick between a and -a is checked, not trusted
-    first = set(orbits[0].elements)
+    logs = (0, 4, 4, 0)
+    assert epsilon_product(swap, theta, logs, 8) == 1
+    assert orbit_product(swap, swap.roots, (4, 0, 0, 4), 8) == 1
+    # the pick between a and -a is checked, not trusted: a(t) = g^+-1 on
+    # both pairs here, so (-a)(t) != a(t), although the product over the
+    # positive roots is 1, a sign, at the first log vector (g^2 at the second)
     with pytest.raises(ConsistencyError):
-        orbit_product(swap, swap.roots, lambda a: one if a in first else minus, E)
+        orbit_product(swap, swap.roots, (1, 0, 0, 1), 8)
+    with pytest.raises(ConsistencyError):
+        orbit_product(swap, swap.roots, (1, 0, 1, 0), 8)
     with pytest.raises(ConsistencyError):  # subset not closed under -1
-        orbit_product(swap, orbits[0].elements, lambda a: one, E)
+        orbit_product(swap, orbits[0].elements, (0, 0, 0, 0), 8)
 
 
 def test_epsilon_product_matches_orbit_product():
     ell = load_datum("gl2_elliptic")
     theta = datum_involutions(ell)["minus_id"]
-    E = build_field(3).ext
-    minus = E.neg(E.one)
-    assert epsilon_product(ell, theta, lambda a: minus, E) == orbit_product(
-        ell, phi_theta(ell, theta), lambda a: minus, E
-    )
+    for logs in ((0, 4), (2, 6), (4, 4)):
+        assert epsilon_product(ell, theta, logs, 8) == orbit_product(
+            ell, phi_theta(ell, theta), logs, 8
+        )
 
 
 # -- sub-datum and the centralizer sign ---------------------------------------
