@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError
-from .groups import BRUTE_FORCE_Q, MatrixGroup
+from .groups import BRUTE_FORCE_Q, MatrixGroup, _closure
 
 __all__ = [
     "cyclotomic",
@@ -183,25 +183,14 @@ class ConjugacyTable:
 
     def _cross_check_brute_force(self):
         group = self.group
-        mat_mul = group.tower.base.mat_mul
-        gens = group.gl2_generators()
-        gen_invs = list(map(group.tower.base.mat_inv, gens))
+        F = group.tower.base
+        steps = [(s, F.mat_inv(s)) for s in group.gl2_generators()]
         remaining = dict.fromkeys(group.gl2_elements())
         found = {}
         for start in group.gl2_elements():
             if start not in remaining:
                 continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s, si in zip(gens, gen_invs):
-                        y = mat_mul(mat_mul(s, x), si)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
+            orbit = _closure(start, steps, lambda x, s: F.mat_mul(F.mat_mul(s[0], x), s[1]))
             keys = {self.class_key(x) for x in orbit}
             if len(keys) != 1:
                 raise ConsistencyError(

@@ -40,7 +40,6 @@ __all__ = [
     "named_involution",
     "involution_orbit",
     "stabilizer_data",
-    "orbit_stabilizer_data",
     "lie_fixed_det",
     "derived_theta_star",
     "phi_theta_certified",
@@ -417,6 +416,21 @@ def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
 # involutions
 
 
+def _check_component(F, outer: bool, m):
+    if not (len(m) == 2 and all(len(r) == 2 for r in m)) or F.mat_det(m) == 0:
+        raise ConfigError("witness must be an invertible 2x2 matrix")
+    if outer:
+        mt = _m_transpose(m)
+        if mt != m and mt != _m_neg(F, m):
+            raise ConfigError("outer witness must be symmetric or antisymmetric")
+    else:
+        if not _m_is_scalar(F.mat_mul(m, m)):
+            raise ConfigError("inner witness must square to a central element")
+        if _m_is_scalar(m):
+            raise ConfigError("inner witness must not be central")
+    return F.mat_monic(m)
+
+
 class Involution:
     """An order-two automorphism with a canonical witness.
 
@@ -428,39 +442,30 @@ class Involution:
     """
 
     def __init__(self, group: MatrixGroup, kind: str, witness):
-        self.group = group
-        self.kind = kind
-        self._swaps = kind == "swap"
-        self._outer = kind == "outer"
-        if self._swaps:
+        if kind == "swap":
             if group.n_factors != 2:
                 raise ConfigError("swap involutions need the product group")
             if not group.factor.contains(witness):
                 raise ConfigError("swap witness must be an invertible 2x2 matrix")
-            self.witness = group.tower.base.mat_monic(witness)
+            witness = group.tower.base.mat_monic(witness)
         elif kind in ("inner", "outer"):
             parts = group.split(witness)
             if len(parts) != group.n_factors:
                 raise ConfigError("product involutions carry a witness pair")
-            self.witness = group.join(tuple(map(self._check_component, parts)))
+            check = partial(_check_component, group.tower.base, kind == "outer")
+            witness = group.join(tuple(map(check, parts)))
         else:
             raise ConfigError(f"unknown involution kind {kind!r}")
-        self._key = (self.kind, self.witness)
+        self._bind(group, kind, witness)
 
-    def _check_component(self, m):
-        F = self.group.tower.base
-        if not (len(m) == 2 and all(len(r) == 2 for r in m)) or F.mat_det(m) == 0:
-            raise ConfigError("witness must be an invertible 2x2 matrix")
-        if self._outer:
-            mt = _m_transpose(m)
-            if mt != m and mt != _m_neg(F, m):
-                raise ConfigError("outer witness must be symmetric or antisymmetric")
-        else:
-            if not _m_is_scalar(F.mat_mul(m, m)):
-                raise ConfigError("inner witness must square to a central element")
-            if _m_is_scalar(m):
-                raise ConfigError("inner witness must not be central")
-        return F.mat_monic(m)
+    def _bind(self, group: MatrixGroup, kind: str, witness):
+        """Set the fields for a witness that is checked and canonical."""
+        self.group = group
+        self.kind = kind
+        self._swaps = kind == "swap"
+        self._outer = kind == "outer"
+        self.witness = witness
+        self._key = (kind, witness)
 
     @cached_property
     def _factor_witnesses(self):
@@ -508,9 +513,12 @@ class Involution:
         right = gs[::-1] if self._swaps else gs
         right = map(_m_transpose, right) if self._outer else map(F.mat_inv, right)
         ws = self._factor_witnesses[0]
-        new = tuple(F.mat_mul(F.mat_mul(gi, w), r) for gi, w, r in zip(gs, ws, right))
-        witness = new[0] if self._swaps else self.group.join(new)
-        return Involution(self.group, self.kind, witness)
+        new = [F.mat_mul(F.mat_mul(gi, w), r) for gi, w, r in zip(gs, ws, right)]
+        new = tuple(map(F.mat_monic, new))
+        # a conjugate of a checked witness passes the checks by construction
+        image = object.__new__(Involution)
+        image._bind(self.group, self.kind, new[0] if self._swaps else self.group.join(new))
+        return image
 
     def stabilizes(self, torus: TorusEmbedding) -> bool:
         """Whether theta(T) lies in T, which theta of T's generators decides."""
@@ -826,14 +834,19 @@ def _literal_product(group: MatrixGroup, g_fixed, t_theta) -> set:
     return literal
 
 
-def _stabilizer_sides(theta: Involution, torus: TorusEmbedding, census: OrbitCensus):
-    """(transporter, StabilizerData) of a census member, without the literal
-    product check.
+def stabilizer_data(
+    theta: Involution, torus: TorusEmbedding, census: OrbitCensus
+) -> StabilizerData:
+    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
 
-    theta = Int(x) seed Int(x)^-1 for its checked transporter x, so
-    |G_theta| and |G^theta| are the seed's, and G^theta meets T_theta in the
-    torus points theta fixes.
+    census: an orbit census holding theta.  theta = Int(x) seed Int(x)^-1
+    for its checked transporter x, so |G_theta| and |G^theta| are the
+    seed's, and G^theta meets T_theta in the torus points theta fixes.  The
+    literal product G^theta T_theta = x (G^seed x^-1 T_theta x) x^-1 is
+    formed from the seed's G^theta and T_theta conjugated by x^-1, and must
+    have |G_theta| / m elements.
     """
+    group = theta.group
     g_theta_order, g_fixed = census.seed_stabilizers
     x = census.transporter(theta)
     t_theta, fixed_in_t = theta.torus_side(torus)
@@ -848,57 +861,16 @@ def _stabilizer_sides(theta: Involution, torus: TorusEmbedding, census: OrbitCen
     if m <= 0:
         raise ConsistencyError(f"nonpositive index m = {m}")
     if m & (m - 1):
-        warnings.warn(f"index m = {m} is not a power of two", stacklevel=3)
-    return x, StabilizerData(g_theta_order, len(g_fixed), t_theta, fixed_in_t, m)
-
-
-def stabilizer_data(
-    theta: Involution, torus: TorusEmbedding, census: OrbitCensus
-) -> StabilizerData:
-    """Exact stabilizer bookkeeping and the index m = [G_theta : G^theta T_theta].
-
-    census: an orbit census holding theta.  The literal product
-    G^theta T_theta = x (G^seed x^-1 T_theta x) x^-1, for theta's
-    transporter x, is formed from the seed's G^theta and T_theta conjugated
-    by x^-1, and must have |G_theta| / m elements.
-    """
-    group = theta.group
-    x, data = _stabilizer_sides(theta, torus, census)
+        warnings.warn(f"index m = {m} is not a power of two", stacklevel=2)
     xi = group.inv(x)
-    conjugated = [group.mul(group.mul(xi, y), x) for y in data.t_theta]
-    literal = _literal_product(group, census.seed_stabilizers[1], conjugated)
-    if len(literal) * data.m != data.g_theta_order:
+    conjugated = [group.mul(group.mul(xi, y), x) for y in t_theta]
+    literal = _literal_product(group, g_fixed, conjugated)
+    if len(literal) * m != g_theta_order:
         raise ConsistencyError(
             "the literal product G^theta T_theta has the wrong size",
-            detail=(len(literal), data.m, data.g_theta_order),
+            detail=(len(literal), m, g_theta_order),
         )
-    return data
-
-
-def orbit_stabilizer_data(picks, torus: TorusEmbedding, census: OrbitCensus):
-    """StabilizerData of members of one torus orbit, picks[0] its representative.
-
-    Another pick is Int(t) rep Int(t)^-1 for a torus point t, so its T_theta
-    and fixed torus points are the representative's, and its G^theta T_theta
-    is the representative's conjugated by t.  The literal product check
-    therefore runs on the representative only; every other pick gets its
-    own m and transporter check, and its two torus sets must equal the
-    representative's.
-    """
-    first = stabilizer_data(picks[0], torus, census)
-    out = [first]
-    for theta in picks[1:]:
-        _, data = _stabilizer_sides(theta, torus, census)
-        if (set(data.t_theta), set(data.fixed_in_t_theta)) != (
-            set(first.t_theta),
-            set(first.fixed_in_t_theta),
-        ):
-            raise ConsistencyError(
-                "torus orbit members differ in T_theta or their fixed torus points",
-                detail={"representative": picks[0].witness, "member": theta.witness},
-            )
-        out.append(data)
-    return tuple(out)
+    return StabilizerData(g_theta_order, len(g_fixed), t_theta, fixed_in_t, m)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ from .groups import (
     LieFixedSpace,
     MatrixGroup,
     OrbitCensus,
+    TOrbit,
     TorusEmbedding,
     derived_theta_star,
     elliptic_torus,
     involution_orbit,
     lie_fixed_det,
     named_involution,
-    orbit_stabilizer_data,
+    stabilizer_data,
 )
 from .rootdata import epsilon_product
 
@@ -37,6 +38,7 @@ __all__ = [
     "epsilon_character",
     "character_matches_epsilon",
     "OrbitReport",
+    "OrbitEntry",
     "orbit_entries",
     "rhs_orbit_sum",
     "lhs_multiplicity",
@@ -203,41 +205,49 @@ class OrbitReport(NamedTuple):
     contribution: int
 
 
-class _OrbitEntry:
-    """One torus orbit's index m and sampled epsilon characters.
-
-    Each sampled member's stabilizer side is read off the census seed and
-    the member's own theta (orbit_stabilizer_data: the literal product
-    check runs on the representative).  Every pick's T_theta and fixed
-    torus points equal the representative's there, and m is a function of
-    those sets and the seed's orders, so m is the representative's.
-    """
-
-    def __init__(self, orbit, census: OrbitCensus, torus):
-        self.orbit = orbit
-        rep = orbit.representative
-        members = orbit.members
-        picks = [rep]
-        if len(members) > 1:
-            # deterministic spread: second, middle, last
-            for i in (1, len(members) // 2, len(members) - 1):
-                if members[i] not in picks:
-                    picks.append(members[i])
-        data = orbit_stabilizer_data(picks, torus, census)
-        self.m = data[0].m
-        self.eps = (
-            [
-                epsilon_character(th, torus, d.fixed_in_t_theta)
-                for th, d in zip(picks, data)
-            ]
-            if orbit.stable
-            else None
-        )
+class OrbitEntry(NamedTuple):
+    orbit: TOrbit
+    m: int
+    eps: list | None
 
 
 def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
-    """One _OrbitEntry per torus orbit of the census, in census order."""
-    return [_OrbitEntry(o, census, torus) for o in census.t_orbits]
+    """One OrbitEntry (orbit, m, epsilon characters) per torus orbit of the
+    census, in census order.
+
+    The representative's stabilizer_data gives the orbit's m and runs its
+    literal product check.  Another member is Int(t) rep Int(t)^-1 for a
+    torus point t, so its T_theta and fixed torus points are the
+    representative's and its G^theta T_theta is the representative's
+    conjugated by t; m, a function of those sets and the seed's orders, is
+    the representative's.  Each other sampled member (second, middle, last)
+    gets its transporter check, and its two torus sets must equal the
+    representative's.  On a stable orbit every sampled member gets its
+    epsilon character.
+    """
+    entries = []
+    for orbit in census.t_orbits:
+        rep, members = orbit.representative, orbit.members
+        data = stabilizer_data(rep, torus, census)
+        rep_sets = (set(data.t_theta), set(data.fixed_in_t_theta))
+        eps = None
+        if orbit.stable:
+            eps = [epsilon_character(rep, torus, data.fixed_in_t_theta)]
+        # deterministic spread after the representative members[0]:
+        # second, middle, last
+        n = len(members)
+        for theta in dict.fromkeys(members[i] for i in (1, n // 2, n - 1) if 0 < i < n):
+            census.transporter(theta)
+            t_theta, fixed = theta.torus_side(torus)
+            if (set(t_theta), set(fixed)) != rep_sets:
+                raise ConsistencyError(
+                    "torus orbit members differ in T_theta or their fixed torus points",
+                    detail={"representative": rep.witness, "member": theta.witness},
+                )
+            if orbit.stable:
+                eps.append(epsilon_character(theta, torus, fixed))
+        entries.append(OrbitEntry(orbit, data.m, eps))
+    return entries
 
 
 def rhs_orbit_sum(entries, exponents):

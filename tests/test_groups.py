@@ -27,7 +27,7 @@ from dlcusp.groups import (
     stabilizer_data,
 )
 from dlcusp.linalg import fq_rref
-from dlcusp.multiplicity import _log_lambda, verify_theorem
+from dlcusp.multiplicity import _log_lambda, orbit_entries, verify_theorem
 
 # ---------------------------------------------------------------------------
 # groups
@@ -650,9 +650,9 @@ def test_literal_product_check_raises(monkeypatch):
     monkeypatch.setattr(g.tower.base, "row_times", lambda r, y: y[0] if r[0] else y[1])
     with pytest.raises(ConsistencyError, match="literal product"):
         stabilizer_data(th, t, census)
-    # a torus orbit's check runs on its first pick
+    # a torus orbit's check runs on its representative
     with pytest.raises(ConsistencyError, match="literal product"):
-        groups.orbit_stabilizer_data((th,), t, census)
+        orbit_entries(census, t)
 
 
 def test_literal_product_check_runs_on_large_cells(monkeypatch):
@@ -766,6 +766,21 @@ def test_wrong_transporter_fails_the_member_check(monkeypatch):
     monkeypatch.setitem(census.transporters, member, g.identity())
     with pytest.raises(ConsistencyError, match="does not carry the seed"):
         stabilizer_data(member, t, census)
+
+
+def test_wrong_transporter_fails_the_pick_check(monkeypatch):
+    # a sampled member after the representative shares its m, but its own
+    # transporter is still checked
+    monkeypatch.setattr(groups, "BRUTE_FORCE_Q", 1)
+    g, t, census = _torus_census("gl2", 3, "transpose-inverse", "elliptic")
+    census.seed_stabilizers  # formed before a transporter is tampered with
+    orbit = next(o for o in census.t_orbits if len(o.members) > 1)
+    pick = orbit.members[1]
+    assert pick != census.seed
+    orbit_entries(census, t)
+    monkeypatch.setitem(census.transporters, pick, g.identity())
+    with pytest.raises(ConsistencyError, match="does not carry the seed"):
+        orbit_entries(census, t)
 
 
 @pytest.mark.parametrize("brute_force_q, filters", ((9, 1), (1, 0)))
@@ -888,9 +903,10 @@ def test_literal_product_matches_group_products(key):
 @pytest.mark.parametrize("key", [k for k in LITERAL_CENSUSES if k[1] < 9], ids=_census_id)
 def test_torus_orbit_literal_sets_are_t_conjugates(key):
     # a member Int(t) rep Int(t)^-1 of a torus orbit has the representative's
-    # G^theta T_theta conjugated by t, so orbit_stabilizer_data's one literal
-    # check per orbit stands for every member, whose data it reads as
-    # stabilizer_data does
+    # G^theta T_theta conjugated by t, so orbit_entries's one literal check
+    # per orbit, on the representative, stands for every member: each
+    # member's own stabilizer_data has its entry's m and the
+    # representative's torus sets
     g, t, census = _torus_census(*key)
     seed_fixed = census.seed_stabilizers[1]
 
@@ -900,9 +916,14 @@ def test_torus_orbit_literal_sets_are_t_conjugates(key):
         own_fixed = [g.mul(g.mul(x, h), xi) for h in seed_fixed]
         return {g.mul(h, y) for h in own_fixed for y in th.torus_side(t)[0]}
 
-    for orbit in census.t_orbits:
+    entries = orbit_entries(census, t)
+    assert [e.orbit for e in entries] == list(census.t_orbits)
+    for entry in entries:
+        orbit = entry.orbit
         rep = orbit.representative
         rep_set = literal(rep)
+        rep_data = stabilizer_data(rep, t, census)
+        rep_sides = (set(rep_data.t_theta), set(rep_data.fixed_in_t_theta))
         carriers = {}
         for p in t.elements:
             carriers.setdefault(rep.conjugated(p), p)
@@ -911,9 +932,9 @@ def test_torus_orbit_literal_sets_are_t_conjugates(key):
             s = carriers[member]
             si = g.inv(s)
             assert literal(member) == {g.mul(g.mul(s, z), si) for z in rep_set}
-        assert groups.orbit_stabilizer_data(orbit.members, t, census) == tuple(
-            stabilizer_data(member, t, census) for member in orbit.members
-        )
+            data = stabilizer_data(member, t, census)
+            assert data.m == entry.m
+            assert (set(data.t_theta), set(data.fixed_in_t_theta)) == rep_sides
 
 
 def test_tampered_pick_fails_the_orbit_check(monkeypatch):
@@ -926,9 +947,10 @@ def test_tampered_pick_fails_the_orbit_check(monkeypatch):
         if len(o.members) > 1
         and len(o.representative.torus_side(t)[0]) < len(t.elements)
     )
+    # orbit_entries samples the second member after the representative
     picks = orbit.members[:2]
     assert picks[0] == orbit.representative
-    groups.orbit_stabilizer_data(picks, t, census)
+    orbit_entries(census, t)
     original = groups.Involution.torus_side
 
     def tampered(self, torus):
@@ -940,7 +962,7 @@ def test_tampered_pick_fails_the_orbit_check(monkeypatch):
 
     monkeypatch.setattr(groups.Involution, "torus_side", tampered)
     with pytest.raises(ConsistencyError, match="differ in T_theta"):
-        groups.orbit_stabilizer_data(picks, t, census)
+        orbit_entries(census, t)
 
 
 # ---------------------------------------------------------------------------

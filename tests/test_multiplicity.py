@@ -405,31 +405,32 @@ def test_distinction_grid_q3_is_identity():
 
 def test_one_census_and_one_orbit_analysis_per_cell(monkeypatch):
     # the Frobenius partner's orbit sum reuses the cell's orbit entries, so
-    # nothing is analysed twice
+    # nothing is analysed twice: one stabilizer_data per torus orbit, on its
+    # representative
     censuses = []
-    entries = []
+    analysed = []
 
     def counted_orbit(*args):
         censuses.append(groups.involution_orbit(*args))
         return censuses[-1]
 
-    class CountedEntry(multiplicity._OrbitEntry):
-        def __init__(self, *args):
-            entries.append(self)
-            super().__init__(*args)
+    def counted_data(theta, *args):
+        analysed.append(theta)
+        return groups.stabilizer_data(theta, *args)
 
     monkeypatch.setattr(multiplicity, "involution_orbit", counted_orbit)
-    monkeypatch.setattr(multiplicity, "_OrbitEntry", CountedEntry)
+    monkeypatch.setattr(multiplicity, "stabilizer_data", counted_data)
     for kind, q, seed, exponents in (
         ("gl2", 5, "transpose-inverse", (2,)),
         ("gl2_x_gl2", 3, "swap", (1, 7)),
     ):
         censuses.clear()
-        entries.clear()
+        analysed.clear()
         verify_theorem(MatrixGroup(kind, q), seed, exponents)
         assert len(censuses) == 1
-        assert len(entries) == len(censuses[0].t_orbits) > 1
-        assert [e.orbit for e in entries] == list(censuses[0].t_orbits)
+        t_orbits = censuses[0].t_orbits
+        assert len(t_orbits) > 1
+        assert analysed == [o.representative for o in t_orbits]
 
 
 def test_violation_carries_result():
