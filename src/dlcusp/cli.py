@@ -260,8 +260,8 @@ def _stable_orbit_cells(config: RunConfig, certify) -> int:
 
 
 def _epsilon_fields(theta, torus) -> dict:
-    eps = epsilon_character(theta, torus, theta.torus_side(torus)[1])
-    return {"domain_size": len(eps.domain), "signs": sorted(set(eps.signs.values()))}
+    signs = epsilon_character(theta, torus)
+    return {"domain_size": len(signs), "signs": sorted(set(signs.values()))}
 
 
 def _phi_theta_fields(theta, torus) -> dict:
@@ -335,33 +335,33 @@ def _theorem_rows(config: RunConfig):
 def _run_theorem_cell(cell):
     group, q, seed, exps = cell
     res = verify_theorem(group, seed, exps)
-    row = {
+    return {
         "group": group.kind,
         "q": q,
         "involution_seed": seed,
         "lambda_exponent": "|".join(str(k) for k in exps),
         "lhs": res.lhs,
         "rhs": res.rhs,
-        "n_matching_orbits": res.n_matching_orbits,
+        "n_matching_orbits": sum(res.matching),
         "m_values": "|".join(str(m) for m in res.m_values),
         "wall_ms": round(res.wall_ms, 3),
-        "orbits": _orbit_rows(res.reports),
+        "orbits": _orbit_rows(res),
     }
-    return row
 
 
-def _orbit_rows(reports) -> list:
+def _orbit_rows(result) -> list:
+    """One report row per torus orbit of a TheoremResult, in census order."""
     return [
         {
-            "witness": _jsonable(r.representative.witness),
-            "kind": r.representative.kind,
-            "n_members": r.n_members,
-            "stable": r.stable,
-            "matching": r.matching,
-            "m": r.m,
-            "contribution": r.contribution,
+            "witness": _jsonable(entry.orbit.representative.witness),
+            "kind": entry.orbit.representative.kind,
+            "n_members": len(entry.orbit.members),
+            "stable": entry.orbit.stable,
+            "matching": matching,
+            "m": entry.m,
+            "contribution": entry.m if matching else 0,
         }
-        for r in reports
+        for entry, matching in zip(result.entries, result.matching)
     ]
 
 
@@ -388,8 +388,7 @@ def _theorem_cell_safe(cell, command: str):
         group, q, seed, exps = cell
         detail = e.detail
         if isinstance(e, TheoremViolation):
-            orbits = _orbit_rows(detail.reports)
-            detail = {"lhs": detail.lhs, "rhs": detail.rhs, "orbits": orbits}
+            detail = {"lhs": detail.lhs, "rhs": detail.rhs, "orbits": _orbit_rows(detail)}
         return False, {
             "group": group.kind,
             "q": q,

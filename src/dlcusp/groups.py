@@ -706,24 +706,21 @@ class OrbitCensus:
 def involution_orbit(theta0: Involution, torus: TorusEmbedding) -> OrbitCensus:
     """Full conjugation orbit of theta0, partitioned into torus orbits."""
     group = theta0.group
-    gens = group.generators()
     # th = Int(x) theta0 Int(x)^-1, so th.conjugated(g) is reached by g x
     transporters = {theta0: group.identity()}
-    frontier = [theta0]
-    while frontier:
-        nxt = []
-        for th in frontier:
-            for g in gens:
-                im = th.conjugated(g)
-                if im not in transporters:
-                    transporters[im] = group.mul(g, transporters[th])
-                    nxt.append(im)
-                    if len(transporters) > ORBIT_CAP:
-                        raise ResourceBoundError(
-                            f"involution orbit exceeds the cap {ORBIT_CAP}",
-                            required=len(transporters),
-                        )
-        frontier = nxt
+
+    def step(th, g):
+        im = th.conjugated(g)
+        if im not in transporters:
+            transporters[im] = group.mul(g, transporters[th])
+            if len(transporters) > ORBIT_CAP:
+                raise ResourceBoundError(
+                    f"involution orbit exceeds the cap {ORBIT_CAP}",
+                    required=len(transporters),
+                )
+        return im
+
+    _closure(theta0, group.generators(), step)
     members = sorted(transporters, key=lambda th: th._key)
     # torus orbit partition
     unassigned = dict.fromkeys(members)

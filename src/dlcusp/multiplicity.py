@@ -24,6 +24,7 @@ from .groups import (
     OrbitCensus,
     TOrbit,
     TorusEmbedding,
+    _closure,
     derived_theta_star,
     elliptic_torus,
     involution_orbit,
@@ -34,10 +35,8 @@ from .groups import (
 from .rootdata import epsilon_product
 
 __all__ = [
-    "EpsilonCharacter",
     "epsilon_character",
     "character_matches_epsilon",
-    "OrbitReport",
     "OrbitEntry",
     "orbit_entries",
     "rhs_orbit_sum",
@@ -50,16 +49,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # the epsilon character of an involution on a stable torus
-
-
-class EpsilonCharacter(NamedTuple):
-    theta: Involution
-    torus: TorusEmbedding
-    domain: tuple
-    signs: dict
-
-    def sign(self, t) -> int:
-        return self.signs[t]
 
 
 def _domain_generators(group: MatrixGroup, domain) -> list:
@@ -109,22 +98,16 @@ def _check_multiplicative(group: MatrixGroup, signs: dict, gens) -> None:
     one = group.identity()
     if one not in signs:
         raise ConsistencyError("the identity is not in the epsilon domain")
-    reached, frontier = {one}, [one]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(g, x)
-                if y not in signs:
-                    raise ConsistencyError(
-                        "the epsilon generators leave the domain", detail=(g, x)
-                    )
-                if signs[y] != signs[g] * signs[x]:
-                    raise ConsistencyError("epsilon is not multiplicative", detail=(g, x))
-                if y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
+
+    def edge(x, g):
+        y = group.mul(g, x)
+        if y not in signs:
+            raise ConsistencyError("the epsilon generators leave the domain", detail=(g, x))
+        if signs[y] != signs[g] * signs[x]:
+            raise ConsistencyError("epsilon is not multiplicative", detail=(g, x))
+        return y
+
+    reached = _closure(one, gens, edge)
     if len(reached) != len(signs):
         raise ConsistencyError(
             f"the epsilon generators reach {len(reached)} points, "
@@ -132,10 +115,9 @@ def _check_multiplicative(group: MatrixGroup, signs: dict, gens) -> None:
         )
 
 
-def epsilon_character(
-    theta: Involution, torus: TorusEmbedding, domain=None
-) -> EpsilonCharacter:
-    """The sign character on the theta-fixed torus points, computed twice.
+def epsilon_character(theta: Involution, torus: TorusEmbedding, domain=None) -> dict:
+    """The sign character on the theta-fixed torus points, computed twice,
+    as a {torus point: sign} map in domain order.
 
     domain: theta's fixed torus points (the second set of
     theta.torus_side(torus), which a pick's StabilizerData holds), formed
@@ -171,7 +153,7 @@ def epsilon_character(
         signs[t] = det_sign
     group = torus.group
     _check_multiplicative(group, signs, _domain_generators(group, domain))
-    return EpsilonCharacter(theta, torus, domain, signs)
+    return signs
 
 
 def _log_lambda(torus: TorusEmbedding, exponents, t) -> int:
@@ -181,14 +163,14 @@ def _log_lambda(torus: TorusEmbedding, exponents, t) -> int:
     return sum(k * e for k, e in zip(exponents, logs)) % torus.group.tower.ext.order
 
 
-def character_matches_epsilon(exponents, eps: EpsilonCharacter) -> bool:
+def character_matches_epsilon(exponents, torus: TorusEmbedding, signs: dict) -> bool:
     """Exact test of lambda (one exponent per factor) restricted to the fixed
-    points against epsilon: log lambda is 0 where epsilon is 1 and half the
-    order of F_{q^2}^x where it is -1."""
-    half = eps.torus.group.tower.ext.order // 2
+    points against epsilon, given as its {torus point: sign} map: log lambda
+    is 0 where epsilon is 1 and half the order of F_{q^2}^x where it is -1."""
+    half = torus.group.tower.ext.order // 2
     return all(
-        _log_lambda(eps.torus, exponents, t) == (0 if eps.sign(t) == 1 else half)
-        for t in eps.domain
+        _log_lambda(torus, exponents, t) == (0 if sign == 1 else half)
+        for t, sign in signs.items()
     )
 
 
@@ -196,23 +178,14 @@ def character_matches_epsilon(exponents, eps: EpsilonCharacter) -> bool:
 # the orbit side
 
 
-class OrbitReport(NamedTuple):
-    representative: Involution
-    n_members: int
-    stable: bool
-    matching: bool
-    m: int
-    contribution: int
-
-
 class OrbitEntry(NamedTuple):
     orbit: TOrbit
     m: int
-    eps: list | None
+    eps: list
 
 
 def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
-    """One OrbitEntry (orbit, m, epsilon characters) per torus orbit of the
+    """One OrbitEntry (orbit, m, epsilon sign maps) per torus orbit of the
     census, in census order.
 
     The representative's stabilizer_data gives the orbit's m and runs its
@@ -223,16 +196,14 @@ def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
     the representative's.  Each other sampled member (second, middle, last)
     gets its transporter check, and its two torus sets must equal the
     representative's.  On a stable orbit every sampled member gets its
-    epsilon character.
+    epsilon sign map; an unstable orbit's list is empty.
     """
     entries = []
     for orbit in census.t_orbits:
         rep, members = orbit.representative, orbit.members
         data = stabilizer_data(rep, torus, census)
         rep_sets = (set(data.t_theta), set(data.fixed_in_t_theta))
-        eps = None
-        if orbit.stable:
-            eps = [epsilon_character(rep, torus, data.fixed_in_t_theta)]
+        eps = [epsilon_character(rep, torus, data.fixed_in_t_theta)] if orbit.stable else []
         # deterministic spread after the representative members[0]:
         # second, middle, last
         n = len(members)
@@ -247,42 +218,29 @@ def orbit_entries(census: OrbitCensus, torus: TorusEmbedding):
             if orbit.stable:
                 eps.append(epsilon_character(theta, torus, fixed))
         entries.append(OrbitEntry(orbit, data.m, eps))
-    return entries
+    return tuple(entries)
 
 
-def rhs_orbit_sum(entries, exponents):
-    """Sum of orbit indices over matching stable orbits, with full reports.
+def rhs_orbit_sum(entries, torus: TorusEmbedding, exponents):
+    """(total, matching): the sum of the indices m over the stable orbits
+    whose epsilon matches lambda, and one matching flag per entry, in
+    census order.
 
     entries: orbit_entries of the census, shared by every lambda of a cell;
-    exponents: lambda, one exponent per factor.
+    exponents: lambda, one exponent per factor.  The flag must be the same
+    at every sampled pick of an orbit; an unstable orbit, with no epsilon,
+    never matches.
     """
-    total = 0
-    reports = []
+    matching = []
     for entry in entries:
-        orbit = entry.orbit
-        if orbit.stable:
-            flags = {character_matches_epsilon(exponents, e) for e in entry.eps}
-            if len(flags) != 1:
-                raise ConsistencyError(
-                    "matching flag is not constant on a torus orbit",
-                    detail=orbit.representative.witness,
-                )
-            matching = flags.pop()
-        else:
-            matching = False
-        contribution = entry.m if matching else 0
-        total += contribution
-        reports.append(
-            OrbitReport(
-                orbit.representative,
-                len(orbit.members),
-                orbit.stable,
-                matching,
-                entry.m,
-                contribution,
+        flags = {character_matches_epsilon(exponents, torus, e) for e in entry.eps}
+        if len(flags) > 1:
+            raise ConsistencyError(
+                "matching flag is not constant on a torus orbit",
+                detail=entry.orbit.representative.witness,
             )
-        )
-    return total, tuple(reports)
+        matching.append(flags == {True})
+    return sum(e.m for e, flag in zip(entries, matching) if flag), tuple(matching)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +286,40 @@ def lhs_multiplicity(census: OrbitCensus, chis) -> int:
 
 
 class TheoremResult(NamedTuple):
+    """One verified cell: its two sides, the census's orbit entries and one
+    matching flag per entry, in census order."""
+
     q: int
     seed: str
     exponents: tuple
     lhs: int
     rhs: int
-    reports: tuple
+    entries: tuple
+    matching: tuple
     wall_ms: float
 
     @property
-    def n_matching_orbits(self) -> int:
-        return sum(1 for r in self.reports if r.matching)
-
-    @property
     def m_values(self) -> tuple:
-        return tuple(r.m for r in self.reports if r.matching)
+        return tuple(e.m for e, flag in zip(self.entries, self.matching) if flag)
+
+
+def _check_on_torus(chis, exponents, torus: TorusEmbedding) -> None:
+    """Each chi_i against -R_T^{lambda_i} on one factor's elliptic torus
+    (Deligne and Lusztig 1976, Thm 4.2): chi(z) = (q - 1) lambda(z) at a
+    central z, and chi(t) = -lambda(t) - lambda(t^q) at any other point t,
+    compared exactly as {exponent: coefficient} maps."""
+    n, q = torus.group.tower.ext.order, torus.group.q
+    for chi, k in zip(chis, exponents):
+        for t, (lu, lv) in torus.logs.items():
+            if lu == lv:
+                expected = {k * lu % n: q - 1}
+            else:
+                expected = {e: -c for e, c in Counter((k * lu % n, k * lv % n)).items()}
+            if chi.value(t) != expected:
+                raise ConsistencyError(
+                    f"chi of exponent {k} is not -R_T^lambda on the elliptic torus",
+                    detail={"exponent": k, "torus_point": t},
+                )
 
 
 def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCensus:
@@ -355,8 +332,9 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
 
     exponents: lambda, exponent k_i against the eigenvalue of factor i: (k,)
     for gl2, (k1, k2) for the product group; each k_i must be in general
-    position, which cuspidal_character certifies.  Raises TheoremViolation
-    with the full orbit reports attached when the two sides differ.
+    position, which cuspidal_character certifies, and each chi_i must be
+    -R_T^{lambda_i} on the elliptic torus.  Raises TheoremViolation with the
+    result attached when the two sides differ.
     """
     t0 = time.perf_counter()
     exponents = tuple(exponents)
@@ -366,17 +344,16 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
         )
     chis = tuple(cuspidal_character(group.factor, k) for k in exponents)
     torus = elliptic_torus(group)
+    _check_on_torus(chis, exponents, torus)
     census = census_for(group, torus, seed)
     lhs = lhs_multiplicity(census, chis)
     entries = orbit_entries(census, torus)
-    rhs, reports = rhs_orbit_sum(entries, exponents)
+    rhs, matching = rhs_orbit_sum(entries, torus, exponents)
 
     # the right side may not depend on the Frobenius representative
     partner = tuple(k * group.q for k in exponents)
-    rhs_partner, reports_partner = rhs_orbit_sum(entries, partner)
-    if rhs_partner != rhs or [r.matching for r in reports_partner] != [
-        r.matching for r in reports
-    ]:
+    rhs_partner, matching_partner = rhs_orbit_sum(entries, torus, partner)
+    if (rhs_partner, matching_partner) != (rhs, matching):
         raise ConsistencyError(
             "orbit sum changed under the Frobenius partner exponent",
             detail=(rhs, rhs_partner),
@@ -384,10 +361,7 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
 
     # central compatibility: a character nontrivial on the fixed center
     # admits no invariant vectors
-    seed_theta = census.seed
-    fixed_center = [
-        z for z in group.center() if seed_theta.apply(z) == z
-    ]
+    fixed_center = [z for z in group.center() if census.seed.apply(z) == z]
     if any(_log_lambda(torus, exponents, z) != 0 for z in fixed_center) and lhs != 0:
         raise ConsistencyError(
             "nonzero multiplicity with a nontrivial fixed central character",
@@ -400,7 +374,8 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
         exponents,
         lhs,
         rhs,
-        reports,
+        entries,
+        matching,
         (time.perf_counter() - t0) * 1000.0,
     )
     if lhs != rhs:

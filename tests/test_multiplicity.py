@@ -47,16 +47,16 @@ def test_epsilon_trivial_on_elliptic_cells(q):
     torus = elliptic_torus(group)
     for seed in ("diag", "antidiag", "transpose-inverse"):
         for theta in _stable_reps(group, torus, seed):
-            eps = epsilon_character(theta, torus)
-            assert set(eps.signs.values()) == {1}
-            assert len(eps.domain) >= 2  # +-1 are always fixed
+            signs = epsilon_character(theta, torus)
+            assert set(signs.values()) == {1}
+            assert len(signs) >= 2  # +-1 are always fixed
 
 
 def test_epsilon_domain_sizes_q3_transpose_inverse():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     sizes = sorted(
-        len(epsilon_character(th, torus).domain)
+        len(epsilon_character(th, torus))
         for th in _stable_reps(group, torus, "transpose-inverse")
     )
     # the singleton class fixes only the center, the other all fourth roots
@@ -71,11 +71,11 @@ def test_epsilon_methods_disagree_on_split_transpose_inverse(q, monkeypatch):
     # the fixed Lie algebra is so(2), on which diag(a, b) acts by a/b: both
     # routes give -1 at diag(1, -1) and +1 at the center
     minus = group.tower.base.neg(1)
-    eps = epsilon_character(theta, torus)
-    assert eps.sign(((1, 0), (0, minus))) == -1
-    assert eps.sign(((minus, 0), (0, 1))) == -1
-    assert eps.sign(group.identity()) == 1
-    assert eps.sign(group.scalar(minus)) == 1
+    signs = epsilon_character(theta, torus)
+    assert signs[((1, 0), (0, minus))] == -1
+    assert signs[((minus, 0), (0, 1))] == -1
+    assert signs[group.identity()] == 1
+    assert signs[group.scalar(minus)] == 1
 
     # the guard still fires when the product route is forced to +1
     monkeypatch.setattr("dlcusp.multiplicity.epsilon_product", lambda *args: 1)
@@ -93,9 +93,9 @@ def test_epsilon_split_diag_is_fine():
     group = MatrixGroup("gl2", 3)
     torus = TorusEmbedding(group, "split")
     theta = named_involution(group, "diag")
-    eps = epsilon_character(theta, torus)
-    assert set(eps.signs.values()) == {1}
-    assert len(eps.domain) == 4  # the whole diagonal torus is fixed
+    signs = epsilon_character(theta, torus)
+    assert set(signs.values()) == {1}
+    assert len(signs) == 4  # the whole diagonal torus is fixed
 
 
 def _split_diag(q):
@@ -197,12 +197,12 @@ def test_character_matches_epsilon_parity():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     theta = _stable_reps(group, torus, "transpose-inverse")
-    eps = {len(epsilon_character(t, torus).domain): t for t in theta}
-    big = epsilon_character(eps[4], torus)
+    by_size = {len(epsilon_character(t, torus)): t for t in theta}
+    big = epsilon_character(by_size[4], torus)
     # trivial epsilon on the fourth roots of unity detects k = 0 mod 4
     for k in (1, 2, 3, 5, 6, 7):
         lam = (k,)
-        assert character_matches_epsilon(lam, big) == (k % 4 == 0)
+        assert character_matches_epsilon(lam, torus, big) == (k % 4 == 0)
 
 
 # -- orbit sums ---------------------------------------------------------------
@@ -213,23 +213,24 @@ def test_rhs_orbit_sum_reports_q3_diag():
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
     lam = (2,)
-    total, reports = rhs_orbit_sum(orbit_entries(census, torus), lam)
+    entries = orbit_entries(census, torus)
+    total, matching = rhs_orbit_sum(entries, torus, lam)
     assert total == 1
-    assert [r.n_members for r in reports] == [2, 4]
-    assert [r.stable for r in reports] == [True, False]
-    assert [r.matching for r in reports] == [True, False]
-    assert [r.contribution for r in reports] == [1, 0]
-    unstable = reports[1]
-    assert unstable.m >= 1 and unstable.contribution == 0
+    assert [len(e.orbit.members) for e in entries] == [2, 4]
+    assert [e.orbit.stable for e in entries] == [True, False]
+    assert matching == (True, False)
+    assert entries[0].m == 1  # the matching orbit's m is the total
+    assert entries[1].m >= 1  # the unstable orbit has an m but adds nothing
 
 
 def test_rhs_orbit_sum_no_match():
     group = MatrixGroup("gl2", 3)
     torus = elliptic_torus(group)
     census = census_for(group, torus, "diag")
-    total, reports = rhs_orbit_sum(orbit_entries(census, torus), (1,))
+    entries = orbit_entries(census, torus)
+    total, matching = rhs_orbit_sum(entries, torus, (1,))
     assert total == 0
-    assert all(not r.matching for r in reports)
+    assert len(matching) == len(entries) and not any(matching)
 
 
 # -- character side -----------------------------------------------------------
@@ -327,9 +328,10 @@ def test_gl2_grid_small(q, seed):
         res = verify_theorem(group, seed, (k,))
         assert res.lhs == res.rhs == expected.get(k, 0)
         assert res.exponents == (k,) and res.q == q and res.seed == seed
+        assert len(res.matching) == len(res.entries)
         if res.lhs:
             assert res.m_values == (1,)
-            assert res.n_matching_orbits == 1
+            assert sum(res.matching) == 1
 
 
 def test_gl2_q7_spot_checks():
@@ -385,8 +387,8 @@ def test_product_swap_diagonal():
     group = MatrixGroup("gl2_x_gl2", 3)
     res = verify_theorem(group, "swap", (1, 7))  # chi_1 against its inverse
     assert res.lhs == res.rhs == 1
-    matching = [r for r in res.reports if r.matching]
-    assert len(matching) == 1 and matching[0].m == 1
+    matching = [e for e, flag in zip(res.entries, res.matching) if flag]
+    assert len(matching) == 1 and matching[0].m == 1 == res.m_values[0]
     off = verify_theorem(group, "swap", (1, 6))  # chi_1 against inverse of chi_2
     assert off.lhs == off.rhs == 0
 
@@ -433,7 +435,7 @@ def test_one_census_and_one_orbit_analysis_per_cell(monkeypatch):
         assert analysed == [o.representative for o in t_orbits]
 
 
-def test_violation_carries_result():
+def test_violation_carries_result(monkeypatch):
     # force a mismatch by averaging a non-cuspidal class function: the
     # constant 1 has average 1 on every fixed subgroup but lambda = 1 is
     # degenerate, so go through the internals directly
@@ -444,6 +446,91 @@ def test_violation_carries_result():
     one = _constant(conjugacy_classes(group), {0: 1})
     lam = (1,)
     lhs = lhs_multiplicity(census, (one,))
-    rhs, _ = rhs_orbit_sum(orbit_entries(census, torus), lam)
+    rhs, _ = rhs_orbit_sum(orbit_entries(census, torus), torus, lam)
     assert lhs == 1 and rhs == 0
     assert issubclass(TheoremViolation, Exception)
+
+    # through verify_theorem: a character side forced to 0 against lambda = 2,
+    # which matches the stable orbit; the violation carries the whole result
+    monkeypatch.setattr(multiplicity, "lhs_multiplicity", lambda census, chis: 0)
+    with pytest.raises(TheoremViolation, match="multiplicity 0 differs") as err:
+        verify_theorem(group, "diag", (2,))
+    res = err.value.detail
+    assert (res.lhs, res.rhs) == (0, 1)
+    assert [e.orbit for e in res.entries] == list(census.t_orbits)
+    assert res.matching == (True, False)
+    assert res.m_values == (1,)
+
+
+# -- the rules of the orbit side ----------------------------------------------
+
+
+def _q3_diag():
+    """GL2 q = 3 diag: a two-member stable orbit, which lambda = 2 matches,
+    and an unstable one."""
+    group = MatrixGroup("gl2", 3)
+    torus = elliptic_torus(group)
+    entries = orbit_entries(census_for(group, torus, "diag"), torus)
+    assert [(len(e.orbit.members), e.orbit.stable) for e in entries] == [
+        (2, True),
+        (4, False),
+    ]
+    return group, torus, entries
+
+
+def test_rhs_weights_each_matching_orbit_by_its_m():
+    _, torus, entries = _q3_diag()
+    stable = entries[0]._replace(m=2)
+    assert rhs_orbit_sum([stable], torus, (2,)) == (2, (True,))
+    assert rhs_orbit_sum([stable, stable], torus, (2,)) == (4, (True, True))
+    assert rhs_orbit_sum([stable, entries[1]._replace(m=2)], torus, (2,)) == (
+        2,
+        (True, False),
+    )
+
+
+def test_rhs_refuses_a_flag_that_varies_on_an_orbit(monkeypatch):
+    _, torus, entries = _q3_diag()
+    rep_signs = entries[0].eps[0]
+    assert len(entries[0].eps) == 2  # the representative and the other member
+    monkeypatch.setattr(
+        multiplicity,
+        "character_matches_epsilon",
+        lambda exponents, torus, signs: signs is rep_signs,
+    )
+    with pytest.raises(ConsistencyError, match="not constant"):
+        rhs_orbit_sum(entries, torus, (2,))
+
+
+def test_partner_exponent_must_give_the_same_orbit_side(monkeypatch):
+    group, _, _ = _q3_diag()
+    original = multiplicity.character_matches_epsilon
+    monkeypatch.setattr(
+        multiplicity,
+        "character_matches_epsilon",
+        lambda exponents, torus, signs: exponents == (2,)
+        and original(exponents, torus, signs),
+    )
+    with pytest.raises(ConsistencyError, match="changed under the Frobenius partner") as err:
+        verify_theorem(group, "diag", (2,))
+    assert err.value.detail == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "kind,q,seed,exponents",
+    # lambda^-1 is neither lambda nor lambda^q here, so chi_-k is not chi_k
+    (("gl2", 5, "diag", (1,)), ("gl2_x_gl2", 3, "swap", (1, 7))),
+)
+def test_chi_of_the_inverse_exponent_is_refused(monkeypatch, kind, q, seed, exponents):
+    group = MatrixGroup(kind, q)
+    n = group.tower.ext.order
+    for k in exponents:
+        assert -k % n not in (k, k * q % n)
+    verify_theorem(group, seed, exponents)
+    monkeypatch.setattr(
+        multiplicity, "cuspidal_character", lambda factor, k: cuspidal_character(factor, -k)
+    )
+    with pytest.raises(ConsistencyError, match="not -R_T") as err:
+        verify_theorem(group, seed, exponents)
+    assert err.value.detail["exponent"] == exponents[0]
+    assert err.value.detail["torus_point"] in elliptic_torus(group).points
