@@ -8,6 +8,11 @@ Subcommands
     verify theorem            the multiplicity identity over a (q, seed, lambda) grid
     table                     multiplicity table emission (csv or json)
 
+Each subcommand lists its cells, and one runner runs them and writes the
+report (verify sigma, which lists a twist failure at every draw, keeps its
+own loop).  Theorem and table cells come in report order, q, then seed,
+then exponents, whatever order the values were given in.
+
 Exit codes: 0 all checks pass, 1 a verification failed (counterexample JSON
 on stdout), 2 invalid configuration, 3 resource bound exceeded.  Reports are
 written atomically (write-then-rename) and are byte-stable for a fixed
@@ -17,6 +22,7 @@ configuration and package version.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -59,31 +65,19 @@ NAMED_SEEDS = {
 
 
 class RunConfig(NamedTuple):
+    """The parsed options of a run, under the names its report echoes."""
+
     command: str
     group: str | None = None
-    qs: tuple = ()
+    q: tuple = ()
     data: tuple = ()
     involutions: tuple = ()
     torus: str = "both"
     exponent: tuple | None = None
-    out: str | None = None
-    fmt: str = "json"
+    format: str = "json"
     twists: int = 0
     rng_seed: int = 0
-
-    def as_json(self) -> dict:
-        return {
-            "command": self.command,
-            "group": self.group,
-            "q": list(self.qs),
-            "data": list(self.data),
-            "involutions": list(self.involutions),
-            "torus": self.torus,
-            "exponent": list(self.exponent) if self.exponent else None,
-            "format": self.fmt,
-            "twists": self.twists,
-            "rng_seed": self.rng_seed,
-        }
+    out: str | None = None
 
 
 def _jsonable(x):
@@ -113,29 +107,26 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, results, failures) -> None:
-    if config.fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in results:
-            lines.append(
-                ",".join(str(row.get(col, "")) for col in CSV_COLUMNS)
-            )
-        text = "\n".join(lines) + "\n"
+def _report(config: RunConfig, results, failures) -> int:
+    """Write the report of a run and return its exit code: 0, or 1 when
+    some cell failed."""
+    if config.format == "csv":
+        # only theorem and table runs write csv, and their rows have every column
+        lines = [CSV_COLUMNS, *([row[col] for col in CSV_COLUMNS] for row in results)]
+        text = "".join(",".join(map(str, line)) + "\n" for line in lines)
     else:
-        text = json.dumps(
-            {
-                "version": __version__,
-                "config": config.as_json(),
-                "results": _jsonable(results),
-                "failures": _jsonable(failures),
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        report = {
+            "version": __version__,
+            "config": {k: v for k, v in config._asdict().items() if k != "out"},
+            "results": results,
+            "failures": failures,
+        }
+        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     if config.out:
         _write_atomic(config.out, text)
     else:
         sys.stdout.write(text)
+    return _fail_exit(config, failures) if failures else 0
 
 
 def _fail_exit(config, failures) -> int:
@@ -144,9 +135,29 @@ def _fail_exit(config, failures) -> int:
     text = json.dumps({"failures": _jsonable(failures)}, indent=2, sort_keys=True) + "\n"
     if config is None or config.out:
         sys.stdout.write(text)
-    elif config.fmt == "csv":
+    elif config.format == "csv":
         sys.stderr.write(text)
     return 1
+
+
+def _run(config: RunConfig, cells) -> int:
+    """Run (fields, certify, replay) cells in order and write the report.
+
+    A passing cell's row is its fields plus what certify() returns.  A
+    ConsistencyError makes the cell a failure entry: its fields, message,
+    detail and, when given, the replay argv that reruns it alone.
+    """
+    results = []
+    failures = []
+    for fields, certify, replay in cells:
+        try:
+            results.append({**fields, **certify()})
+        except ConsistencyError as e:
+            failure = dict(fields, message=str(e), detail=_jsonable(e.detail))
+            if replay:
+                failure["replay"] = replay
+            failures.append(failure)
+    return _report(config, results, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +165,9 @@ def _fail_exit(config, failures) -> int:
 
 
 def _data_list(config: RunConfig):
-    names = config.data or ("all",)
-    if "all" in names:
-        return tuple(datum_names())
-    return tuple(names)
+    if not config.data or "all" in config.data:
+        return datum_names()
+    return config.data
 
 
 def cmd_verify_sigma(config: RunConfig) -> int:
@@ -202,61 +212,34 @@ def cmd_verify_sigma(config: RunConfig) -> int:
                                 "detail": e.detail,
                             }
                         )
-    _emit(config, results, failures)
-    return _fail_exit(config, failures) if failures else 0
+    return _report(config, results, failures)
 
 
-def _group_qs(config: RunConfig):
-    if not config.group or not config.qs:
-        raise ConfigError("this subcommand needs --group and --q")
-    return [(config.group, q) for q in config.qs]
-
-
-def _seeds_for(config: RunConfig, kind: str):
-    if config.involutions:
-        return config.involutions
-    return NAMED_SEEDS[kind]
-
-
-def _tori(config: RunConfig, group: MatrixGroup):
-    """The tori of a run; "both" means the wired ones, and a torus named
-    explicitly that is not wired for the group is refused by TorusEmbedding."""
-    if config.torus != "both":
-        kinds = (config.torus,)
-    else:
-        kinds = [torus for kind, torus in TORUS_DATA if kind == group.kind]
-    return [TorusEmbedding(group, k) for k in kinds]
-
-
-def _stable_orbit_cells(config: RunConfig, certify) -> int:
+def _stable_orbit_cells(config: RunConfig, certify):
     """One cell per stable torus orbit of each (q, torus, seed) of the run,
-    with the fields that certify(representative, torus) returns."""
-    results = []
-    failures = []
-    for kind, q in _group_qs(config):
-        group = MatrixGroup(kind, q)
-        for torus in _tori(config, group):
-            for seed in _seeds_for(config, kind):
-                census = census_for(group, torus, seed)
-                for orbit in census.t_orbits:
-                    if not orbit.stable:
-                        continue
-                    cell = {
-                        "group": kind,
-                        "q": q,
-                        "torus": torus.kind,
-                        "seed": seed,
-                        "witness": _jsonable(orbit.representative.witness),
-                    }
-                    try:
-                        cell.update(certify(orbit.representative, torus))
-                        results.append(cell)
-                    except ConsistencyError as e:
-                        failures.append(
-                            dict(cell, message=str(e), detail=_jsonable(e.detail))
-                        )
-    _emit(config, results, failures)
-    return _fail_exit(config, failures) if failures else 0
+    in the order the values were given; certify(representative, torus)
+    gives the fields its row adds."""
+    for q in config.q:
+        group = MatrixGroup(config.group, q)
+        # "both" means the wired tori; a torus named explicitly that is not
+        # wired for the group is refused by TorusEmbedding
+        if config.torus != "both":
+            kinds = (config.torus,)
+        else:
+            kinds = [torus for kind, torus in TORUS_DATA if kind == group.kind]
+        for torus in [TorusEmbedding(group, k) for k in kinds]:
+            for seed in config.involutions or NAMED_SEEDS[group.kind]:
+                for orbit in census_for(group, torus, seed).t_orbits:
+                    if orbit.stable:
+                        theta = orbit.representative
+                        fields = {
+                            "group": group.kind,
+                            "q": q,
+                            "torus": torus.kind,
+                            "seed": seed,
+                            "witness": _jsonable(theta.witness),
+                        }
+                        yield fields, functools.partial(certify, theta, torus), None
 
 
 def _epsilon_fields(theta, torus) -> dict:
@@ -269,51 +252,47 @@ def _phi_theta_fields(theta, torus) -> dict:
 
 
 def cmd_verify_epsilon(config: RunConfig) -> int:
-    return _stable_orbit_cells(config, _epsilon_fields)
+    return _run(config, _stable_orbit_cells(config, _epsilon_fields))
 
 
 def cmd_verify_phi_theta(config: RunConfig) -> int:
-    return _stable_orbit_cells(config, _phi_theta_fields)
+    return _run(config, _stable_orbit_cells(config, _phi_theta_fields))
+
+
+def _centralizer_fields(datum, theta) -> dict:
+    if any(theta.apply(a) == a for a in datum.roots):
+        return {"skipped": "fixes a root"}
+    return {"sign": verify_centralizer_sigma(datum, theta)}
 
 
 def cmd_verify_centralizer_sigma(config: RunConfig) -> int:
-    results = []
-    failures = []
-    for name in _data_list(config):
-        datum = load_datum(name)
-        for theta in datum_involutions(datum).values():
-            fixes_a_root = any(
-                theta.apply(a) == a for a in datum.roots
-            )
-            cell = {"datum": name, "involution": theta.name}
-            if fixes_a_root:
-                cell["skipped"] = "fixes a root"
-                results.append(cell)
-                continue
-            try:
-                cell["sign"] = verify_centralizer_sigma(datum, theta)
-                results.append(cell)
-            except ConsistencyError as e:
-                failures.append(dict(cell, message=str(e), detail=_jsonable(e.detail)))
-    _emit(config, results, failures)
-    return _fail_exit(config, failures) if failures else 0
+    def cells():
+        for name in _data_list(config):
+            datum = load_datum(name)
+            for theta in datum_involutions(datum).values():
+                fields = {"datum": name, "involution": theta.name}
+                yield fields, functools.partial(_centralizer_fields, datum, theta), None
+
+    return _run(config, cells())
 
 
-def _theorem_rows(config: RunConfig):
-    """One row per (group, q, seed, lambda exponents), deterministic order.
+def _theorem_cells(config: RunConfig):
+    """One cell per (q, seed, lambda exponents), in report order: q
+    ascending, then seed name, then exponents.
 
     The first factor's exponent runs over the Frobenius pair
-    representatives, every other factor's over their negatives.  An
-    --exponent that names no cell at some q is refused, with the
-    representatives it may name instead.
+    representatives, every other factor's over their negatives.  Before
+    any cell runs, each group is built and its grid checked in the order
+    the --q values were given: an --exponent that names no cell at some q
+    is refused, with the representatives it may name instead.
     """
-    cells = []
-    for kind, q in _group_qs(config):
-        group = MatrixGroup(kind, q)
+    grids = {}
+    for q in config.q:
+        group = MatrixGroup(config.group, q)
         reps = [k for k, _ in general_position_exponents(group.factor)]
         n = group.tower.ext.order
         choices = [reps] + [[-k % n for k in reps]] * (group.n_factors - 1)
-        grid = list(itertools.product(*choices))
+        grid = sorted(itertools.product(*choices))
         if config.exponent:
             grid = [exps for exps in grid if exps == config.exponent]
             if not grid:
@@ -325,21 +304,41 @@ def _theorem_rows(config: RunConfig):
                     )
                 raise ConfigError(
                     f"--exponent {','.join(map(str, config.exponent))} names no cell of "
-                    f"{kind} at q = {q}; the representatives are {allowed}"
+                    f"{group.kind} at q = {q}; the representatives are {allowed}"
                 )
-        for seed in _seeds_for(config, kind):
-            cells.extend((group, q, seed, exps) for exps in grid)
-    return cells
+        grids[q] = group, grid
+    for q, (group, grid) in sorted(grids.items()):
+        for seed in sorted(config.involutions or NAMED_SEEDS[group.kind]):
+            for exps in grid:
+                exponent = ",".join(map(str, exps))
+                fields = {
+                    "group": group.kind,
+                    "q": q,
+                    "involution_seed": seed,
+                    "lambda_exponent": exponent.replace(",", "|"),
+                }
+                replay = [
+                    *config.command.split(),
+                    "--group", group.kind,
+                    "--q", str(q),
+                    "--exponent", exponent,
+                    "--involution", seed,
+                ]
+                yield fields, functools.partial(_theorem_fields, group, seed, exps), replay
 
 
-def _run_theorem_cell(cell):
-    group, q, seed, exps = cell
-    res = verify_theorem(group, seed, exps)
+def _theorem_fields(group, seed, exps) -> dict:
+    """What a theorem cell's row adds to its fields.  A TheoremViolation is
+    raised again as a ConsistencyError whose detail is the two sides and
+    the cell's orbits, without the timing, so the failure entry is
+    byte-stable like a report."""
+    try:
+        res = verify_theorem(group, seed, exps)
+    except TheoremViolation as e:
+        res = e.detail
+        detail = {"lhs": res.lhs, "rhs": res.rhs, "orbits": _orbit_rows(res)}
+        raise ConsistencyError(str(e), detail=detail) from e
     return {
-        "group": group.kind,
-        "q": q,
-        "involution_seed": seed,
-        "lambda_exponent": "|".join(str(k) for k in exps),
         "lhs": res.lhs,
         "rhs": res.rhs,
         "n_matching_orbits": sum(res.matching),
@@ -366,53 +365,7 @@ def _orbit_rows(result) -> list:
 
 
 def cmd_verify_theorem(config: RunConfig) -> int:
-    cells = _theorem_rows(config)
-    failures = []
-    results = []
-    for cell in cells:
-        ok, payload = _theorem_cell_safe(cell, config.command)
-        (results if ok else failures).append(payload)
-    results.sort(key=_row_key)
-    _emit(config, results, failures)
-    return _fail_exit(config, failures) if failures else 0
-
-
-def _theorem_cell_safe(cell, command: str):
-    """(True, row) of a cell, or (False, failure entry); a failure entry's
-    replay is the argv that reruns that cell alone.  A TheoremViolation's
-    detail is its two sides and the row's orbits, without the timing, so
-    the entry is byte-stable like a report."""
-    try:
-        return True, _run_theorem_cell(cell)
-    except ConsistencyError as e:
-        group, q, seed, exps = cell
-        detail = e.detail
-        if isinstance(e, TheoremViolation):
-            detail = {"lhs": detail.lhs, "rhs": detail.rhs, "orbits": _orbit_rows(detail)}
-        return False, {
-            "group": group.kind,
-            "q": q,
-            "involution_seed": seed,
-            "lambda_exponent": "|".join(str(k) for k in exps),
-            "message": str(e),
-            "detail": _jsonable(detail),
-            "replay": [
-                *command.split(),
-                "--group", group.kind,
-                "--q", str(q),
-                "--exponent", ",".join(map(str, exps)),
-                "--involution", seed,
-            ],
-        }
-
-
-def _row_key(row):
-    return (
-        row["group"],
-        row["q"],
-        row["involution_seed"],
-        tuple(int(k) for k in row["lambda_exponent"].split("|")),
-    )
+    return _run(config, _theorem_cells(config))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +386,11 @@ def _parser() -> argparse.ArgumentParser:
         # fmt: the default of --format, on the runs that can write csv
         if group:
             p.add_argument("--group", choices=("gl2", "gl2_x_gl2"))
-            p.add_argument("--q", type=int, nargs="+", default=[])
+            p.add_argument("--q", type=int, nargs="+", action="extend", default=[])
             p.add_argument(
                 "--involution",
+                dest="involutions",
+                metavar="INVOLUTION",
                 action="append",
                 default=[],
                 help="named seed; repeatable (default: all named for the group)",
@@ -469,6 +424,7 @@ def _parser() -> argparse.ArgumentParser:
     ):
         p.add_argument(
             "--exponent",
+            action="append",
             help="restrict to one lambda exponent (k, or k1,k2 for the product group)",
         )
         common(p, fmt=fmt)
@@ -476,28 +432,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns) -> RunConfig:
-    command = ns.command if ns.command == "table" else f"verify {ns.suite}"
-    exponent = None
-    if getattr(ns, "exponent", None):
+    options = dict(vars(ns))
+    suite = options.pop("suite", None)
+    if suite:
+        options["command"] = f"verify {suite}"
+    exponent = options.get("exponent")
+    if exponent:
+        if len(exponent) > 1:
+            raise ConfigError("--exponent is given more than once")
         try:
-            exponent = tuple(int(x) for x in str(ns.exponent).split(","))
+            options["exponent"] = tuple(int(x) for x in exponent[0].split(","))
         except ValueError:
-            raise ConfigError(f"bad --exponent value {ns.exponent!r}") from None
+            raise ConfigError(f"bad --exponent value {exponent[0]!r}") from None
     config = RunConfig(
-        command=command,
-        group=getattr(ns, "group", None),
-        qs=tuple(getattr(ns, "q", []) or []),
-        data=tuple(getattr(ns, "data", []) or []),
-        involutions=tuple(getattr(ns, "involution", []) or []),
-        torus=getattr(ns, "torus", "both"),
-        exponent=exponent,
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "format", "json"),
-        twists=getattr(ns, "twists", 0),
-        rng_seed=getattr(ns, "rng_seed", 0),
+        **{k: tuple(v) if isinstance(v, list) else v for k, v in options.items()}
     )
     for flag, values in (
-        ("--q", config.qs),
+        ("--q", config.q),
         ("--involution", config.involutions),
         ("--data", config.data),
     ):
@@ -523,6 +474,8 @@ def _config_from(ns) -> RunConfig:
         directory = os.path.dirname(os.path.abspath(config.out))
         if not os.path.isdir(directory):
             raise ConfigError(f"--out {config.out}: no directory {directory}")
+    if "group" in options and not (config.group and config.q):
+        raise ConfigError("this subcommand needs --group and --q")
     return config
 
 

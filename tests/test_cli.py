@@ -286,6 +286,98 @@ def test_csv_failure_goes_to_stderr(capsys, monkeypatch):
     ] == [("gl2", 3, "diag", "2", "forced failure")]
 
 
+def fail_first_call(monkeypatch, name, detail):
+    """Make cli.<name> raise a ConsistencyError on its first call only."""
+    original = getattr(cli, name)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ConsistencyError(f"{name} forced to fail", detail=detail)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, failing)
+
+
+def test_phi_theta_failure_entry(capsys, monkeypatch):
+    argv = ("verify", "phi-theta", "--group", "gl2", "--q", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    passing = json.loads(out)["results"]
+    fail_first_call(monkeypatch, "phi_theta_certified", {"roots": ((1, -1),)})
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    first = {k: v for k, v in passing[0].items() if k != "killed_roots"}
+    assert report["failures"] == [
+        dict(
+            first,
+            message="phi_theta_certified forced to fail",
+            detail={"roots": [[1, -1]]},
+        )
+    ]
+    assert report["results"] == passing[1:]
+
+
+def test_centralizer_sigma_failure_entry(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "centralizer-sigma")
+    assert code == 0
+    passing = json.loads(out)["results"]
+    fail_first_call(monkeypatch, "verify_centralizer_sigma", {"signs": (1, -1)})
+    code, out, _ = run_cli(capsys, "verify", "centralizer-sigma")
+    assert code == 1
+    report = json.loads(out)
+    failed = next(i for i, row in enumerate(passing) if "sign" in row)
+    assert report["failures"] == [
+        {
+            "datum": passing[failed]["datum"],
+            "involution": passing[failed]["involution"],
+            "message": "verify_centralizer_sigma forced to fail",
+            "detail": {"signs": [1, -1]},
+        }
+    ]
+    assert report["results"] == passing[:failed] + passing[failed + 1 :]
+
+
+def test_sigma_datum_failure_entry(capsys, monkeypatch):
+    argv = ("verify", "sigma", "--data", "gl2_split", "--data", "gl2_elliptic")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    passing = json.loads(out)["results"]
+    fail_first_call(monkeypatch, "sigma_product", {"routes": (1, -1)})
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["failures"] == [
+        {
+            "datum": "gl2_split",
+            "message": "sigma_product forced to fail",
+            "detail": {"routes": [1, -1]},
+        }
+    ]
+    assert report["results"] == passing[1:]
+
+
+def test_theorem_report_ignores_the_order_of_given_values(capsys, monkeypatch):
+    # rows and failures come in report order: q, then seed, then exponent
+    monkeypatch.setattr("dlcusp.multiplicity.lhs_multiplicity", lambda census, chis: 0)
+
+    def report(*values):
+        code, out, _ = run_cli(capsys, "verify", "theorem", "--group", "gl2", *values)
+        assert code == 1
+        doc = json.loads(mask_wall(out))
+        return doc["results"], doc["failures"]
+
+    results, failures = report(
+        "--q", "5", "3", "--involution", "diag", "--involution", "antidiag"
+    )
+    assert failures
+    assert (results, failures) == report(
+        "--q", "3", "5", "--involution", "antidiag", "--involution", "diag"
+    )
+
+
 def test_theorem_violation_detail_is_the_row_sides_and_orbits(capsys, monkeypatch):
     # the detail of a violation holds the same orbits as the passing row,
     # and nothing timed
@@ -427,14 +519,31 @@ def test_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys):
             "--involution diag",
         ),
         (("verify", "sigma", "--data", "gl2_split", "--data", "gl2_split"), "--data gl2_split"),
+        (("verify", "theorem", "--group", "gl2", "--q", "3", "--q", "3"), "--q 3"),
+        (
+            (
+                "verify", "theorem", "--group", "gl2", "--q", "3",
+                "--exponent", "1", "--exponent", "2",
+            ),
+            "--exponent",
+        ),
     ),
 )
 def test_repeated_value_is_a_config_error(capsys, argv, repeated):
-    # a repeated value would run its cells twice and report each row twice
+    # a repeated value would run its cells twice and report each row twice,
+    # and a second --exponent flag would silently replace the first
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"configuration error: {repeated} is given more than once" in err
     assert out == ""
+
+
+def test_repeated_q_flag_adds_its_values(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "theorem", "--group", "gl2", "--q", "3", "--q", "5", "--format", "csv"
+    )
+    assert code == 0
+    assert [r["q"] for r in csv_rows(out)] == ["3"] * 9 + ["5"] * 30
 
 
 @pytest.mark.parametrize("command", ("sigma", "centralizer-sigma"))
