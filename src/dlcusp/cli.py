@@ -9,9 +9,10 @@ Subcommands
     table                     multiplicity table emission (csv or json)
 
 Each subcommand lists its cells, and one runner runs them and writes the
-report (verify sigma, which lists a twist failure at every draw, keeps its
-own loop).  Theorem and table cells come in report order, q, then seed,
-then exponents, whatever order the values were given in.
+report; verify sigma lists a failure cell at every draw of a failing
+retwist.  Cells come in report order whatever order the values were given
+in: theorem and table cells by q, then seed name, then exponents; epsilon
+and phi-theta cells by q, then torus, then seed in its named order.
 
 Exit codes: 0 all checks pass, 1 a verification failed (counterexample JSON
 on stdout), 2 invalid configuration, 3 resource bound exceeded.  Reports are
@@ -165,33 +166,34 @@ def _run(config: RunConfig, cells) -> int:
 
 
 def _data_list(config: RunConfig):
-    if not config.data or "all" in config.data:
-        return datum_names()
-    return config.data
+    return datum_names() if not config.data or "all" in config.data else config.data
+
+
+def _sigma_fields(datum) -> dict:
+    sign = sigma_product(datum)
+    rank, s_t = fq_rank_sigma(datum)
+    return {
+        "fixed_rank": rank,
+        "sigma_torus": s_t,
+        "sigma_group": sigma_group(datum),
+        "sigma_product": sign,
+    }
+
+
+def _raise(error):
+    raise error
 
 
 def cmd_verify_sigma(config: RunConfig) -> int:
-    results = []
-    failures = []
-    for name in _data_list(config):
-        datum = load_datum(name)
-        try:
-            sign = sigma_product(datum)
-            rank, s_t = fq_rank_sigma(datum)
-            results.append(
-                {
-                    "datum": name,
-                    "fixed_rank": rank,
-                    "sigma_torus": s_t,
-                    "sigma_group": sigma_group(datum),
-                    "sigma_product": sign,
-                }
-            )
-        except ConsistencyError as e:
-            failures.append({"datum": name, "message": str(e), "detail": e.detail})
-        if config.twists:
+    def cells():
+        for name in _data_list(config):
+            datum = load_datum(name)
+            yield {"datum": name}, functools.partial(_sigma_fields, datum), None
+            if not config.twists:
+                continue
             # equal draws share one datum: certify each distinct one once, and
-            # walk the draws only to report a failure at every index
+            # walk the draws, only when one failed, for a failure cell at
+            # every index where a failed retwist was drawn
             twists = random_twists(datum, config.twists, seed=config.rng_seed)
             failed = {}
             for twisted in dict.fromkeys(twists):
@@ -199,47 +201,43 @@ def cmd_verify_sigma(config: RunConfig) -> int:
                     sigma_product(twisted)
                 except ConsistencyError as e:
                     failed[twisted] = e
-            if failed:
-                for i, twisted in enumerate(twists):
-                    e = failed.get(twisted)
-                    if e is not None:
-                        failures.append(
-                            {
-                                "datum": name,
-                                "twist": i,
-                                "tau": twisted.tau,
-                                "message": str(e),
-                                "detail": e.detail,
-                            }
-                        )
-    return _report(config, results, failures)
+            for i, twisted in enumerate(twists if failed else ()):
+                if twisted in failed:
+                    fields = {"datum": name, "twist": i, "tau": twisted.tau}
+                    yield fields, functools.partial(_raise, failed[twisted]), None
+
+    return _run(config, cells())
 
 
 def _stable_orbit_cells(config: RunConfig, certify):
     """One cell per stable torus orbit of each (q, torus, seed) of the run,
-    in the order the values were given; certify(representative, torus)
-    gives the fields its row adds."""
+    in report order: q ascending, then the tori in TORUS_DATA order, then
+    the seeds in NAMED_SEEDS order; certify(representative, torus) gives
+    the fields its row adds.  Each group and its tori are built, or
+    refused, in the order the --q values were given, before any cell runs."""
+    tori = {}
     for q in config.q:
         group = MatrixGroup(config.group, q)
         # "both" means the wired tori; a torus named explicitly that is not
         # wired for the group is refused by TorusEmbedding
-        if config.torus != "both":
-            kinds = (config.torus,)
-        else:
-            kinds = [torus for kind, torus in TORUS_DATA if kind == group.kind]
-        for torus in [TorusEmbedding(group, k) for k in kinds]:
-            for seed in config.involutions or NAMED_SEEDS[group.kind]:
-                for orbit in census_for(group, torus, seed).t_orbits:
-                    if orbit.stable:
-                        theta = orbit.representative
-                        fields = {
-                            "group": group.kind,
-                            "q": q,
-                            "torus": torus.kind,
-                            "seed": seed,
-                            "witness": _jsonable(theta.witness),
-                        }
-                        yield fields, functools.partial(certify, theta, torus), None
+        wired = [torus for kind, torus in TORUS_DATA if kind == group.kind]
+        kinds = wired if config.torus == "both" else [config.torus]
+        tori[q] = [TorusEmbedding(group, k) for k in kinds]
+    named = NAMED_SEEDS[config.group]
+    seeds = [s for s in named if s in (config.involutions or named)]
+    for q in sorted(tori):
+        for torus, seed in itertools.product(tori[q], seeds):
+            for orbit in census_for(torus.group, torus, seed).t_orbits:
+                if orbit.stable:
+                    theta = orbit.representative
+                    fields = {
+                        "group": config.group,
+                        "q": q,
+                        "torus": torus.kind,
+                        "seed": seed,
+                        "witness": _jsonable(theta.witness),
+                    }
+                    yield fields, functools.partial(certify, theta, torus), None
 
 
 def _epsilon_fields(theta, torus) -> dict:

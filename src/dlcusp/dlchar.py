@@ -3,18 +3,21 @@
 Character values are stored exactly, as integer combinations of n-th roots
 of unity indexed by discrete-log exponents, and each sum of them is tested
 exactly in Z[zeta_n], by its residue modulo the cyclotomic polynomial Phi_n.
-A character is only handed out after passing a four-part certification
-(norm one, correct degree, unipotent-averaged sums vanish, and invariance
-under the Frobenius partner exponent), so downstream consumers can treat
-"cuspidal" as a checked property rather than a label.
+A character is sigma R_T^lambda by the Deligne-Lusztig formula (``sigma_r_t``),
+sigma read off the ``gl2_elliptic`` datum, handed out only after a four-part
+certification (norm one, correct degree, vanishing unipotent-averaged sums,
+invariance under the Frobenius partner exponent), so downstream consumers
+can treat "cuspidal" as a checked property rather than a label.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import ConfigError, ConsistencyError
-from .groups import BRUTE_FORCE_Q, MatrixGroup, _closure
+from .groups import BRUTE_FORCE_Q, TORUS_DATA, MatrixGroup, _closure
+from .rootdata import load_datum, sigma_product
 
 __all__ = [
     "cyclotomic",
@@ -23,6 +26,7 @@ __all__ = [
     "conjugacy_classes",
     "ClassFunction",
     "general_position_exponents",
+    "sigma_r_t",
     "cuspidal_character",
 ]
 
@@ -69,7 +73,7 @@ class ConjugacyTable:
     up to BRUTE_FORCE_Q the classifier is also checked against a partition
     built independently by closing each class under conjugation by group
     generators, and the two must agree class by class.  The table also
-    holds each x^e modulo Phi_n, n = q^2 - 1, to reduce character sums by.
+    holds each x^e mod Phi_n, n = q^2 - 1, and its characters' sign sigma.
     """
 
     def __init__(self, group: MatrixGroup):
@@ -93,6 +97,7 @@ class ConjugacyTable:
                     r[i] = r.get(i, 0) - c * v
             self._powers.append({i: v for i, v in r.items() if v})
         self._emb_log = {z: t.discrete_log(z) for z in range(1, q)}
+        self.sigma = sigma_product(load_datum(TORUS_DATA["gl2", "elliptic"]))
         # each nonzero square with its least root, and the constants of _noncentral_key
         self._least_root = {}
         for x in range(1, q):
@@ -268,21 +273,32 @@ def general_position_exponents(group: MatrixGroup):
 # cuspidal characters
 
 
-def _value_maps(table: ConjugacyTable, k: int):
+def sigma_r_t(table: ConjugacyTable, k: int, lu: int, lv: int, unipotent=False) -> dict:
+    """sigma R_T^lambda at s u (Deligne and Lusztig 1976, Thm 4.2) as an
+    {exponent: coefficient} map, for s a point of the elliptic torus whose
+    eigenvalues have logs (lu, lv), lambda of exponent k, sigma = table.sigma:
+    sigma Q_T(u) lambda(s) at a central s (lu = lv), with the Green function
+    Q_T(1) = 1 - q and Q_T(u) = 1 at a regular unipotent u, and
+    sigma (lambda(s) + lambda(s^q)) at any other s, where u = 1."""
     n = table.n_modulus
-    q = table.group.q
+    if lu == lv:
+        return {k * lu % n: table.sigma * (1 if unipotent else 1 - table.group.q)}
+    return {e: table.sigma * c for e, c in Counter((k * lu % n, k * lv % n)).items()}
+
+
+def _value_maps(table: ConjugacyTable, k: int):
+    """sigma R_T^lambda on each class: from log z on a class z or z u, from
+    (e, e q) on an elliptic class e, and 0 on a split class, which meets no T."""
     maps = []
     for cls in table.classes:
-        if cls.kind in ("central", "unipotent"):
-            e = (k * table._emb_log[cls.key[1]]) % n
-            maps.append({e: q - 1 if cls.kind == "central" else -1})
-        elif cls.kind == "split":
+        if cls.kind == "split":
             maps.append({})
+        elif cls.kind == "elliptic":
+            e = cls.key[1]
+            maps.append(sigma_r_t(table, k, e, e * table.group.q % table.n_modulus))
         else:
-            m = {}
-            for ex in (k * cls.key[1] % n, k * cls.key[1] * q % n):
-                m[ex] = m.get(ex, 0) - 1
-            maps.append(m)
+            log_z = table._emb_log[cls.key[1]]
+            maps.append(sigma_r_t(table, k, log_z, log_z, unipotent=cls.kind != "central"))
     return maps
 
 

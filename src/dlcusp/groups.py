@@ -416,14 +416,17 @@ def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
 # involutions
 
 
-def _check_component(F, outer: bool, m):
-    if not (len(m) == 2 and all(len(r) == 2 for r in m)) or F.mat_det(m) == 0:
-        raise ConfigError("witness must be an invertible 2x2 matrix")
-    if outer:
+def _check_component(factor: MatrixGroup, kind: str, m):
+    """The monic form of one factor's witness: it must be in GL2(F_q), as
+    factor.contains judges, and meet its kind's condition."""
+    if not factor.contains(m):
+        raise ConfigError(f"{kind} witness must be an invertible 2x2 matrix of F_q codes")
+    F = factor.tower.base
+    if kind == "outer":
         mt = _m_transpose(m)
         if mt != m and mt != _m_neg(F, m):
             raise ConfigError("outer witness must be symmetric or antisymmetric")
-    else:
+    elif kind == "inner":
         if not _m_is_scalar(F.mat_mul(m, m)):
             raise ConfigError("inner witness must square to a central element")
         if _m_is_scalar(m):
@@ -445,14 +448,12 @@ class Involution:
         if kind == "swap":
             if group.n_factors != 2:
                 raise ConfigError("swap involutions need the product group")
-            if not group.factor.contains(witness):
-                raise ConfigError("swap witness must be an invertible 2x2 matrix")
-            witness = group.tower.base.mat_monic(witness)
+            witness = _check_component(group.factor, kind, witness)
         elif kind in ("inner", "outer"):
             parts = group.split(witness)
-            if len(parts) != group.n_factors:
+            if not isinstance(parts, (tuple, list)) or len(parts) != group.n_factors:
                 raise ConfigError("product involutions carry a witness pair")
-            check = partial(_check_component, group.tower.base, kind == "outer")
+            check = partial(_check_component, group.factor, kind)
             witness = group.join(tuple(map(check, parts)))
         else:
             raise ConfigError(f"unknown involution kind {kind!r}")
@@ -1003,17 +1004,15 @@ def phi_theta_certified(theta: Involution, torus: TorusEmbedding):
     t -> t theta(t) is a homomorphism of the abelian torus, so the images
     s_k of the generator points generate T+ = {t theta(t)} over
     F_{q^2}.  The set of roots equal to 1 at every s_k (those vanishing
-    on T+, <a, l(s_k)> = 0 mod q^2 - 1) must equal the set of roots negated
-    by the lattice shadow, whose exponents must be unimodular, and the
+    on T+, <a, l(s_k)> = 0 mod q^2 - 1) must equal the shadow's phi_theta,
+    the roots negated by the lattice shadow, whose exponents must be
+    unimodular and whose negated roots must be closed under -1, and the
     common centralizer of the s_k in the Lie algebra must have dimension
     rank + |the set|.  Returns the sorted root tuple.
     """
     group = torus.group
     datum = torus.datum
-    shadow = derived_theta_star(theta, torus)
-    negated = set(
-        a for a in datum.roots if shadow.apply(a) == tuple(-x for x in a)
-    )
+    negated = set(derived_theta_star(theta, torus).phi_theta)
     E = group.tower.ext
     plus = []
     for k in range(torus.coord_count):

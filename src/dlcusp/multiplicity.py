@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from typing import NamedTuple
 
-from .dlchar import conjugacy_classes, cuspidal_character
+from .dlchar import conjugacy_classes, cuspidal_character, sigma_r_t
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
 from .groups import (
     Involution,
@@ -304,20 +304,15 @@ class TheoremResult(NamedTuple):
 
 
 def _check_on_torus(chis, exponents, torus: TorusEmbedding) -> None:
-    """Each chi_i against -R_T^{lambda_i} on one factor's elliptic torus
-    (Deligne and Lusztig 1976, Thm 4.2): chi(z) = (q - 1) lambda(z) at a
-    central z, and chi(t) = -lambda(t) - lambda(t^q) at any other point t,
-    compared exactly as {exponent: coefficient} maps."""
-    n, q = torus.group.tower.ext.order, torus.group.q
+    """Each chi_i against sigma R_T^{lambda_i} (dlchar.sigma_r_t) at every
+    point of one factor's elliptic torus, compared exactly as
+    {exponent: coefficient} maps."""
     for chi, k in zip(chis, exponents):
         for t, (lu, lv) in torus.logs.items():
-            if lu == lv:
-                expected = {k * lu % n: q - 1}
-            else:
-                expected = {e: -c for e, c in Counter((k * lu % n, k * lv % n)).items()}
-            if chi.value(t) != expected:
+            if chi.value(t) != sigma_r_t(chi.table, k, lu, lv):
+                sign = "-" if chi.table.sigma < 0 else ""
                 raise ConsistencyError(
-                    f"chi of exponent {k} is not -R_T^lambda on the elliptic torus",
+                    f"chi of exponent {k} is not {sign}R_T^lambda on the elliptic torus",
                     detail={"exponent": k, "torus_point": t},
                 )
 
@@ -333,7 +328,7 @@ def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
     exponents: lambda, exponent k_i against the eigenvalue of factor i: (k,)
     for gl2, (k1, k2) for the product group; each k_i must be in general
     position, which cuspidal_character certifies, and each chi_i must be
-    -R_T^{lambda_i} on the elliptic torus.  Raises TheoremViolation with the
+    sigma R_T^{lambda_i} on the elliptic torus.  Raises TheoremViolation with the
     result attached when the two sides differ.
     """
     t0 = time.perf_counter()

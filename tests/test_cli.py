@@ -378,6 +378,41 @@ def test_theorem_report_ignores_the_order_of_given_values(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "command,certificate", (("epsilon", "epsilon_character"), ("phi-theta", "phi_theta_certified"))
+)
+def test_stable_orbit_report_ignores_the_order_of_given_values(
+    capsys, monkeypatch, command, certificate
+):
+    # rows and failures come in report order: q, then torus, then seed in
+    # its named order; every cell at q = 5 fails
+    original = getattr(cli, certificate)
+
+    def failing_at_q5(theta, torus):
+        if theta.group.q == 5:
+            raise ConsistencyError("injected", detail=theta.witness)
+        return original(theta, torus)
+
+    monkeypatch.setattr(cli, certificate, failing_at_q5)
+
+    def report(*values):
+        argv = ("verify", command, "--group", "gl2", "--torus", "both", *values)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        doc = json.loads(out)
+        return doc["results"], doc["failures"]
+
+    results, failures = report(
+        "--q", "5", "3", "--involution", "antidiag", "--involution", "diag"
+    )
+    order = [("split", "elliptic").index(r["torus"]) for r in results]
+    assert results and failures and order == sorted(order)
+    assert [r["seed"] for r in results if r["torus"] == "split"][0] == "diag"
+    assert (results, failures) == report(
+        "--q", "3", "5", "--involution", "diag", "--involution", "antidiag"
+    )
+
+
 def test_theorem_violation_detail_is_the_row_sides_and_orbits(capsys, monkeypatch):
     # the detail of a violation holds the same orbits as the passing row,
     # and nothing timed
@@ -601,6 +636,15 @@ def test_oversized_q_is_a_resource_refusal(capsys):
     code, _, err = run_cli(capsys, "table", "--group", "gl2", "--q", "17")
     assert code == 3
     assert "78336" in err
+
+
+@pytest.mark.parametrize("command", ("epsilon", "phi-theta"))
+@pytest.mark.parametrize("qs,code", ((("3", "17"), 2), (("17", "3"), 3)))
+def test_refusals_follow_the_given_q_order(capsys, command, qs, code):
+    # each group and its tori are built in the given --q order, before any
+    # cell runs: the first value's refusal is the one reported
+    argv = ("verify", command, "--group", "gl2_x_gl2", "--q", *qs, "--torus", "split")
+    assert run_cli(capsys, *argv)[0] == code
 
 
 # -- output contracts ---------------------------------------------------------

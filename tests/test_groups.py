@@ -364,6 +364,36 @@ def test_involution_validation():
         Involution(g, "outer", ((1, 1), (0, 1)))
     with pytest.raises(ConfigError):
         Involution(g, "mystery", ((1, 0), (0, 1)))
+    with pytest.raises(ConfigError, match="witness pair"):  # no pair at all
+        Involution(MatrixGroup("gl2_x_gl2", 3), "inner", 7)
+
+
+@pytest.mark.parametrize(
+    "q,witness",
+    (
+        (9, ((0, 1), (-1, 0))),  # F_9's -1 is code 2; -1 is no code at all
+        (5, ((0, 7), (1, 0))),  # a code past q
+        (5, ((0, 1), (1, 0.0))),  # a float is no code
+    ),
+)
+def test_witness_must_hold_field_codes(monkeypatch, q, witness):
+    # every kind refuses it with a ConfigError, before any table lookup
+    monkeypatch.setitem(groups.Q_BOUND, "gl2_x_gl2", 9)
+    g, prod = MatrixGroup("gl2", q), MatrixGroup("gl2_x_gl2", q)
+    for kind in ("inner", "outer"):
+        for group, w in ((g, witness), (prod, (witness, witness))):
+            with pytest.raises(ConfigError, match="F_q codes"):
+                Involution(group, kind, w)
+    with pytest.raises(ConfigError, match="F_q codes"):
+        Involution(prod, "swap", witness)
+
+
+def test_witness_with_the_code_of_minus_one_is_accepted():
+    g = MatrixGroup("gl2", 9)
+    minus_one = g.tower.base.neg(1)
+    assert minus_one == 2
+    for kind in ("inner", "outer"):
+        assert Involution(g, kind, ((0, 1), (minus_one, 0))).witness == ((0, 1), (2, 0))
 
 
 def test_witness_scaling_identified():

@@ -5,6 +5,8 @@ with --out by an earlier version of the package.  A change that only makes
 the verifier faster must leave these bytes alone; the wall_ms timings are
 the one field masked before comparing.  To regenerate a golden file after an
 intended change of output, run its command with --out pointing at the file.
+The README's library tour is checked the same way: what it prints must be
+what its comments say.
 """
 
 import pathlib
@@ -15,6 +17,7 @@ import pytest
 from dlcusp.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 REPORTS = {
     "theorem_gl2_q3_5.json": ("verify", "theorem", "--group", "gl2", "--q", "3", "5"),
@@ -70,3 +73,14 @@ def test_report_bytes_match_golden(tmp_path, capsys, name):
     assert main([*REPORTS[name], "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert mask_wall(out.read_text()) == mask_wall((GOLDEN / name).read_text())
+
+
+def test_readme_library_tour_prints_what_its_comments_say(capsys):
+    tour = README.read_text().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["1 1", "(1,)"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
