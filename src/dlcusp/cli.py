@@ -10,9 +10,12 @@ Subcommands
 
 Each subcommand lists its cells, and one runner runs them and writes the
 report; verify sigma lists a failure cell at every draw of a failing
-retwist.  Cells come in report order whatever order the values were given
-in: theorem and table cells by q, then seed name, then exponents; epsilon
-and phi-theta cells by q, then torus, then seed in its named order.
+retwist.  The theorem, table, epsilon and phi-theta cells of one q share
+one multiplicity.Workspace, which holds that q's tori and certified
+characters until its last cell has run.  Cells come in report order
+whatever order the values were given in: theorem and table cells by q,
+then seed name, then exponents; epsilon and phi-theta cells by q, then
+torus, then seed in its named order.
 
 Exit codes: 0 all checks pass, 1 a verification failed (counterexample JSON
 on stdout), 2 invalid configuration, 3 resource bound exceeded.  Reports are
@@ -34,8 +37,8 @@ from typing import NamedTuple
 from . import __version__
 from .dlchar import general_position_exponents
 from .errors import ConfigError, ConsistencyError, ResourceBoundError, TheoremViolation
-from .groups import TORUS_DATA, MatrixGroup, TorusEmbedding, phi_theta_certified
-from .multiplicity import census_for, epsilon_character, verify_theorem
+from .groups import TORUS_DATA, MatrixGroup, phi_theta_certified
+from .multiplicity import Workspace, census_for, epsilon_character, verify_theorem
 from .rootdata import (
     datum_involutions,
     datum_names,
@@ -214,26 +217,30 @@ def _stable_orbit_cells(config: RunConfig, certify):
     in report order: q ascending, then the tori in TORUS_DATA order, then
     the seeds in NAMED_SEEDS order; certify(representative, torus) gives
     the fields its row adds.  Each group and its tori are built, or
-    refused, in the order the --q values were given, before any cell runs."""
-    tori = {}
+    refused, in the order the --q values were given, before any cell runs,
+    in one Workspace per q, which is released after that q's last cell."""
+    # "both" means the wired tori; a torus named explicitly that is not
+    # wired for the group is refused by TorusEmbedding
+    wired = [torus for kind, torus in TORUS_DATA if kind == config.group]
+    kinds = wired if config.torus == "both" else [config.torus]
+    spaces = {}
     for q in config.q:
-        group = MatrixGroup(config.group, q)
-        # "both" means the wired tori; a torus named explicitly that is not
-        # wired for the group is refused by TorusEmbedding
-        wired = [torus for kind, torus in TORUS_DATA if kind == group.kind]
-        kinds = wired if config.torus == "both" else [config.torus]
-        tori[q] = [TorusEmbedding(group, k) for k in kinds]
+        space = spaces[q] = Workspace(MatrixGroup(config.group, q))
+        for kind in kinds:
+            space.torus(kind)
     named = NAMED_SEEDS[config.group]
     seeds = [s for s in named if s in (config.involutions or named)]
-    for q in sorted(tori):
-        for torus, seed in itertools.product(tori[q], seeds):
-            for orbit in census_for(torus.group, torus, seed).t_orbits:
+    for q in sorted(spaces):
+        space = spaces.pop(q)
+        for kind, seed in itertools.product(kinds, seeds):
+            torus = space.torus(kind)
+            for orbit in census_for(space.group, torus, seed).t_orbits:
                 if orbit.stable:
                     theta = orbit.representative
                     fields = {
                         "group": config.group,
                         "q": q,
-                        "torus": torus.kind,
+                        "torus": kind,
                         "seed": seed,
                         "witness": _jsonable(theta.witness),
                     }
@@ -282,7 +289,10 @@ def _theorem_cells(config: RunConfig):
     representatives, every other factor's over their negatives.  Before
     any cell runs, each group is built and its grid checked in the order
     the --q values were given: an --exponent that names no cell at some q
-    is refused, with the representatives it may name instead.
+    is refused, with the representatives it may name instead.  The cells
+    of a q share one Workspace, so its torus is built once and each
+    exponent's character certified once; it is released after that q's
+    last cell.
     """
     grids = {}
     for q in config.q:
@@ -304,8 +314,10 @@ def _theorem_cells(config: RunConfig):
                     f"--exponent {','.join(map(str, config.exponent))} names no cell of "
                     f"{group.kind} at q = {q}; the representatives are {allowed}"
                 )
-        grids[q] = group, grid
-    for q, (group, grid) in sorted(grids.items()):
+        grids[q] = Workspace(group), grid
+    for q in sorted(grids):
+        space, grid = grids.pop(q)
+        group = space.group
         for seed in sorted(config.involutions or NAMED_SEEDS[group.kind]):
             for exps in grid:
                 exponent = ",".join(map(str, exps))
@@ -322,16 +334,16 @@ def _theorem_cells(config: RunConfig):
                     "--exponent", exponent,
                     "--involution", seed,
                 ]
-                yield fields, functools.partial(_theorem_fields, group, seed, exps), replay
+                yield fields, functools.partial(_theorem_fields, space, seed, exps), replay
 
 
-def _theorem_fields(group, seed, exps) -> dict:
+def _theorem_fields(space, seed, exps) -> dict:
     """What a theorem cell's row adds to its fields.  A TheoremViolation is
     raised again as a ConsistencyError whose detail is the two sides and
     the cell's orbits, without the timing, so the failure entry is
     byte-stable like a report."""
     try:
-        res = verify_theorem(group, seed, exps)
+        res = verify_theorem(space, seed, exps)
     except TheoremViolation as e:
         res = e.detail
         detail = {"lhs": res.lhs, "rhs": res.rhs, "orbits": _orbit_rows(res)}

@@ -36,7 +36,6 @@ __all__ = [
     "OrbitCensus",
     "TOrbit",
     "StabilizerData",
-    "elliptic_torus",
     "named_involution",
     "involution_orbit",
     "stabilizer_data",
@@ -406,10 +405,6 @@ class TorusEmbedding:
                 raise ConsistencyError(f"extension image is not in the {self.kind} torus")
             logs += (log(u), log(v))
         return logs
-
-
-def elliptic_torus(group: MatrixGroup) -> TorusEmbedding:
-    return TorusEmbedding(group, "elliptic")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from typing import NamedTuple
 
-from .dlchar import conjugacy_classes, cuspidal_character, sigma_r_t
+from .dlchar import ClassFunction, conjugacy_classes, cuspidal_character, sigma_r_t
 from .errors import ConfigError, ConsistencyError, MethodDisagreement, TheoremViolation
 from .groups import (
     Involution,
@@ -26,7 +26,6 @@ from .groups import (
     TorusEmbedding,
     _closure,
     derived_theta_star,
-    elliptic_torus,
     involution_orbit,
     lie_fixed_det,
     named_involution,
@@ -42,6 +41,7 @@ __all__ = [
     "rhs_orbit_sum",
     "lhs_multiplicity",
     "TheoremResult",
+    "Workspace",
     "verify_theorem",
     "census_for",
 ]
@@ -303,18 +303,17 @@ class TheoremResult(NamedTuple):
         return tuple(e.m for e, flag in zip(self.entries, self.matching) if flag)
 
 
-def _check_on_torus(chis, exponents, torus: TorusEmbedding) -> None:
-    """Each chi_i against sigma R_T^{lambda_i} (dlchar.sigma_r_t) at every
-    point of one factor's elliptic torus, compared exactly as
+def _check_on_torus(chi: ClassFunction, k: int, torus: TorusEmbedding) -> None:
+    """chi against sigma R_T^lambda (dlchar.sigma_r_t), lambda of exponent
+    k, at every point of one factor's elliptic torus, compared exactly as
     {exponent: coefficient} maps."""
-    for chi, k in zip(chis, exponents):
-        for t, (lu, lv) in torus.logs.items():
-            if chi.value(t) != sigma_r_t(chi.table, k, lu, lv):
-                sign = "-" if chi.table.sigma < 0 else ""
-                raise ConsistencyError(
-                    f"chi of exponent {k} is not {sign}R_T^lambda on the elliptic torus",
-                    detail={"exponent": k, "torus_point": t},
-                )
+    for t, (lu, lv) in torus.logs.items():
+        if chi.value(t) != sigma_r_t(chi.table, k, lu, lv):
+            sign = "-" if chi.table.sigma < 0 else ""
+            raise ConsistencyError(
+                f"chi of exponent {k} is not {sign}R_T^lambda on the elliptic torus",
+                detail={"exponent": k, "torus_point": t},
+            )
 
 
 def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCensus:
@@ -322,24 +321,61 @@ def census_for(group: MatrixGroup, torus: TorusEmbedding, seed: str) -> OrbitCen
     return involution_orbit(named_involution(group, seed), torus)
 
 
-def verify_theorem(group: MatrixGroup, seed: str, exponents) -> TheoremResult:
+class Workspace:
+    """What the cells of one (kind, q) share, each built on first use: the
+    group's tori, one per kind, and one certified cuspidal character per
+    factor exponent.
+
+    chi_k depends only on (q, k) and the torus only on q (Deligne and
+    Lusztig 1976, Thm 4.2), so a grid builds each torus once and certifies
+    each exponent's chi once, with its torus check.  A chi is kept only
+    after both pass, so an exponent that fails fails at every cell.  Nothing
+    per seed is kept: each cell builds its own census and orbit entries.
+    """
+
+    def __init__(self, group: MatrixGroup):
+        self.group = group
+        self._tori = {}
+        self._characters = {}
+
+    def torus(self, kind: str = "elliptic") -> TorusEmbedding:
+        """The group's torus of this kind; theorem cells use the elliptic one."""
+        torus = self._tori.get(kind)
+        if torus is None:
+            torus = self._tori[kind] = TorusEmbedding(self.group, kind)
+        return torus
+
+    def character(self, k: int) -> ClassFunction:
+        """chi_k on the factor group, certified by cuspidal_character and
+        checked against sigma R_T^lambda on the elliptic torus."""
+        chi = self._characters.get(k)
+        if chi is None:
+            chi = cuspidal_character(self.group.factor, k)
+            _check_on_torus(chi, k, self.torus())
+            self._characters[k] = chi
+        return chi
+
+
+def verify_theorem(space: Workspace, seed: str, exponents) -> TheoremResult:
     """Check lhs == rhs for one involution class and one inducing character.
 
-    exponents: lambda, exponent k_i against the eigenvalue of factor i: (k,)
-    for gl2, (k1, k2) for the product group; each k_i must be in general
-    position, which cuspidal_character certifies, and each chi_i must be
-    sigma R_T^{lambda_i} on the elliptic torus.  Raises TheoremViolation with the
-    result attached when the two sides differ.
+    space: the Workspace of the group, which holds its elliptic torus and
+    its certified characters; exponents: lambda, exponent k_i against the
+    eigenvalue of factor i: (k,) for gl2, (k1, k2) for the product group;
+    each k_i must be in general position, which cuspidal_character
+    certifies, and each chi_i must be sigma R_T^{lambda_i} on the elliptic
+    torus.  Raises TheoremViolation with the result attached when the two
+    sides differ.
     """
     t0 = time.perf_counter()
+    group = space.group
     exponents = tuple(exponents)
     if len(exponents) != group.n_factors:
         raise ConfigError(
             f"{group.kind} needs {group.n_factors} exponents, got {len(exponents)}"
         )
-    chis = tuple(cuspidal_character(group.factor, k) for k in exponents)
-    torus = elliptic_torus(group)
-    _check_on_torus(chis, exponents, torus)
+    chis = tuple(space.character(k) for k in exponents)
+    torus = space.torus()
     census = census_for(group, torus, seed)
     lhs = lhs_multiplicity(census, chis)
     entries = orbit_entries(census, torus)

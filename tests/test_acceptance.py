@@ -17,10 +17,10 @@ from dlcusp.errors import MethodDisagreement
 from dlcusp.groups import (
     MatrixGroup,
     TorusEmbedding,
-    elliptic_torus,
     phi_theta_certified,
 )
 from dlcusp.multiplicity import (
+    Workspace,
     census_for,
     epsilon_character,
     lhs_multiplicity,
@@ -69,7 +69,7 @@ def test_criterion_2_epsilon_two_routes_agree():
     disagreements = []
     for q in (3, 5, 7):
         group = MatrixGroup("gl2", q)
-        for torus in (TorusEmbedding(group, "split"), elliptic_torus(group)):
+        for torus in (TorusEmbedding(group, "split"), TorusEmbedding(group, "elliptic")):
             for seed in GL2_SEEDS:
                 census = census_for(group, torus, seed)
                 for orbit in census.t_orbits:
@@ -97,7 +97,7 @@ def test_criterion_3_killed_root_three_way():
     checked = 0
     for q in (3, 5):
         group = MatrixGroup("gl2", q)
-        for torus in (TorusEmbedding(group, "split"), elliptic_torus(group)):
+        for torus in (TorusEmbedding(group, "split"), TorusEmbedding(group, "elliptic")):
             for seed in GL2_SEEDS:
                 census = census_for(group, torus, seed)
                 for orbit in census.t_orbits:
@@ -107,10 +107,11 @@ def test_criterion_3_killed_root_three_way():
                     assert len(killed) in (0, 2)
                     checked += 1
     prod = MatrixGroup("gl2_x_gl2", 3)
-    census = census_for(prod, elliptic_torus(prod), "swap")
+    torus = TorusEmbedding(prod, "elliptic")
+    census = census_for(prod, torus, "swap")
     for orbit in census.t_orbits:
         if orbit.stable:
-            assert phi_theta_certified(orbit.representative, elliptic_torus(prod)) == ()
+            assert phi_theta_certified(orbit.representative, torus) == ()
             checked += 1
     dt = time.perf_counter() - t0
     _report(3, True, f"killed-root sets certified three ways on {checked} cells", dt)
@@ -181,11 +182,12 @@ def test_criterion_6_main_identity_full_grid():
     cells = 0
     for q in (3, 5, 7):
         group = MatrixGroup("gl2", q)
+        space = Workspace(group)
         ks = [k for k, _ in general_position_exponents(group)]
         for seed in GL2_SEEDS:
             found = {}
             for k in ks:
-                res = verify_theorem(group, seed, (k,))  # raises if lhs != rhs
+                res = verify_theorem(space, seed, (k,))  # raises if lhs != rhs
                 cells += 1
                 if res.lhs:
                     found[k] = res.lhs
@@ -206,6 +208,7 @@ def test_criterion_7_product_swap_inner_product():
     # j-th, both indexed by the Frobenius pair representatives; its
     # multiplicity must be the character inner product of the two factors
     group = MatrixGroup("gl2_x_gl2", 3)
+    space = Workspace(group)
     view = group.factor
     reps = tuple(k for k, _ in general_position_exponents(view))
     assert reps == (1, 2, 5)
@@ -214,7 +217,7 @@ def test_criterion_7_product_swap_inner_product():
     for ki in reps:
         row = []
         for kj in reps:
-            res = verify_theorem(group, "swap", (ki, -kj % n))
+            res = verify_theorem(space, "swap", (ki, -kj % n))
             ip = cuspidal_character(view, ki).inner(cuspidal_character(view, kj))
             assert ip == res.lhs
             row.append(res)
@@ -240,7 +243,7 @@ def test_criterion_8_representative_independence():
         (5, "transpose-inverse", 2, 1),
     ):
         group = MatrixGroup("gl2", q)
-        torus = elliptic_torus(group)
+        torus = TorusEmbedding(group, "elliptic")
         census = census_for(group, torus, seed)
         chi = cuspidal_character(group, k)
         assert lhs_multiplicity(census, (chi,)) == expected

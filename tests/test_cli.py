@@ -7,10 +7,12 @@ import json
 import os
 import re
 import stat
+import weakref
+from collections import Counter
 
 import pytest
 
-from dlcusp import __version__, cli, groups, rootdata
+from dlcusp import __version__, cli, groups, multiplicity, rootdata
 from dlcusp.cli import CSV_COLUMNS, main
 from dlcusp.errors import ConsistencyError
 
@@ -645,6 +647,69 @@ def test_refusals_follow_the_given_q_order(capsys, command, qs, code):
     # cell runs: the first value's refusal is the one reported
     argv = ("verify", command, "--group", "gl2_x_gl2", "--q", *qs, "--torus", "split")
     assert run_cli(capsys, *argv)[0] == code
+
+
+# -- one workspace per (kind, q) ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group,qs,tori,certified",
+    # the parent commit built one torus per cell (39 and 9) and certified
+    # one chi per cell and factor (39 and 18)
+    (("gl2", ("3", "5"), 2, 3 + 10), ("gl2_x_gl2", ("3",), 1, 6)),
+)
+def test_a_grid_builds_each_torus_once_and_certifies_each_exponent_once(
+    capsys, monkeypatch, group, qs, tori, certified
+):
+    built = []
+    calls = Counter()
+    init, certify = groups.TorusEmbedding.__init__, multiplicity.cuspidal_character
+
+    def counted_init(self, group, kind):
+        built.append((group.q, kind))
+        init(self, group, kind)
+
+    def counted_certify(factor, k):
+        calls[factor.q, k] += 1
+        return certify(factor, k)
+
+    monkeypatch.setattr(groups.TorusEmbedding, "__init__", counted_init)
+    monkeypatch.setattr(multiplicity, "cuspidal_character", counted_certify)
+    code, _, _ = run_cli(capsys, "verify", "theorem", "--group", group, "--q", *qs)
+    assert code == 0
+    assert built == [(int(q), "elliptic") for q in qs] and len(built) == tori
+    # one certification per distinct (q, factor exponent)
+    assert sum(calls.values()) == len(calls) == certified
+
+
+@pytest.mark.parametrize(
+    "command,hook",
+    (("theorem", "verify_theorem"), ("epsilon", "_epsilon_fields")),
+)
+def test_a_workspace_is_released_after_its_last_cell(capsys, monkeypatch, command, hook):
+    spaces = []
+    alive = []
+
+    class Tracked(multiplicity.Workspace):
+        def __init__(self, group):
+            super().__init__(group)
+            spaces.append(weakref.ref(self))
+
+    original = getattr(cli, hook)
+
+    def cell(space_or_theta, *args):
+        alive.append(tuple(s().group.q for s in spaces if s() is not None))
+        return original(space_or_theta, *args)
+
+    monkeypatch.setattr(cli, "Workspace", Tracked)
+    monkeypatch.setattr(cli, hook, cell)
+    argv = ("verify", command, "--group", "gl2", "--q", "5", "3")
+    assert run_cli(capsys, *argv)[0] == 0
+    # both are built, in the given order, before any cell; the q = 3
+    # workspace is gone when the first q = 5 cell runs
+    n3 = alive.count((5, 3))
+    assert n3 > 0 and alive == [(5, 3)] * n3 + [(5,)] * (len(alive) - n3)
+    assert len(alive) > n3
 
 
 # -- output contracts ---------------------------------------------------------

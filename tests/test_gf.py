@@ -15,7 +15,7 @@ import pytest
 from dlcusp.dlchar import cuspidal_character
 from dlcusp.errors import ConfigError
 from dlcusp.gf import build_field
-from dlcusp.groups import MatrixGroup, elliptic_torus
+from dlcusp.groups import MatrixGroup, TorusEmbedding
 from dlcusp.multiplicity import _log_lambda
 
 
@@ -384,7 +384,7 @@ def test_base_arithmetic_q9():
 
 def _f_q2_characters(q):
     group = MatrixGroup("gl2", q)
-    return group, elliptic_torus(group)
+    return group, TorusEmbedding(group, "elliptic")
 
 
 def test_character_log_value_is_a_hom():

@@ -19,7 +19,6 @@ from dlcusp.groups import (
     MatrixGroup,
     TorusEmbedding,
     derived_theta_star,
-    elliptic_torus,
     involution_orbit,
     lie_fixed_det,
     named_involution,
@@ -27,7 +26,7 @@ from dlcusp.groups import (
     stabilizer_data,
 )
 from dlcusp.linalg import fq_rref
-from dlcusp.multiplicity import _log_lambda, orbit_entries, verify_theorem
+from dlcusp.multiplicity import Workspace, _log_lambda, orbit_entries, verify_theorem
 
 # ---------------------------------------------------------------------------
 # groups
@@ -150,12 +149,12 @@ def test_product_elements_and_membership():
 def test_torus_element_counts(q):
     g = MatrixGroup("gl2", q)
     assert len(TorusEmbedding(g, "split").elements) == (q - 1) ** 2
-    assert len(elliptic_torus(g).elements) == q * q - 1
+    assert len(TorusEmbedding(g, "elliptic").elements) == q * q - 1
 
 
 def test_product_torus():
     g = MatrixGroup("gl2_x_gl2", 3)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     assert len(t.elements) == 64
     assert t.coord_count == 4
     with pytest.raises(ConfigError):
@@ -169,7 +168,7 @@ def test_unknown_torus_kind_is_refused():
 
 def test_elliptic_coords_are_eigenvalues():
     g = MatrixGroup("gl2", 5)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     tw = g.tower
     E = tw.ext
     n = E.order
@@ -205,7 +204,7 @@ def test_elliptic_log_pairs_are_pinned(q, generator, generator_logs, antidiag_lo
     # eigenbasis columns swapped, only swaps each point's pair (u, u^q), so
     # these values, printed by the code before the eigenbasis, pin it
     g = MatrixGroup("gl2", q)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     eps = g.tower.smallest_nonsquare()
     assert t.generators == (generator,)
     assert t.eigenvalue_logs(generator) == generator_logs
@@ -221,7 +220,7 @@ def test_split_log_pair_is_pinned():
 
 def test_torus_membership_map_is_group_closed():
     g = MatrixGroup("gl2", 3)
-    for t in (TorusEmbedding(g, "split"), elliptic_torus(g)):
+    for t in (TorusEmbedding(g, "split"), TorusEmbedding(g, "elliptic")):
         for x in t.elements:
             for y in t.elements:
                 assert t.contains(g.mul(x, y))
@@ -233,7 +232,7 @@ def test_root_value_against_log_coords():
     # off the diagonal of P^-1 t P
     g = MatrixGroup("gl2", 3)
     E = g.tower.ext
-    for t in (TorusEmbedding(g, "split"), elliptic_torus(g)):
+    for t in (TorusEmbedding(g, "split"), TorusEmbedding(g, "elliptic")):
         P, P_inv = t._basis
         for x in t.elements:
             (u, _), (_, v) = E.mat_mul(E.mat_mul(P_inv, x), P)
@@ -248,7 +247,7 @@ def test_extension_points_restrict_to_rational_points():
     # with the bare code (the integer 4 * 1 = 1) would leave the torus
     for q in (3, 5, 9):
         g = MatrixGroup("gl2", q)
-        t = elliptic_torus(g)
+        t = TorusEmbedding(g, "elliptic")
         n = g.tower.ext.order
         rational = set(t.elements)  # F_q codes are F_{q^2} codes
         # the Frobenius-linked log pairs (k, q k) give the F_q points, and
@@ -287,7 +286,7 @@ def test_torus_points_that_are_not_rational_raise(monkeypatch):
 
     monkeypatch.setattr(groups, "_torus_shape", off_frobenius)
     with pytest.raises(ConsistencyError, match="not F_q-rational"):
-        elliptic_torus(MatrixGroup("gl2", 3))
+        TorusEmbedding(MatrixGroup("gl2", 3), "elliptic")
 
 
 def test_torus_point_count_is_checked(monkeypatch):
@@ -307,7 +306,7 @@ def test_torus_point_count_is_checked(monkeypatch):
 
 def test_torus_character_hom_exhaustive():
     g = MatrixGroup("gl2_x_gl2", 3)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     n = g.tower.ext.order
     log = lambda x: _log_lambda(t, (3, 5), x)
     for x in t.elements:
@@ -321,18 +320,18 @@ def test_general_position_on_torus_characters():
     prod = MatrixGroup("gl2_x_gl2", 3)
     for exponents in ((1, 4), (4, 1), (0, 2)):
         with pytest.raises(ConfigError):
-            verify_theorem(prod, "swap", exponents)
+            verify_theorem(Workspace(prod), "swap", exponents)
 
 
 def test_character_exponent_count_checked():
     g = MatrixGroup("gl2", 3)
     with pytest.raises(ConfigError):
-        verify_theorem(g, "diag", (1, 2, 3))
+        verify_theorem(Workspace(g), "diag", (1, 2, 3))
 
 
 def test_frobenius_partner_same_values_on_rational_points():
     g = MatrixGroup("gl2", 5)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     # the partner 7 q is the composite with Frobenius, a relabeling of T(F_q)
     values = sorted(_log_lambda(t, (7,), x) for x in t.elements)
     assert values == sorted(_log_lambda(t, (7 * 5,), x) for x in t.elements)
@@ -469,7 +468,7 @@ def test_apply_ext_extends_apply():
 
 def test_stabilizes():
     g = MatrixGroup("gl2", 5)
-    ts, te = TorusEmbedding(g, "split"), elliptic_torus(g)
+    ts, te = TorusEmbedding(g, "split"), TorusEmbedding(g, "elliptic")
     assert named_involution(g, "diag").stabilizes(ts)
     assert named_involution(g, "antidiag").stabilizes(ts)
     assert named_involution(g, "transpose-inverse").stabilizes(ts)
@@ -554,7 +553,7 @@ ORBIT_SHAPES = {
 def test_torus_orbit_shapes(key):
     q, seed, torus_kind = key
     g = MatrixGroup("gl2", q)
-    t = TorusEmbedding(g, "split") if torus_kind == "split" else elliptic_torus(g)
+    t = TorusEmbedding(g, torus_kind)
     census = involution_orbit(named_involution(g, seed), t)
     got = sorted((len(o.members), o.stable) for o in census.t_orbits)
     assert got == ORBIT_SHAPES[key]
@@ -569,7 +568,7 @@ def test_census_cap(monkeypatch):
 
 def test_swap_census_is_inner_forms():
     g = MatrixGroup("gl2_x_gl2", 3)
-    census = involution_orbit(named_involution(g, "swap"), elliptic_torus(g))
+    census = involution_orbit(named_involution(g, "swap"), TorusEmbedding(g, "elliptic"))
     # witnesses modulo scaling biject with PGL2(F_3)
     assert len(census.all_members) == 24
     assert sorted((len(o.members), o.stable) for o in census.t_orbits) == [
@@ -626,7 +625,7 @@ def test_stabilizer_orbit_theorem():
 def test_stabilizer_data_swap_against_brute_force():
     g = MatrixGroup("gl2_x_gl2", 3)
     th = named_involution(g, "swap")
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     data = stabilizer_data(th, t, involution_orbit(th, t))
     brute = [
         x
@@ -654,7 +653,7 @@ def test_stabilizer_m_values_on_stable_orbits_q3():
         ("elliptic", "transpose-inverse", ((1, 1), (1, 2))): 1,
     }
     seen = {}
-    for torus in (TorusEmbedding(g, "split"), elliptic_torus(g)):
+    for torus in (TorusEmbedding(g, "split"), TorusEmbedding(g, "elliptic")):
         for seed in ("diag", "antidiag", "transpose-inverse"):
             census = involution_orbit(named_involution(g, seed), torus)
             for orbit in census.t_orbits:
@@ -674,7 +673,7 @@ def test_literal_product_check_raises(monkeypatch):
     # |G_theta| / m = 8
     g = MatrixGroup("gl2", 3)
     th = named_involution(g, "diag")
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     census = involution_orbit(th, t)
     assert len(stabilizer_data(th, t, census).t_theta) == 4
     monkeypatch.setattr(g.tower.base, "row_times", lambda r, y: y[0] if r[0] else y[1])
@@ -691,7 +690,7 @@ def test_literal_product_check_runs_on_large_cells(monkeypatch):
     # product (here x y = x) fails it
     g = MatrixGroup("gl2_x_gl2", 7)
     th = named_involution(g, "swap")
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     census = involution_orbit(th, t)
     data = stabilizer_data(th, t, census)
     assert data.g_fixed_order * len(data.t_theta) == 580_608 > 200_000
@@ -714,7 +713,7 @@ TRANSPORT_CENSUSES = [
 
 def _torus_census(kind, q, seed, torus_kind):
     g = MatrixGroup(kind, q)
-    t = TorusEmbedding(g, "split") if torus_kind == "split" else elliptic_torus(g)
+    t = TorusEmbedding(g, torus_kind)
     return g, t, involution_orbit(named_involution(g, seed), t)
 
 
@@ -851,7 +850,7 @@ def test_withheld_schreier_generator_raises(monkeypatch):
     # without diag(gamma, 1) the generators are SL2's: the orbit is the
     # same, but its Schreier generators span only G_theta meet SL2
     g = MatrixGroup("gl2", 5)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     gens = g.generators()
     assert gens[-1] == ((g.tower.base.generator, 0), (0, 1))
     full = len(involution_orbit(named_involution(g, "diag"), t).all_members)
@@ -866,7 +865,7 @@ def test_wrong_transporter_is_never_silently_short(monkeypatch):
     # one member's transporter set to 1: the seed's sets either raise or
     # are the filter's, whichever member it is
     g = MatrixGroup("gl2", 5)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     seed = named_involution(g, "transpose-inverse")
     expected = groups._direct_stabilizers(seed)
     raised = 0
@@ -1104,7 +1103,8 @@ def test_matrix_of_ad_matches_solved_coordinates(kind, q, seed):
     space = LieFixedSpace(th)
     F = g.tower.base
     basis_rows = [list(row) for row in zip(*space.vectors)]
-    points = groups._direct_stabilizers(th)[1][::7] + th.torus_side(elliptic_torus(g))[1]
+    torus = TorusEmbedding(g, "elliptic")
+    points = groups._direct_stabilizers(th)[1][::7] + th.torus_side(torus)[1]
     for x in points:
         xi = g.inv(x)
         solved = [
@@ -1157,7 +1157,7 @@ def test_lie_fixed_det_multiplicative():
 
 def test_derived_theta_star_matrices():
     g = MatrixGroup("gl2", 3)
-    te = elliptic_torus(g)
+    te = TorusEmbedding(g, "elliptic")
     ts = TorusEmbedding(g, "split")
 
     # conjugation by the antidiagonal witness acts on the elliptic torus as
@@ -1185,7 +1185,7 @@ def test_derived_theta_star_matrices():
 
 def test_derived_theta_star_elliptic_inversion():
     g = MatrixGroup("gl2", 3)
-    te = elliptic_torus(g)
+    te = TorusEmbedding(g, "elliptic")
     census = involution_orbit(named_involution(g, "transpose-inverse"), te)
     shapes = {}
     for orbit in census.t_orbits:
@@ -1199,7 +1199,7 @@ def test_derived_theta_star_elliptic_inversion():
 
 def test_derived_theta_star_product_swap():
     g = MatrixGroup("gl2_x_gl2", 3)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     census = involution_orbit(named_involution(g, "swap"), t)
     mats = set()
     for orbit in census.t_orbits:
@@ -1219,7 +1219,7 @@ def test_derived_theta_star_product_swap():
 
 def test_derived_theta_star_rejects_unstable():
     g = MatrixGroup("gl2", 5)
-    te = elliptic_torus(g)
+    te = TorusEmbedding(g, "elliptic")
     th = named_involution(g, "transpose-inverse")
     assert not th.stabilizes(te)
     with pytest.raises(ConfigError):
@@ -1231,7 +1231,7 @@ KILLED_BOTH = ((-1, 1), (1, -1))
 
 def test_phi_theta_certified_values():
     g = MatrixGroup("gl2", 3)
-    te = elliptic_torus(g)
+    te = TorusEmbedding(g, "elliptic")
     census = involution_orbit(named_involution(g, "transpose-inverse"), te)
     killed = {}
     for orbit in census.t_orbits:
@@ -1255,7 +1255,7 @@ def test_phi_theta_certified_values():
 @pytest.mark.parametrize("q", (3, 5))
 def test_phi_theta_certified_product(q):
     g = MatrixGroup("gl2_x_gl2", q)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     census = involution_orbit(named_involution(g, "swap"), t)
     for orbit in census.t_orbits:
         if orbit.stable:
@@ -1265,7 +1265,7 @@ def test_phi_theta_certified_product(q):
 @pytest.mark.parametrize("kind", ("gl2", "gl2_x_gl2"))
 def test_phi_theta_certified_applies_theta_to_generators_only(monkeypatch, kind):
     g = MatrixGroup(kind, 3)
-    t = elliptic_torus(g)
+    t = TorusEmbedding(g, "elliptic")
     seed = "swap" if kind == "gl2_x_gl2" else "transpose-inverse"
     census = involution_orbit(named_involution(g, seed), t)
     calls = []

@@ -19,10 +19,10 @@ from dlcusp.errors import (
 from dlcusp.groups import (
     MatrixGroup,
     TorusEmbedding,
-    elliptic_torus,
     named_involution,
 )
 from dlcusp.multiplicity import (
+    Workspace,
     census_for,
     character_matches_epsilon,
     epsilon_character,
@@ -44,7 +44,7 @@ def _stable_reps(group, torus, seed):
 @pytest.mark.parametrize("q", (3, 5, 7))
 def test_epsilon_trivial_on_elliptic_cells(q):
     group = MatrixGroup("gl2", q)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     for seed in ("diag", "antidiag", "transpose-inverse"):
         for theta in _stable_reps(group, torus, seed):
             signs = epsilon_character(theta, torus)
@@ -54,7 +54,7 @@ def test_epsilon_trivial_on_elliptic_cells(q):
 
 def test_epsilon_domain_sizes_q3_transpose_inverse():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     sizes = sorted(
         len(epsilon_character(th, torus))
         for th in _stable_reps(group, torus, "transpose-inverse")
@@ -163,7 +163,7 @@ def test_epsilon_generators_that_miss_points_raise(monkeypatch, q):
 def test_epsilon_generators_of_a_cyclic_domain():
     # the swap fixes the diagonal copy of the cyclic elliptic torus
     group = MatrixGroup("gl2_x_gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     domain = named_involution(group, "swap").torus_side(torus)[1]
     assert len(domain) == 8
     assert len(multiplicity._domain_generators(group, domain)) == 1
@@ -173,7 +173,7 @@ def test_epsilon_generators_that_leave_the_domain_raise(monkeypatch):
     # the transpose-inverse fixes a proper subgroup of the elliptic torus at
     # q = 3, which a generator of the whole torus leaves
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     theta = named_involution(group, "transpose-inverse")
     domain = theta.torus_side(torus)[1]
     assert len(domain) < len(torus.elements)
@@ -186,7 +186,7 @@ def test_epsilon_generators_that_leave_the_domain_raise(monkeypatch):
 
 def test_epsilon_requires_stable_torus():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     census = census_for(group, torus, "diag")
     unstable = next(o for o in census.t_orbits if not o.stable)
     with pytest.raises(ConfigError):
@@ -195,7 +195,7 @@ def test_epsilon_requires_stable_torus():
 
 def test_character_matches_epsilon_parity():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     theta = _stable_reps(group, torus, "transpose-inverse")
     by_size = {len(epsilon_character(t, torus)): t for t in theta}
     big = epsilon_character(by_size[4], torus)
@@ -210,7 +210,7 @@ def test_character_matches_epsilon_parity():
 
 def test_rhs_orbit_sum_reports_q3_diag():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     census = census_for(group, torus, "diag")
     lam = (2,)
     entries = orbit_entries(census, torus)
@@ -225,7 +225,7 @@ def test_rhs_orbit_sum_reports_q3_diag():
 
 def test_rhs_orbit_sum_no_match():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     census = census_for(group, torus, "diag")
     entries = orbit_entries(census, torus)
     total, matching = rhs_orbit_sum(entries, torus, (1,))
@@ -238,7 +238,7 @@ def test_rhs_orbit_sum_no_match():
 
 def test_lhs_multiplicity_matches_direct_average():
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     census = census_for(group, torus, "transpose-inverse")
     chi = cuspidal_character(group, 2)
     assert lhs_multiplicity(census, (chi,)) == 1
@@ -265,7 +265,7 @@ def test_product_cuspidal_values():
     # a gl2 cell is the one-factor case
     assert multiplicity._product_value((b.value(g[1]),), n) == b.value(g[1])
     # the product group's lhs averages the outer product of (a, b) over G^theta
-    census = census_for(group, elliptic_torus(group), "swap")
+    census = census_for(group, TorusEmbedding(group, "elliptic"), "swap")
     fixed = census.seed_stabilizers[1]
     average = sum(
         _complex(table, a.value(h[0])) * _complex(table, b.value(h[1])) for h in fixed
@@ -283,7 +283,7 @@ def _constant(table, m):
 def test_lhs_refuses_a_non_integral_average():
     group = MatrixGroup("gl2", 3)
     table = conjugacy_classes(group)
-    census = census_for(group, elliptic_torus(group), "diag")
+    census = census_for(group, TorusEmbedding(group, "elliptic"), "diag")
     fixed = census.seed_stabilizers[1]
     # the constant zeta sums to |G^theta| zeta, which is not an integer
     with pytest.raises(ConsistencyError, match="not an integer multiple") as err:
@@ -323,9 +323,10 @@ def test_gl2_grid_small(q, seed):
     from dlcusp.dlchar import general_position_exponents
 
     group = MatrixGroup("gl2", q)
+    space = Workspace(group)
     expected = GL2_NONZERO[(q, seed)]
     for k, _ in general_position_exponents(group):
-        res = verify_theorem(group, seed, (k,))
+        res = verify_theorem(space, seed, (k,))
         assert res.lhs == res.rhs == expected.get(k, 0)
         assert res.exponents == (k,) and res.q == q and res.seed == seed
         assert len(res.matching) == len(res.entries)
@@ -335,10 +336,10 @@ def test_gl2_grid_small(q, seed):
 
 
 def test_gl2_q7_spot_checks():
-    group = MatrixGroup("gl2", 7)
-    assert verify_theorem(group, "diag", (6,)).lhs == 1
-    assert verify_theorem(group, "diag", (4,)).lhs == 0
-    assert verify_theorem(group, "transpose-inverse", (34,)).lhs == 1
+    space = Workspace(MatrixGroup("gl2", 7))
+    assert verify_theorem(space, "diag", (6,)).lhs == 1
+    assert verify_theorem(space, "diag", (4,)).lhs == 0
+    assert verify_theorem(space, "transpose-inverse", (34,)).lhs == 1
 
 
 def test_cold_gl2_cell_filters_nothing(monkeypatch):
@@ -354,8 +355,8 @@ def test_cold_gl2_cell_filters_nothing(monkeypatch):
 
         monkeypatch.setattr(groups, name, counted)
     group = MatrixGroup("gl2", 11)
-    verify_theorem(group, "diag", (7,))
-    n_orbits = len(census_for(group, elliptic_torus(group), "diag").t_orbits)
+    verify_theorem(Workspace(group), "diag", (7,))
+    n_orbits = len(census_for(group, TorusEmbedding(group, "elliptic"), "diag").t_orbits)
     assert calls == {"_direct_stabilizers": 0, "_literal_product": n_orbits}
 
 
@@ -372,35 +373,35 @@ def test_rejects_degenerate_exponent(monkeypatch):
     gl2, prod = MatrixGroup("gl2", 3), MatrixGroup("gl2_x_gl2", 3)
     for group, exponents in ((gl2, (4,)), (gl2, (0,)), (gl2, (1, 2)), (prod, (1,))):
         with pytest.raises(ConfigError):
-            verify_theorem(group, "diag", exponents)
+            verify_theorem(Workspace(group), "diag", exponents)
     assert censuses == []
-    verify_theorem(gl2, "diag", (1,))
+    verify_theorem(Workspace(gl2), "diag", (1,))
     assert len(censuses) == 1
 
 
 def test_theorem_result_wall_time_positive():
-    res = verify_theorem(MatrixGroup("gl2", 3), "diag", (1,))
+    res = verify_theorem(Workspace(MatrixGroup("gl2", 3)), "diag", (1,))
     assert res.wall_ms > 0
 
 
 def test_product_swap_diagonal():
-    group = MatrixGroup("gl2_x_gl2", 3)
-    res = verify_theorem(group, "swap", (1, 7))  # chi_1 against its inverse
+    space = Workspace(MatrixGroup("gl2_x_gl2", 3))
+    res = verify_theorem(space, "swap", (1, 7))  # chi_1 against its inverse
     assert res.lhs == res.rhs == 1
     matching = [e for e, flag in zip(res.entries, res.matching) if flag]
     assert len(matching) == 1 and matching[0].m == 1 == res.m_values[0]
-    off = verify_theorem(group, "swap", (1, 6))  # chi_1 against inverse of chi_2
+    off = verify_theorem(space, "swap", (1, 6))  # chi_1 against inverse of chi_2
     assert off.lhs == off.rhs == 0
 
 
 def test_distinction_grid_q3_is_identity():
     # chi_i against the inverse of chi_j, over the Frobenius pair
     # representatives 1, 2, 5 of F_9^x (the inverse of chi_j has exponent -j)
-    group = MatrixGroup("gl2_x_gl2", 3)
+    space = Workspace(MatrixGroup("gl2_x_gl2", 3))
     reps = (1, 2, 5)
     for i in reps:
         for j in reps:
-            res = verify_theorem(group, "swap", (i, -j % 8))
+            res = verify_theorem(space, "swap", (i, -j % 8))
             assert res.lhs == (1 if i == j else 0)
             assert res.lhs == res.rhs
 
@@ -428,7 +429,7 @@ def test_one_census_and_one_orbit_analysis_per_cell(monkeypatch):
     ):
         censuses.clear()
         analysed.clear()
-        verify_theorem(MatrixGroup(kind, q), seed, exponents)
+        verify_theorem(Workspace(MatrixGroup(kind, q)), seed, exponents)
         assert len(censuses) == 1
         t_orbits = censuses[0].t_orbits
         assert len(t_orbits) > 1
@@ -440,7 +441,7 @@ def test_violation_carries_result(monkeypatch):
     # constant 1 has average 1 on every fixed subgroup but lambda = 1 is
     # degenerate, so go through the internals directly
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     census = census_for(group, torus, "diag")
 
     one = _constant(conjugacy_classes(group), {0: 1})
@@ -454,7 +455,7 @@ def test_violation_carries_result(monkeypatch):
     # which matches the stable orbit; the violation carries the whole result
     monkeypatch.setattr(multiplicity, "lhs_multiplicity", lambda census, chis: 0)
     with pytest.raises(TheoremViolation, match="multiplicity 0 differs") as err:
-        verify_theorem(group, "diag", (2,))
+        verify_theorem(Workspace(group), "diag", (2,))
     res = err.value.detail
     assert (res.lhs, res.rhs) == (0, 1)
     assert [e.orbit for e in res.entries] == list(census.t_orbits)
@@ -469,7 +470,7 @@ def _q3_diag():
     """GL2 q = 3 diag: a two-member stable orbit, which lambda = 2 matches,
     and an unstable one."""
     group = MatrixGroup("gl2", 3)
-    torus = elliptic_torus(group)
+    torus = TorusEmbedding(group, "elliptic")
     entries = orbit_entries(census_for(group, torus, "diag"), torus)
     assert [(len(e.orbit.members), e.orbit.stable) for e in entries] == [
         (2, True),
@@ -512,7 +513,7 @@ def test_partner_exponent_must_give_the_same_orbit_side(monkeypatch):
         and original(exponents, torus, signs),
     )
     with pytest.raises(ConsistencyError, match="changed under the Frobenius partner") as err:
-        verify_theorem(group, "diag", (2,))
+        verify_theorem(Workspace(group), "diag", (2,))
     assert err.value.detail == (1, 0)
 
 
@@ -526,11 +527,61 @@ def test_chi_of_the_inverse_exponent_is_refused(monkeypatch, kind, q, seed, expo
     n = group.tower.ext.order
     for k in exponents:
         assert -k % n not in (k, k * q % n)
-    verify_theorem(group, seed, exponents)
+    verify_theorem(Workspace(group), seed, exponents)
     monkeypatch.setattr(
         multiplicity, "cuspidal_character", lambda factor, k: cuspidal_character(factor, -k)
     )
-    with pytest.raises(ConsistencyError, match="not -R_T") as err:
-        verify_theorem(group, seed, exponents)
-    assert err.value.detail["exponent"] == exponents[0]
-    assert err.value.detail["torus_point"] in elliptic_torus(group).points
+    # a workspace keeps a chi only once it passed its torus check, so the
+    # mutant fails at every cell of its workspace, not only at the first
+    space = Workspace(group)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="not -R_T") as err:
+            verify_theorem(space, seed, exponents)
+        assert err.value.detail["exponent"] == exponents[0]
+        assert err.value.detail["torus_point"] in TorusEmbedding(group, "elliptic").points
+
+
+def test_a_sigma_r_t_mutant_fails_at_the_first_cell_of_its_exponent(monkeypatch):
+    # the torus check reads lambda(t^q) as lambda(t) for exponent 2 only: on
+    # one workspace, run in report order, every cell of exponent 2 fails,
+    # the first included, and every other cell passes
+    original = multiplicity.sigma_r_t
+
+    def mutant(table, k, lu, lv, unipotent=False):
+        return original(table, k, lu, lu if k == 2 else lv, unipotent)
+
+    monkeypatch.setattr(multiplicity, "sigma_r_t", mutant)
+    space = Workspace(MatrixGroup("gl2", 3))
+    seeds = ("antidiag", "diag", "transpose-inverse")
+    failed = []
+    for seed in seeds:
+        for k in (1, 2, 5):
+            try:
+                verify_theorem(space, seed, (k,))
+            except ConsistencyError as e:
+                assert "not -R_T" in str(e) and e.detail["exponent"] == 2
+                failed.append((seed, k))
+    assert failed == [(seed, 2) for seed in seeds]
+
+
+def test_workspace_builds_each_torus_and_character_once(monkeypatch):
+    built, certified = [], []
+
+    def counted_torus(group, kind):
+        built.append(kind)
+        return TorusEmbedding(group, kind)
+
+    def counted_chi(factor, k):
+        certified.append(k)
+        return cuspidal_character(factor, k)
+
+    monkeypatch.setattr(multiplicity, "TorusEmbedding", counted_torus)
+    monkeypatch.setattr(multiplicity, "cuspidal_character", counted_chi)
+    space = Workspace(MatrixGroup("gl2_x_gl2", 3))
+    assert (built, certified) == ([], [])  # nothing is front-loaded
+    assert space.torus("elliptic") is space.torus()
+    assert built == ["elliptic"]
+    for seed_exponents in ((1, 7), (1, 6), (2, 7)):
+        verify_theorem(space, "swap", seed_exponents)
+    assert space.character(6) is space.character(6)
+    assert (built, certified) == (["elliptic"], [1, 7, 6, 2])
